@@ -1,7 +1,5 @@
 """Blockchain-graph risk analytics: chainlet matrices, extreme-activity
 features, OLS volatility regressions and ARMA-GARCHX VaR backtesting."""
 
-from ._kernels import NUMBA_ENABLED
-
 __version__ = "0.1.0"
-__all__ = ["NUMBA_ENABLED", "__version__"]
+__all__ = ["__version__"]

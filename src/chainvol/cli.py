@@ -307,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--threshold", type=int, default=None, help="chainlet clamp threshold N")
         p.add_argument("--gap-policy", dest="gap_policy", choices=["error", "ffill"], default=None)
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--config", help="flat key=value config file")
+        # SUPPRESS: without the flag here, the top-level value stays in place
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="RNG seed")
+        p.add_argument("--config", default=argparse.SUPPRESS, help="flat key=value config file")
 
     p = sub.add_parser("extract", help="transactions -> daily chainlet matrix files")
     p.add_argument("transactions")

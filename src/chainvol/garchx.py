@@ -12,12 +12,12 @@ contemporaneous with sigma_t, so one-step forecasts need x_{t+1}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize, special, stats as sps
 
-from ._kernels import filter_recursion, simulate_recursion
 from .errors import FitError, ValidationError
 from .skewt import normal_logpdf, skewt_logpdf, skewt_quantile, student_t_logpdf
 
@@ -179,17 +179,44 @@ def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec,
 
     Initialization: pre-sample y and u are zero, pre-sample variance is the
     sample variance of y.
+
+    With the parameters fixed, both recursions are linear filters. The MA
+    inversion is u = e / (1 + theta(L)) of the AR residuals
+    e_t = y_t - mu - sum_i phi_i y_{t-1-i}. The variance is
+    sigma2 = c / (1 - beta L) with c_t = alpha0 + beta_x' x_t + alpha1 u_{t-1}^2.
+    Only the sigma2_min floor is nonlinear; it binds when beta_x' x_t is
+    negative enough, and the recursion then runs as a loop from the first
+    floored day on.
     """
+    # imported here: scipy.signal would add ~0.15 s to every CLI start
+    from scipy.signal import lfilter
+
     y = np.asarray(y, dtype=float)
     T = y.size
     if T < max(spec.p, spec.q) + 2:
         raise ValidationError(f"series of length {T} too short for ARMA({spec.p},{spec.q})")
-    xvar = _xvar(x, params.beta_x[: spec.k], T)
+    e = y - params.mu
+    for i, phi_i in enumerate(params.phi[: spec.p]):
+        e[i + 1:] -= phi_i * y[: T - 1 - i]
+    u = lfilter([1.0], np.concatenate(([1.0], params.theta[: spec.q])), e)
+
+    c = params.alpha0 + _xvar(x, params.beta_x[: spec.k], T)
+    c[1:] += params.alpha1 * (u[:-1] * u[:-1])
     sigma2_init = float(np.var(y))
-    u, sigma2 = filter_recursion(
-        y, xvar, params.mu, params.phi[: spec.p], params.theta[: spec.q],
-        params.alpha0, params.alpha1, params.beta, sigma2_init, sigma2_min,
-    )
+    sigma2, _ = lfilter([1.0], [1.0, -params.beta], c, zi=[params.beta * sigma2_init])
+    floored = np.flatnonzero(sigma2 < sigma2_min)
+    if floored.size:
+        t0 = int(floored[0])
+        s2 = float(sigma2[t0 - 1]) if t0 else sigma2_init
+        beta = params.beta
+        tail = []
+        for c_t in c[t0:].tolist():
+            s2 = c_t + beta * s2
+            if s2 < sigma2_min:
+                s2 = sigma2_min
+            tail.append(s2)
+        sigma2[t0:] = tail
+
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(sigma2))):
         bad = int(np.argmax(~(np.isfinite(u) & np.isfinite(sigma2))))
         raise ValidationError(f"non-finite filter state at t={bad}")
@@ -311,7 +338,10 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
     start_nll = neg_log_likelihood(y, x_fit, start, spec, config.sigma2_min)
 
     def objective(v):
-        return neg_log_likelihood(y, x_fit, unpack_params(v, spec), spec, config.sigma2_min)
+        # the optimizer probes far into overflow territory; those points get
+        # the penalty value, so their numpy warnings carry no information
+        with np.errstate(all="ignore"):
+            return neg_log_likelihood(y, x_fit, unpack_params(v, spec), spec, config.sigma2_min)
 
     best_v, best_nll, best_res = v0, start_nll, None
     n_iter = 0
@@ -327,15 +357,18 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
         except (ValueError, FloatingPointError):
             continue
         n_iter += int(res.nit)
-        if np.isfinite(res.fun) and res.fun < best_nll:
-            best_v, best_nll, best_res = res.x, float(res.fun), res
+        # after an abnormal line-search end res.fun belongs to another point
+        # than res.x, so compare restarts on what res.x attains
+        nll = objective(res.x)
+        if nll < best_nll:
+            best_v, best_nll, best_res = res.x, nll, res
         if res.success:
             any_converged = True
     if best_nll >= PENALTY_NLL:
         raise FitError("all restarts ended in the penalty region", best_result=best_res)
-    # likelihood never worse than the starting point: best over evaluated
-    # candidates includes v0 by construction
-    assert best_nll <= start_nll + 1e-9
+    if not best_nll <= start_nll:
+        raise FitError(f"best fit (nll {best_nll}) is worse than the start point "
+                       f"(nll {start_nll})", best_result=best_res)
 
     params = unpack_params(best_v, spec)
     u, sigma2 = filter_model(y, x_fit, params, spec, config.sigma2_min)
@@ -365,12 +398,29 @@ def simulate(params: ArmaGarchXParams, spec: ModelSpec, x, T: int, seed: int):
         z = np.asarray(skewt_quantile(uniforms, params.nu, params.xi))
     xvar = _xvar(x, params.beta_x[: spec.k], T)
     persistence = params.alpha1 + params.beta
-    sigma2_init = params.alpha0 / (1.0 - persistence) if persistence < 1 else params.alpha0
-    y, u, sigma2 = simulate_recursion(
-        z, xvar, params.mu, params.phi[: spec.p], params.theta[: spec.q],
-        params.alpha0, params.alpha1, params.beta, sigma2_init, SIGMA2_MIN,
-    )
-    return y, u, sigma2
+    s2 = params.alpha0 / (1.0 - persistence) if persistence < 1 else params.alpha0
+    # sigma_t enters the mean through u_t, so this recursion is not a linear
+    # filter; it runs once per path, off the likelihood's hot path
+    alpha0, alpha1, beta, mu = params.alpha0, params.alpha1, params.beta, params.mu
+    phi = params.phi[: spec.p].tolist()
+    theta = params.theta[: spec.q].tolist()
+    y, u, sigma2 = [], [], []
+    for t, (z_t, xvar_t) in enumerate(zip(z.tolist(), xvar.tolist())):
+        if t == 0:
+            s2 = alpha0 + beta * s2 + xvar_t
+        else:
+            s2 = alpha0 + alpha1 * u[t - 1] * u[t - 1] + beta * s2 + xvar_t
+        if s2 < SIGMA2_MIN:
+            s2 = SIGMA2_MIN
+        sigma2.append(s2)
+        u.append(math.sqrt(s2) * z_t)
+        m = mu
+        for i in range(min(len(phi), t)):
+            m += phi[i] * y[t - 1 - i]
+        for j in range(min(len(theta), t)):
+            m += theta[j] * u[t - 1 - j]
+        y.append(m + u[t])
+    return np.array(y), np.array(u), np.array(sigma2)
 
 
 def forecast_one(params: ArmaGarchXParams, spec: ModelSpec, y, u, sigma2, x_next,

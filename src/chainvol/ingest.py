@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import datetime as dt
 import os
-import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -243,9 +242,14 @@ def write_matrix_file(path, entries, integer: bool = True) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    The temp file is created with mode 0o666, so the umask decides the final
+    mode as it does for any plainly created file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-chainvol-")
+    tmp = os.path.join(directory, f".tmp-chainvol-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -23,6 +23,18 @@ def _std_t_scale(nu: float) -> float:
     return np.sqrt(nu / (nu - 2.0))
 
 
+def _std_t_logpdf(a, nu: float):
+    """Log-density of the unit-variance Student-t, in closed form.
+
+    This is scipy's t.logpdf(a * c, nu) + log(c) with c = sqrt(nu / (nu - 2))
+    folded in, without the per-call overhead of a scipy distribution. The
+    normalizing constant log Gamma((nu+1)/2) - log Gamma(nu/2) is taken as
+    log poch(nu/2, 1/2), as scipy does, which keeps it accurate for large nu.
+    """
+    return (np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * np.log((nu - 2.0) * np.pi)
+            - 0.5 * (nu + 1.0) * np.log1p(a * a / (nu - 2.0)))
+
+
 def _fs_constants(nu: float, xi: float):
     """Mean and std of the unstandardized Fernandez-Steel variable.
 
@@ -39,11 +51,9 @@ def skewt_logpdf(z, nu: float, xi: float):
     z = np.asarray(z, dtype=float)
     mean, sd = _fs_constants(nu, xi)
     w = sd * z + mean  # unstandardized coordinate
-    c = _std_t_scale(nu)
     # unit-variance t log-density evaluated at w/xi (right) or w*xi (left)
     arg = np.where(w >= 0, w / xi, w * xi)
-    log_t = sps.t.logpdf(arg * c, nu) + np.log(c)
-    out = np.log(2.0 / (xi + 1.0 / xi)) + log_t + np.log(sd)
+    out = np.log(2.0 / (xi + 1.0 / xi)) + _std_t_logpdf(arg, nu) + np.log(sd)
     return out if out.ndim else float(out)
 
 
@@ -87,9 +97,7 @@ def skewt_rvs(n: int, nu: float, xi: float, rng: np.random.Generator):
 
 def student_t_logpdf(z, nu: float):
     """Unit-variance Student-t log-density (the xi = 1 special case)."""
-    z = np.asarray(z, dtype=float)
-    c = _std_t_scale(nu)
-    return sps.t.logpdf(z * c, nu) + np.log(c)
+    return _std_t_logpdf(np.asarray(z, dtype=float), nu)
 
 
 def normal_logpdf(z):

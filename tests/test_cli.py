@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -250,3 +253,32 @@ class TestConfigFile:
 
         with pytest.raises(Exception, match="unknown config key"):
             cli.resolve_config(Args())
+
+
+class TestTopLevelFlags:
+    def test_top_level_seed_reaches_subcommand(self, tmp_path):
+        out = tmp_path / "d"
+        assert cli.main(["--seed", "5", "synth", "--out", str(out), "--days", "3"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+
+    def test_subcommand_seed_wins(self, tmp_path):
+        out = tmp_path / "d"
+        assert cli.main(["--seed", "5", "synth", "--out", str(out), "--days", "3", "--seed", "9"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 9
+
+    def test_top_level_config_reaches_subcommand(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=4\n")
+        out = tmp_path / "d"
+        assert cli.main(["--config", str(cfg), "synth", "--out", str(out), "--days", "3"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+
+
+def test_import_does_not_load_scipy_signal():
+    # the filter imports scipy.signal where it runs; every CLI stage pays
+    # for what chainvol.cli imports
+    code = "import sys, chainvol.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

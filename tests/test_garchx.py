@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainvol import garchx as g
-from chainvol.errors import ValidationError
+from chainvol.errors import FitError, ValidationError
 from chainvol.garchx import ArmaGarchXParams, FitConfig, ModelSpec
 
 
@@ -14,7 +17,94 @@ def garch_params(**kw):
     return ArmaGarchXParams(**base)
 
 
+def loop_filter(y, xvar, mu, phi, theta, alpha0, alpha1, beta, sigma2_init, sigma2_min):
+    """Reference: the mean and variance recursions as one loop over t, the
+    form filter_model had before it was written as linear filters."""
+    T = y.shape[0]
+    u = np.zeros(T)
+    sigma2 = np.empty(T)
+    for t in range(T):
+        if t == 0:
+            s2 = alpha0 + beta * sigma2_init + xvar[t]
+        else:
+            s2 = alpha0 + alpha1 * u[t - 1] * u[t - 1] + beta * sigma2[t - 1] + xvar[t]
+        if s2 < sigma2_min:
+            s2 = sigma2_min
+        sigma2[t] = s2
+        m = mu
+        for i in range(phi.shape[0]):
+            if t - 1 - i >= 0:
+                m += phi[i] * y[t - 1 - i]
+        for j in range(theta.shape[0]):
+            if t - 1 - j >= 0:
+                m += theta[j] * u[t - 1 - j]
+        u[t] = y[t] - m
+    return u, sigma2
+
+
+def assert_filter_close(got, want):
+    """Within 1e-10 relative; near a zero of u, or where the floor's
+    cancellation makes sigma2 tiny, relative to the path's largest value."""
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+
+
+@st.composite
+def filter_cases(draw):
+    p, q, k = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    T = draw(st.integers(max(p, q) + 2, 400))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    y = rng.standard_t(5, size=T) * draw(st.floats(1e-3, 1.0))
+    x = rng.normal(size=(k, T))
+    # |theta_1| + |theta_2| < 1 keeps the MA part invertible; beta_x of either
+    # sign, large enough that beta_x' x_t can drive the variance to the floor
+    params = g.ArmaGarchXParams(
+        mu=draw(st.floats(-0.1, 0.1)),
+        phi=rng.uniform(-0.9, 0.9, size=p),
+        theta=rng.uniform(-0.49, 0.49, size=q),
+        alpha0=draw(st.floats(1e-8, 1e-2)),
+        alpha1=draw(st.floats(0.0, 0.3)),
+        beta=draw(st.floats(0.0, 0.69)),
+        beta_x=rng.normal(size=k) * draw(st.floats(1e-6, 1.0)),
+    )
+    return y, x, params, g.ModelSpec(p, q, k, "normal")
+
+
+def loop_reference(y, x, params, spec):
+    xvar = params.beta_x @ x if spec.k else np.zeros(y.size)
+    return loop_filter(y, xvar, params.mu, params.phi, params.theta, params.alpha0,
+                       params.alpha1, params.beta, float(np.var(y)), g.SIGMA2_MIN)
+
+
 class TestFilter:
+    @given(filter_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_reference(self, case):
+        y, x, params, spec = case
+        u, sigma2 = g.filter_model(y, x, params, spec)
+        u_ref, sigma2_ref = loop_reference(y, x, params, spec)
+        assert_filter_close(u, u_ref)
+        assert_filter_close(sigma2, sigma2_ref)
+
+    @pytest.mark.parametrize("first_floored", [0, 1, 37, 97])
+    def test_floor_matches_loop_reference(self, first_floored):
+        # negative beta_x' x_t pushes the variance under the floor from
+        # first_floored on; the loop that takes over must agree with the
+        # reference on every later day, including days back above the floor
+        rng = np.random.default_rng(first_floored)
+        y = rng.normal(size=100) * 0.02
+        x = np.zeros((1, 100))
+        x[0, first_floored::3] = 1.0
+        params = garch_params(phi=[0.2], theta=[-0.3], alpha0=1e-5, alpha1=0.1, beta=0.6,
+                              beta_x=[-1e-2])
+        spec = ModelSpec(1, 1, 1, "normal")
+        u, sigma2 = g.filter_model(y, x, params, spec)
+        u_ref, sigma2_ref = loop_reference(y, x, params, spec)
+        assert np.flatnonzero(sigma2_ref == g.SIGMA2_MIN)[0] == first_floored
+        assert np.any(sigma2_ref[first_floored:] > g.SIGMA2_MIN)
+        assert_filter_close(u, u_ref)
+        assert_filter_close(sigma2, sigma2_ref)
+
     def test_iid_reduction(self):
         rng = np.random.default_rng(0)
         y = rng.normal(0.3, 1.0, size=200)
@@ -150,6 +240,17 @@ class TestReductionChain:
 
 
 class TestSimulate:
+    def test_filter_recovers_simulated_path(self):
+        spec = ModelSpec(2, 1, 2, "skewt")
+        params = garch_params(phi=[0.3, -0.1], theta=[0.2], beta_x=[0.01, -0.005], nu=6.0, xi=1.2)
+        x = np.abs(np.random.default_rng(12).normal(size=(2, 500)))
+        y, u, sigma2 = g.simulate(params, spec, x, 500, seed=3)
+        # simulate starts from the unconditional variance, filter_model from
+        # the sample variance: the paths agree once beta^t has forgotten it
+        u_f, sigma2_f = g.filter_model(y, x, params, spec)
+        assert_filter_close(u_f, u)
+        np.testing.assert_allclose(sigma2_f[200:], sigma2[200:], rtol=1e-10)
+
     def test_deterministic(self):
         params = garch_params(nu=6.0, xi=1.2)
         spec = ModelSpec(1, 1, 0, "skewt")
@@ -214,6 +315,42 @@ class TestFit:
     def test_too_few_observations(self):
         with pytest.raises(ValidationError):
             g.fit(np.zeros(10), None, ModelSpec(0, 0, 0, "normal"), FitConfig())
+
+    def test_loglik_is_attained_by_returned_params(self, monkeypatch):
+        # after an abnormal line-search end L-BFGS-B reports a fun that its
+        # x does not attain; the fit must report what the returned x attains
+        real_minimize = g.optimize.minimize
+
+        def minimize_reporting_lower_fun(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            res.fun -= 5.0
+            return res
+
+        monkeypatch.setattr(g.optimize, "minimize", minimize_reporting_lower_fun)
+        spec = ModelSpec(1, 0, 0, "t")
+        y, _, _ = g.simulate(garch_params(phi=[0.2]), spec, None, 400, seed=8)
+        result = g.fit(y, None, spec, FitConfig(restarts=2, seed=0))
+        assert result.loglik == -g.neg_log_likelihood(y, None, result.params, spec)
+
+    def test_unusable_likelihood_raises_fit_error(self, monkeypatch):
+        # a likelihood that is NaN everywhere can never beat the start point;
+        # that ends in FitError, a check that python -O keeps
+        monkeypatch.setattr(g, "neg_log_likelihood", lambda *args, **kwargs: float("nan"))
+        y = np.random.default_rng(9).normal(size=100)
+        with pytest.raises(FitError, match="start point"):
+            g.fit(y, None, ModelSpec(0, 0, 0, "normal"), FitConfig(restarts=1))
+
+    def test_skewt_garchx_fit_raises_no_runtime_warning(self):
+        # the optimizer probes overflowing parameters; they get the penalty
+        # value without a flood of numpy RuntimeWarnings
+        spec = ModelSpec(2, 2, 2, "skewt")
+        x = np.random.default_rng(11).normal(size=(2, 250))
+        y, _, _ = g.simulate(garch_params(nu=5.0, xi=1.2), ModelSpec(0, 0, 0, "skewt"),
+                             None, 250, seed=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = g.fit(y, x, spec, FitConfig(restarts=2, seed=0))
+        assert np.isfinite(result.loglik)
 
     def test_std_resid_definition(self):
         spec = ModelSpec(0, 0, 0, "normal")

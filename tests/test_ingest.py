@@ -1,4 +1,6 @@
 import datetime as dt
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -171,3 +173,15 @@ def test_price_series_validation():
         PriceSeries([dt.date(2015, 1, 1), dt.date(2015, 1, 1)], np.array([1.0, 2.0]))
     with pytest.raises(ValidationError):
         PriceSeries([dt.date(2015, 1, 1)], np.array([0.0]))
+
+
+def test_atomic_write_honours_umask(tmp_path):
+    path = tmp_path / "out.txt"
+    old = os.umask(0o022)
+    try:
+        ingest.atomic_write_text(path, "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+    assert path.read_text() == "x\n"
+    assert os.listdir(tmp_path) == ["out.txt"]

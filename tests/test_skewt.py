@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats as sps
 
 from chainvol import skewt
@@ -37,6 +39,46 @@ class TestDensity:
             skewt.skewt_pdf(0.0, 2.0, 1.0)
         with pytest.raises(ValueError):
             skewt.skewt_pdf(0.0, 5.0, 0.0)
+
+
+def scipy_std_t_logpdf(a, nu):
+    """Reference: the unit-variance Student-t through scipy's t distribution."""
+    c = np.sqrt(nu / (nu - 2.0))
+    return sps.t.logpdf(a * c, nu) + np.log(c)
+
+
+def scipy_skewt_logpdf(z, nu, xi):
+    """Reference: the Fernandez-Steel skew-t with scipy's t density inside."""
+    mean, sd = skewt._fs_constants(nu, xi)
+    w = sd * np.asarray(z) + mean
+    arg = np.where(w >= 0, w / xi, w * xi)
+    return np.log(2.0 / (xi + 1.0 / xi)) + scipy_std_t_logpdf(arg, nu) + np.log(sd)
+
+
+# log-densities cross zero, where a relative bound means nothing: there the
+# bound is 1e-12 absolute on the log, i.e. 1e-12 relative on the density
+CLOSED_FORM_TOL = dict(rtol=1e-12, atol=1e-12)
+
+
+class TestClosedForm:
+    @given(
+        nu=st.one_of(st.floats(2.001, 50.0), st.floats(50.0, 1e8)),
+        z=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_student_t_matches_scipy(self, nu, z):
+        np.testing.assert_allclose(skewt.student_t_logpdf(z, nu), scipy_std_t_logpdf(np.array(z), nu),
+                                   **CLOSED_FORM_TOL)
+
+    @given(
+        nu=st.floats(2.001, 200.0),
+        xi=st.floats(0.2, 5.0),
+        z=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_skewt_matches_scipy(self, nu, xi, z):
+        np.testing.assert_allclose(skewt.skewt_logpdf(z, nu, xi), scipy_skewt_logpdf(z, nu, xi),
+                                   **CLOSED_FORM_TOL)
 
 
 class TestCdfQuantile:

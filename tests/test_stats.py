@@ -47,7 +47,7 @@ class TestLogReturns:
         for t in range(len(closes) - 1):
             assert (rs.loss[t] > 0) == (closes[t + 1] < closes[t])
             assert rs.loss[t] == -rs.r[t]
-            assert rs.r_sq[t] == rs.r[t] ** 2
+            assert rs.r_sq[t] == rs.r[t] * rs.r[t]
 
 
 class TestStandardize:
