@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .errors import FitError, ValidationError
 from .garchx import (
@@ -17,8 +17,8 @@ from .garchx import (
     filter_model,
     fit,
     forecast_one,
+    innovation_quantile,
 )
-from .skewt import skewt_quantile
 
 CHI2_CRIT_1DF_95 = 3.841
 CHI2_CRIT_2DF_95 = 5.991
@@ -37,8 +37,7 @@ class VarSeries:
     realized_return: np.ndarray
     breach: np.ndarray
     var_level: float
-    mean_forecast: np.ndarray = None
-    sigma_forecast: np.ndarray = None
+    sigma_forecast: np.ndarray
     refit_failures: list[int] = field(default_factory=list)
 
     @property
@@ -116,7 +115,7 @@ def kupiec_test(n: int, x: int, alpha: float) -> tuple[float, float]:
     ll_null = _xlogy(n - x, 1.0 - alpha) + _xlogy(x, alpha)
     ll_alt = _xlogy(n - x, 1.0 - pi_hat) + _xlogy(x, pi_hat)
     lr = max(0.0, -2.0 * (ll_null - ll_alt))
-    return lr, float(sps.chi2.sf(lr, 1))
+    return lr, float(special.chdtrc(1, lr))
 
 
 def christoffersen_test(breaches, alpha: float) -> tuple[float, float, float]:
@@ -146,29 +145,17 @@ def christoffersen_test(breaches, alpha: float) -> tuple[float, float, float]:
     lr_ind = max(0.0, -2.0 * (ll_iid - ll_markov))
     lr_uc, _ = kupiec_test(b.size, int(b.sum()), alpha)
     lr_cc = lr_uc + lr_ind
-    return lr_cc, float(sps.chi2.sf(lr_cc, 2)), lr_ind
+    return lr_cc, float(special.chdtrc(2, lr_cc)), lr_ind
 
 
-def backtest_report(n: int, x: int, alpha: float, breaches=None) -> VarBacktestReport:
-    """Assemble the coverage-test report; breach sequence enables LR.ind."""
+def backtest_report(n: int, x: int, alpha: float, breaches) -> VarBacktestReport:
+    """Assemble the coverage-test report of n days with x breaches."""
     lr_uc, p_uc = kupiec_test(n, x, alpha)
-    if breaches is not None:
-        lr_cc, p_cc, lr_ind = christoffersen_test(breaches, alpha)
-    else:
-        lr_ind = 0.0
-        lr_cc = lr_uc
-        p_cc = float(sps.chi2.sf(lr_cc, 2))
+    lr_cc, p_cc, lr_ind = christoffersen_test(breaches, alpha)
     return VarBacktestReport(
         n=n, x=x, alpha=alpha, expected=n * alpha,
         lr_uc=lr_uc, lr_uc_p=p_uc, lr_ind=lr_ind, lr_cc=lr_cc, lr_cc_p=p_cc,
     )
-
-
-def innovation_quantile(params: ArmaGarchXParams, spec: ModelSpec, level: float) -> float:
-    if spec.distribution == "normal":
-        return float(sps.norm.ppf(level))
-    xi = params.xi if spec.distribution == "skewt" else 1.0
-    return float(skewt_quantile(level, params.nu, xi))
 
 
 def var_from_forecast(mean_next: float, sigma_next: float,
@@ -189,15 +176,14 @@ def rolling_backtest(
     level: float = 0.01,
     fit_config: FitConfig | None = None,
     fixed_params: ArmaGarchXParams | None = None,
-    expanding: bool = False,
 ) -> VarSeries:
     """Roll one-step VaR forecasts over the series with periodic refitting.
 
     For each forecast day t (window <= t < T) the model estimated on the
-    trailing window (or the full history when ``expanding``) is used to
-    forecast day t's VaR; refits happen every ``refit_every`` forecast days
-    and a failed refit falls back to the previous parameter set. With
-    ``fixed_params`` no fitting happens at all (true-model evaluation).
+    trailing ``window`` days is used to forecast day t's VaR; refits happen
+    every ``refit_every`` forecast days and a failed refit falls back to the
+    previous parameter set. With ``fixed_params`` no fitting happens at all
+    (true-model evaluation) and the regressors enter unscaled.
     Regressors are contemporaneous: the forecast for day t uses x[:, t].
     """
     y = np.asarray(y, dtype=float)
@@ -207,24 +193,19 @@ def rolling_backtest(
     fit_config = fit_config or FitConfig()
     x = np.atleast_2d(np.asarray(x, dtype=float)) if spec.k > 0 else None
 
-    indices = []
     var_values = []
-    realized = []
-    means = []
     sigmas = []
     refit_failures = []
     current: FitResult | None = None
 
     for step, t in enumerate(range(window, T)):
-        lo = 0 if expanding else t - window
+        lo = t - window
+        # x_next keeps its column axis so transform_x applies to it unchanged
+        x_hist, x_next = (x[:, lo:t], x[:, t:t + 1]) if x is not None else (None, None)
         if fixed_params is not None:
             params = fixed_params
-            x_hist = x[:, lo:t] if spec.k > 0 else None
-            u, sigma2 = filter_model(y[lo:t], x_hist, params, spec)
-            x_next = x[:, t] if spec.k > 0 else None
         else:
             if current is None or step % refit_every == 0:
-                x_hist = x[:, lo:t] if spec.k > 0 else None
                 try:
                     current = fit(y[lo:t], x_hist, spec, fit_config)
                 except FitError:
@@ -232,32 +213,29 @@ def rolling_backtest(
                         raise
                     refit_failures.append(t)
             params = current.params
-            x_hist = x[:, lo:t] if spec.k > 0 else None
-            x_std = current.transform_x(x_hist) if spec.k > 0 else None
-            u, sigma2 = filter_model(y[lo:t], x_std, params, spec)
-            x_next = current.transform_x(x[:, t: t + 1])[:, 0] if spec.k > 0 else None
-        mean_next, sigma_next = forecast_one(params, spec, y[lo:t], u, sigma2, x_next)
+            if x is not None:
+                x_hist, x_next = current.transform_x(x_hist), current.transform_x(x_next)
+        u, sigma2 = filter_model(y[lo:t], x_hist, params, spec)
+        mean_next, sigma_next = forecast_one(
+            params, spec, y[lo:t], u, sigma2, x_next[:, 0] if x is not None else None
+        )
         var_values.append(var_from_forecast(mean_next, sigma_next, params, spec, level))
-        indices.append(t)
-        realized.append(y[t])
-        means.append(mean_next)
         sigmas.append(sigma_next)
 
     var_values = np.array(var_values)
-    realized = np.array(realized)
+    realized = y[window:].copy()
     breach = realized < -var_values
     return VarSeries(
-        np.array(indices), var_values, realized, breach, level,
-        np.array(means), np.array(sigmas), refit_failures,
+        np.arange(window, T), var_values, realized, breach, level,
+        np.array(sigmas), refit_failures,
     )
 
 
-def diebold_mariano(e1, e2, horizon: int = 1, newey_west: bool = False) -> DmReport:
-    """Equal-predictive-accuracy test under quadratic loss.
+def diebold_mariano(e1, e2) -> DmReport:
+    """Equal-predictive-accuracy test of one-step forecasts under quadratic loss.
 
-    d_t = e1_t^2 - e2_t^2; the long-run variance of d uses a rectangular
-    truncation at lag horizon-1 (Newey-West Bartlett weights by flag).
-    Negative statistics favor model 1.
+    d_t = e1_t^2 - e2_t^2, whose long-run variance is its plain variance at
+    horizon one. Negative statistics favor model 1.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
@@ -266,19 +244,12 @@ def diebold_mariano(e1, e2, horizon: int = 1, newey_west: bool = False) -> DmRep
     n = e1.size
     if n < 10:
         raise ValidationError(f"need >= 10 forecast errors, got {n}")
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
     d = e1**2 - e2**2
     dbar = float(np.mean(d))
     dc = d - dbar
-    gamma0 = float(np.mean(dc * dc))
-    lrv = gamma0
-    for lag in range(1, horizon):
-        gamma = float(np.mean(dc[lag:] * dc[:-lag]))
-        weight = 1.0 - lag / horizon if newey_west else 1.0
-        lrv += 2.0 * weight * gamma
+    lrv = float(np.mean(dc * dc))
     if lrv <= 0:
         return DmReport(0.0, 1.0, n, identical=bool(np.allclose(d, 0.0)))
     stat = dbar / math.sqrt(lrv / n)
-    p = 2.0 * float(sps.norm.sf(abs(stat)))
+    p = 2.0 * float(special.ndtr(-abs(stat)))
     return DmReport(stat, p, n)

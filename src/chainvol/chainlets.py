@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ValidationError
-from .ingest import PriceSeries, TxRecord, atomic_write_text
+from .errors import AlignmentError, ParseError, ValidationError
+from .ingest import PriceSeries, TxRecord, atomic_write_text, parse_date
 
 SATOSHI_PER_BTC = 10**8
 DEFAULT_THRESHOLD = 20
@@ -150,19 +150,6 @@ def feature_series(matrices, prices: PriceSeries) -> list[ExtremeFeatureRow]:
     return rows
 
 
-def threshold_percentile(txs, threshold: int) -> float:
-    """Fraction of transactions that are non-extreme at a candidate threshold.
-
-    Calibration helper: the default N = 20 sits near the 97.5th percentile on
-    historical data, i.e. ~97.5% of chainlets have both counts below N.
-    """
-    txs = list(txs)
-    if not txs:
-        raise ValidationError("empty transaction corpus")
-    inside = sum(1 for t in txs if t.n_inputs < threshold and t.n_outputs < threshold)
-    return inside / len(txs)
-
-
 def combine_matrices(occ_entries, amo_entries, dim: int = DEFAULT_THRESHOLD) -> list[ChainletMatrix]:
     """Pair (date, occurrence) and (date, amount) file entries into matrices."""
     amo_by_day = {d: m for d, m in amo_entries}
@@ -189,21 +176,19 @@ def write_feature_csv(path, rows) -> None:
 def read_feature_csv(path) -> list[ExtremeFeatureRow]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line or line.startswith("#") or line.startswith("date,"):
                 continue
-            d, a_l, a_r, a_x, o_l, o_r, o_x = line.split(",")
-            rows.append(
-                ExtremeFeatureRow(
-                    dt.date.fromisoformat(d),
-                    float(a_l), float(a_r), float(a_x),
-                    int(o_l), int(o_r), float(o_x),
-                )
-            )
+            parts = line.split(",")
+            if len(parts) != 7:
+                raise ParseError(f"expected 7 fields, got {len(parts)}", path, line_no)
+            d, a_l, a_r, a_x, o_l, o_r, o_x = parts
+            day = parse_date(d, path, line_no)
+            try:
+                rows.append(ExtremeFeatureRow(
+                    day, float(a_l), float(a_r), float(a_x), int(o_l), int(o_r), float(o_x),
+                ))
+            except ValueError:
+                raise ParseError(f"non-numeric field in {line!r}", path, line_no) from None
     return rows
-
-
-def feature_matrix(rows) -> np.ndarray:
-    """Stack feature rows into a (T, 6) array ordered as FEATURE_HEADER."""
-    return np.array([r.values() for r in rows], dtype=float)

@@ -45,7 +45,7 @@ def load_config_file(path) -> dict:
     """Flat key=value file; blank lines and # comments ignored."""
     out = {}
     valid = {f.name: f.type for f in fields(PipelineConfig)}
-    casts = {int: int, float: float, str: str, "int": int, "float": float, "str": str}
+    casts = {"int": int, "float": float, "str": str}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -57,7 +57,13 @@ def load_config_file(path) -> dict:
             key = key.strip()
             if key not in valid:
                 raise ChainvolError(f"{path}:{line_no}: unknown config key {key!r}")
-            out[key] = casts[valid[key]](value.strip())
+            value = value.strip()
+            try:
+                out[key] = casts[valid[key]](value)
+                if key == "gap_policy":
+                    ingest.GapPolicy(value)
+            except ValueError:
+                raise ChainvolError(f"{path}:{line_no}: bad value for {key}: {value!r}") from None
     return out
 
 
@@ -85,11 +91,11 @@ def _wide_calendar() -> ingest.DailyCalendar:
 
 def cmd_extract(args, config: PipelineConfig) -> int:
     calendar = _wide_calendar()
-    result = ingest.load_transactions(args.transactions, calendar, out_of_range="error")
+    result = ingest.load_transactions(args.transactions, calendar)
     if not result.days:
         print("warning: no usable transactions in input", file=sys.stderr)
-        ingest.write_matrix_file(args.out_occurrence, [], integer=True)
-        ingest.write_matrix_file(args.out_amount, [], integer=True)
+        ingest.write_matrix_file(args.out_occurrence, [])
+        ingest.write_matrix_file(args.out_amount, [])
         return 0
     by_day = dict(result.days)
     first, last = result.days[0][0], result.days[-1][0]
@@ -103,8 +109,8 @@ def cmd_extract(args, config: PipelineConfig) -> int:
         amo_entries.append((day, m.amount))
         n_txs += len(txs)
         day += dt.timedelta(days=1)
-    ingest.write_matrix_file(args.out_occurrence, occ_entries, integer=True)
-    ingest.write_matrix_file(args.out_amount, amo_entries, integer=True)
+    ingest.write_matrix_file(args.out_occurrence, occ_entries)
+    ingest.write_matrix_file(args.out_amount, amo_entries)
     print(
         f"{len(occ_entries)} days ({first}..{last}), {n_txs} transactions, "
         f"{result.skipped_coinbase} coinbase skipped"
@@ -113,8 +119,8 @@ def cmd_extract(args, config: PipelineConfig) -> int:
 
 
 def _load_matrices(occ_path, amo_path, dim: int):
-    occ = ingest.load_matrix_file(occ_path, dim=dim, integer=True)
-    amo = ingest.load_matrix_file(amo_path, dim=dim, integer=True)
+    occ = ingest.load_matrix_file(occ_path, dim=dim)
+    amo = ingest.load_matrix_file(amo_path, dim=dim)
     return chainlets.combine_matrices(occ, amo, dim)
 
 
@@ -124,8 +130,9 @@ def cmd_features(args, config: PipelineConfig) -> int:
         print("warning: empty matrix input", file=sys.stderr)
         chainlets.write_feature_csv(args.out, [])
         return 0
-    gap = ingest.GapPolicy.FORWARD_FILL if config.gap_policy == "ffill" else ingest.GapPolicy.ERROR
-    calendar = ingest.DailyCalendar(matrices[0].date, matrices[-1].date, gap)
+    calendar = ingest.DailyCalendar(
+        matrices[0].date, matrices[-1].date, ingest.GapPolicy(config.gap_policy)
+    )
     prices = ingest.load_prices(args.prices, calendar)
     rows = chainlets.feature_series(matrices, prices)
     chainlets.write_feature_csv(args.out, rows)
@@ -133,12 +140,12 @@ def cmd_features(args, config: PipelineConfig) -> int:
         events = {}
         if args.events:
             with open(args.events, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
+                for line_no, raw in enumerate(fh, start=1):
+                    line = raw.strip()
                     if not line or line.startswith("#") or line.startswith("date,"):
                         continue
                     d, _, label = line.partition(",")
-                    events[dt.date.fromisoformat(d)] = label
+                    events[ingest.parse_date(d, args.events, line_no)] = label
         lines = ["day_index,O_x,label"]
         for i, r in enumerate(rows):
             lines.append(f"{i},{r.O_x!r},{events.get(r.date, '')}")
@@ -147,23 +154,24 @@ def cmd_features(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _aligned_features_returns(features_path, prices_path, config: PipelineConfig, lag: int):
+def _aligned_features_returns(features_path, prices_path, config: PipelineConfig):
     """Feature matrix and return series joined on common dates.
 
-    With lag L the return on day t is paired with the features of day t-L.
-    Returns (dates, X (T,6), returns, r_sq).
+    With lag L = config.lag the return on day t is paired with the features
+    of day t-L. Returns (dates, X (T,6), returns, r_sq).
     """
     rows = chainlets.read_feature_csv(features_path)
     if not rows:
         raise ChainvolError(f"no feature rows in {features_path}")
-    gap = ingest.GapPolicy.FORWARD_FILL if config.gap_policy == "ffill" else ingest.GapPolicy.ERROR
-    calendar = ingest.DailyCalendar(rows[0].date, rows[-1].date + dt.timedelta(days=1), gap)
+    calendar = ingest.DailyCalendar(
+        rows[0].date, rows[-1].date + dt.timedelta(days=1), ingest.GapPolicy(config.gap_policy)
+    )
     prices = ingest.load_prices(prices_path, calendar)
     returns = stats.log_returns(prices)
     feat_by_date = {r.date: r for r in rows}
     dates, X, r, r_sq = [], [], [], []
     for i, day in enumerate(returns.dates):
-        feat_day = day - dt.timedelta(days=lag)
+        feat_day = day - dt.timedelta(days=config.lag)
         if feat_day in feat_by_date:
             dates.append(day)
             X.append(feat_by_date[feat_day].values())
@@ -175,9 +183,7 @@ def _aligned_features_returns(features_path, prices_path, config: PipelineConfig
 
 
 def cmd_analyze(args, config: PipelineConfig) -> int:
-    dates, X, r, r_sq = _aligned_features_returns(
-        args.features, args.prices, config, config.lag
-    )
+    dates, X, r, r_sq = _aligned_features_returns(args.features, args.prices, config)
     if len(dates) < 30:
         raise ChainvolError(f"need >= 30 aligned days for analysis, got {len(dates)}")
     os.makedirs(args.out, exist_ok=True)
@@ -186,7 +192,7 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     y_std, _, _ = stats.standardize(r_sq)
     X_std = np.column_stack([stats.standardize(X[:, j])[0] for j in range(X.shape[1])])
     names = ["A_l", "A_r", "A_x", "O_l", "O_r", "O_x"]
-    report = stats.ols_fit(y_std, X_std, names=names, intercept=True)
+    report = stats.ols_fit(y_std, X_std, names=names)
     _write_json(os.path.join(args.out, "ols_report.json"), report.to_dict(), config)
 
     # conditional loss-density moments, losses standardized over the full sample
@@ -222,19 +228,17 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _run_backtest(model: str, dates, X, r, config: PipelineConfig):
+def _run_backtest(model: str, X, r, config: PipelineConfig):
     k = X.shape[1] if model == "garchx" else 0
     spec = garchx.ModelSpec(
         p=config.arma_p, q=config.arma_q, k=k, distribution=config.distribution
     )
     fit_config = garchx.FitConfig(restarts=config.restarts, seed=config.seed)
-    x = X.T if k > 0 else None
-    series = bt.rolling_backtest(
-        r, x, spec,
+    return bt.rolling_backtest(
+        r, X.T if k > 0 else None, spec,
         window=config.window, refit_every=config.refit_every,
         level=config.var_level, fit_config=fit_config,
     )
-    return series
 
 
 def _var_series_csv(path, dates, series) -> None:
@@ -247,7 +251,7 @@ def _var_series_csv(path, dates, series) -> None:
 
 
 def cmd_backtest(args, config: PipelineConfig) -> int:
-    dates, X, r, _ = _aligned_features_returns(args.features, args.prices, config, config.lag)
+    dates, X, r, _ = _aligned_features_returns(args.features, args.prices, config)
     if len(dates) <= config.window + 10:
         raise ChainvolError(
             f"need > {config.window + 10} aligned days for window {config.window}, got {len(dates)}"
@@ -257,7 +261,7 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
     payload = {"models": {}}
     series_by_model = {}
     for model in models:
-        series = _run_backtest(model, dates, X, r, config)
+        series = _run_backtest(model, X, r, config)
         series_by_model[model] = series
         report = bt.backtest_report(series.n, series.n_breaches, config.var_level, series.breach)
         payload["models"][model] = {
@@ -273,7 +277,7 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
             # final out-of-sample span
             r2 = series.realized_return[-h:] ** 2
             e[model] = r2 - series.sigma_forecast[-h:] ** 2
-        dm = bt.diebold_mariano(e["garch"], e["garchx"], horizon=1)
+        dm = bt.diebold_mariano(e["garch"], e["garchx"])
         payload["diebold_mariano"] = dm.to_dict()
     _write_json(os.path.join(args.out, "backtest_report.json"), payload, config)
     print(f"backtest reports written to {args.out}")

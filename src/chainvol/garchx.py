@@ -11,18 +11,22 @@ contemporaneous with sigma_t, so one-step forecasts need x_{t+1}.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special, stats as sps
+from scipy import special
 
 from .errors import FitError, ValidationError
 from .skewt import normal_logpdf, skewt_logpdf, skewt_quantile, student_t_logpdf
 
 SIGMA2_MIN = 1e-12
 PENALTY_NLL = 1e10
+# fit settings: L-BFGS-B limits and the shortest series worth fitting
+MAX_ITER = 500
+GTOL = 1e-6
+FTOL = 1e-10
+MIN_OBS = 50
 
 DISTRIBUTIONS = ("normal", "t", "skewt")
 
@@ -39,11 +43,6 @@ class ModelSpec:
             raise ValidationError(f"orders must be non-negative: {self}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValidationError(f"unknown distribution {self.distribution!r}")
-
-    @property
-    def n_params(self) -> int:
-        extra = {"normal": 0, "t": 1, "skewt": 2}[self.distribution]
-        return 1 + self.p + self.q + 3 + self.k + extra
 
 
 @dataclass
@@ -64,6 +63,9 @@ class ArmaGarchXParams:
         self.beta_x = np.atleast_1d(np.asarray(self.beta_x, dtype=float)) if np.size(self.beta_x) else np.zeros(0)
 
     def is_valid(self) -> bool:
+        # plain float checks: numpy reductions on these tiny arrays cost more
+        # than the comparisons themselves, and this runs on every evaluation
+        isfinite = math.isfinite
         return (
             self.alpha0 > 0
             and self.alpha1 >= 0
@@ -71,10 +73,10 @@ class ArmaGarchXParams:
             and self.alpha1 + self.beta < 1
             and self.nu > 2
             and self.xi > 0
-            and np.all(np.isfinite(self.phi))
-            and np.all(np.isfinite(self.theta))
-            and np.all(np.isfinite(self.beta_x))
-            and np.isfinite(self.mu)
+            and all(map(isfinite, self.phi.tolist()))
+            and all(map(isfinite, self.theta.tolist()))
+            and all(map(isfinite, self.beta_x.tolist()))
+            and isfinite(self.mu)
         )
 
     def validate(self) -> None:
@@ -106,13 +108,7 @@ class ArmaGarchXParams:
 @dataclass
 class FitConfig:
     restarts: int = 5
-    max_iter: int = 500
-    gtol: float = 1e-6
-    ftol: float = 1e-10
     seed: int = 0
-    min_obs: int = 50
-    standardize_x: bool = True
-    sigma2_min: float = SIGMA2_MIN
 
 
 @dataclass
@@ -122,43 +118,13 @@ class FitResult:
     loglik: float
     converged: bool
     iterations: int
-    sigma: np.ndarray
-    std_resid: np.ndarray
-    resid: np.ndarray
     x_mean: np.ndarray
     x_std: np.ndarray
-    n_obs: int
-
-    @property
-    def aic(self) -> float:
-        return 2.0 * self.spec.n_params - 2.0 * self.loglik
 
     def transform_x(self, x) -> np.ndarray:
         """Apply the standardization recorded at fit time to raw regressors."""
-        if self.spec.k == 0:
-            return np.zeros((0, np.atleast_2d(np.asarray(x)).shape[-1])) if x is not None else None
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return (x - self.x_mean[:, None]) / self.x_std[:, None]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "spec": {
-                "p": self.spec.p, "q": self.spec.q, "k": self.spec.k,
-                "distribution": self.spec.distribution,
-            },
-            "params": self.params.to_dict(),
-            "loglik": float(self.loglik),
-            "aic": float(self.aic),
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "n_obs": int(self.n_obs),
-            "x_mean": [float(v) for v in self.x_mean],
-            "x_std": [float(v) for v in self.x_std],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _xvar(x, beta_x, T: int) -> np.ndarray:
@@ -173,8 +139,7 @@ def _xvar(x, beta_x, T: int) -> np.ndarray:
     return beta_x @ x
 
 
-def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec,
-                 sigma2_min: float = SIGMA2_MIN):
+def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec):
     """Return (residuals u, conditional variances sigma2) for an observed path.
 
     Initialization: pre-sample y and u are zero, pre-sample variance is the
@@ -184,7 +149,7 @@ def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec,
     inversion is u = e / (1 + theta(L)) of the AR residuals
     e_t = y_t - mu - sum_i phi_i y_{t-1-i}. The variance is
     sigma2 = c / (1 - beta L) with c_t = alpha0 + beta_x' x_t + alpha1 u_{t-1}^2.
-    Only the sigma2_min floor is nonlinear; it binds when beta_x' x_t is
+    Only the SIGMA2_MIN floor is nonlinear; it binds when beta_x' x_t is
     negative enough, and the recursion then runs as a loop from the first
     floored day on.
     """
@@ -204,7 +169,7 @@ def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec,
     c[1:] += params.alpha1 * (u[:-1] * u[:-1])
     sigma2_init = float(np.var(y))
     sigma2, _ = lfilter([1.0], [1.0, -params.beta], c, zi=[params.beta * sigma2_init])
-    floored = np.flatnonzero(sigma2 < sigma2_min)
+    floored = np.flatnonzero(sigma2 < SIGMA2_MIN)
     if floored.size:
         t0 = int(floored[0])
         s2 = float(sigma2[t0 - 1]) if t0 else sigma2_init
@@ -212,8 +177,8 @@ def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec,
         tail = []
         for c_t in c[t0:].tolist():
             s2 = c_t + beta * s2
-            if s2 < sigma2_min:
-                s2 = sigma2_min
+            if s2 < SIGMA2_MIN:
+                s2 = SIGMA2_MIN
             tail.append(s2)
         sigma2[t0:] = tail
 
@@ -231,14 +196,21 @@ def innovation_logpdf(z, params: ArmaGarchXParams, spec: ModelSpec):
     return skewt_logpdf(z, params.nu, params.xi)
 
 
-def neg_log_likelihood(y, x, params: ArmaGarchXParams, spec: ModelSpec,
-                       sigma2_min: float = SIGMA2_MIN) -> float:
+def innovation_quantile(params: ArmaGarchXParams, spec: ModelSpec, p):
+    """Quantile of the innovation law at probability p (scalar or array)."""
+    if spec.distribution == "normal":
+        return special.ndtri(p)
+    xi = params.xi if spec.distribution == "skewt" else 1.0
+    return skewt_quantile(p, params.nu, xi)
+
+
+def neg_log_likelihood(y, x, params: ArmaGarchXParams, spec: ModelSpec) -> float:
     """-sum_t [ log f(u_t/sigma_t) - log sigma_t ]; large finite penalty for
     invalid parameters so optimizers never see an exception."""
     if not params.is_valid():
         return PENALTY_NLL
     try:
-        u, sigma2 = filter_model(y, x, params, spec, sigma2_min)
+        u, sigma2 = filter_model(y, x, params, spec)
     except ValidationError:
         return PENALTY_NLL
     z = u / np.sqrt(sigma2)
@@ -313,35 +285,38 @@ def default_start(y, spec: ModelSpec) -> ArmaGarchXParams:
 def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
     """Maximum-likelihood fit with multiple restarts on the transformed space.
 
-    Regressors are standardized (per FitConfig) before entering the variance
-    equation; the transform is recorded in the result so forecasts can apply
-    it to raw future regressors.
+    Regressors are standardized before entering the variance equation; the
+    transform is recorded in the result so forecasts can apply it to raw
+    future regressors.
     """
+    # imported here: scipy.optimize would add to every CLI start, and only
+    # the backtest stage fits
+    from scipy import optimize
+
     config = config or FitConfig()
     y = np.asarray(y, dtype=float)
-    if y.size < config.min_obs:
-        raise ValidationError(f"need >= {config.min_obs} observations, got {y.size}")
+    if y.size < MIN_OBS:
+        raise ValidationError(f"need >= {MIN_OBS} observations, got {y.size}")
     x_mean = np.zeros(spec.k)
     x_std = np.ones(spec.k)
     x_fit = None
     if spec.k > 0:
         x_fit = np.atleast_2d(np.asarray(x, dtype=float))
-        if config.standardize_x:
-            x_mean = x_fit.mean(axis=1)
-            sd = x_fit.std(axis=1, ddof=1)
-            x_std = np.where(sd > 0, sd, 1.0)
-            x_fit = (x_fit - x_mean[:, None]) / x_std[:, None]
+        x_mean = x_fit.mean(axis=1)
+        sd = x_fit.std(axis=1, ddof=1)
+        x_std = np.where(sd > 0, sd, 1.0)
+        x_fit = (x_fit - x_mean[:, None]) / x_std[:, None]
 
     rng = np.random.default_rng(config.seed)
     start = default_start(y, spec)
     v0 = pack_params(start, spec)
-    start_nll = neg_log_likelihood(y, x_fit, start, spec, config.sigma2_min)
+    start_nll = neg_log_likelihood(y, x_fit, start, spec)
 
     def objective(v):
         # the optimizer probes far into overflow territory; those points get
         # the penalty value, so their numpy warnings carry no information
         with np.errstate(all="ignore"):
-            return neg_log_likelihood(y, x_fit, unpack_params(v, spec), spec, config.sigma2_min)
+            return neg_log_likelihood(y, x_fit, unpack_params(v, spec), spec)
 
     best_v, best_nll, best_res = v0, start_nll, None
     n_iter = 0
@@ -351,8 +326,7 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
         try:
             res = optimize.minimize(
                 objective, v_start, method="L-BFGS-B",
-                options={"maxiter": config.max_iter, "gtol": config.gtol,
-                         "ftol": config.ftol},
+                options={"maxiter": MAX_ITER, "gtol": GTOL, "ftol": FTOL},
             )
         except (ValueError, FloatingPointError):
             continue
@@ -370,14 +344,9 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
         raise FitError(f"best fit (nll {best_nll}) is worse than the start point "
                        f"(nll {start_nll})", best_result=best_res)
 
-    params = unpack_params(best_v, spec)
-    u, sigma2 = filter_model(y, x_fit, params, spec, config.sigma2_min)
-    sigma = np.sqrt(sigma2)
     return FitResult(
-        spec=spec, params=params, loglik=-best_nll,
-        converged=any_converged, iterations=n_iter,
-        sigma=sigma, std_resid=u / sigma, resid=u,
-        x_mean=x_mean, x_std=x_std, n_obs=int(y.size),
+        spec=spec, params=unpack_params(best_v, spec), loglik=-best_nll,
+        converged=any_converged, iterations=n_iter, x_mean=x_mean, x_std=x_std,
     )
 
 
@@ -389,13 +358,7 @@ def simulate(params: ArmaGarchXParams, spec: ModelSpec, x, T: int, seed: int):
     """
     params.validate()
     rng = np.random.default_rng(seed)
-    uniforms = rng.uniform(size=T)
-    if spec.distribution == "normal":
-        z = sps.norm.ppf(uniforms)
-    elif spec.distribution == "t":
-        z = np.asarray(skewt_quantile(uniforms, params.nu, 1.0))
-    else:
-        z = np.asarray(skewt_quantile(uniforms, params.nu, params.xi))
+    z = np.asarray(innovation_quantile(params, spec, rng.uniform(size=T)))
     xvar = _xvar(x, params.beta_x[: spec.k], T)
     persistence = params.alpha1 + params.beta
     s2 = params.alpha0 / (1.0 - persistence) if persistence < 1 else params.alpha0
@@ -423,8 +386,7 @@ def simulate(params: ArmaGarchXParams, spec: ModelSpec, x, T: int, seed: int):
     return np.array(y), np.array(u), np.array(sigma2)
 
 
-def forecast_one(params: ArmaGarchXParams, spec: ModelSpec, y, u, sigma2, x_next,
-                 sigma2_min: float = SIGMA2_MIN):
+def forecast_one(params: ArmaGarchXParams, spec: ModelSpec, y, u, sigma2, x_next):
     """One-step-ahead (mean, sigma) from the end of a filtered history.
 
     x_next holds the k regressor values dated T+1 (already on the same scale
@@ -441,21 +403,10 @@ def forecast_one(params: ArmaGarchXParams, spec: ModelSpec, y, u, sigma2, x_next
     else:
         exog = 0.0
     s2 = params.alpha0 + params.alpha1 * u[-1] ** 2 + params.beta * sigma2[-1] + exog
-    s2 = max(s2, sigma2_min)
+    s2 = max(s2, SIGMA2_MIN)
     mean = params.mu
     for i in range(spec.p):
         mean += params.phi[i] * y[-1 - i]
     for j in range(spec.q):
         mean += params.theta[j] * u[-1 - j]
     return float(mean), float(np.sqrt(s2))
-
-
-def aic_grid(y, x, orders, distribution: str, k: int, config: FitConfig | None = None):
-    """Fit each (p, q) order pair and report its AIC; no automated selection."""
-    out = []
-    for p, q in orders:
-        spec = ModelSpec(p=p, q=q, k=k, distribution=distribution)
-        result = fit(y, x, spec, config)
-        out.append({"p": p, "q": q, "aic": result.aic, "loglik": result.loglik,
-                    "converged": result.converged})
-    return out

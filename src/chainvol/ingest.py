@@ -7,8 +7,9 @@ explicitly converted to USD downstream.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -85,38 +86,30 @@ class PriceSeries:
 
 @dataclass
 class TxLoadResult:
-    """Transactions grouped by UTC day, plus skip tallies."""
+    """Transactions grouped by UTC day, plus the coinbase tally."""
 
     days: list[tuple[dt.date, list[TxRecord]]]
     skipped_coinbase: int = 0
-    skipped_out_of_range: int = 0
     n_lines: int = 0
 
 
-def _parse_date(token: str, path, line_no) -> dt.date:
+def parse_date(token: str, path, line_no) -> dt.date:
     try:
         return dt.date.fromisoformat(token)
     except ValueError as exc:
         raise ParseError(f"bad date {token!r}: {exc}", path, line_no) from None
 
 
-def load_transactions(
-    path,
-    calendar: DailyCalendar,
-    out_of_range: str = "error",
-) -> TxLoadResult:
+def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
     """Read a transaction CSV and group records by UTC day.
 
     Line format: ``timestamp_unix_seconds,n_inputs,n_outputs,amount_satoshi``.
     Lines starting with ``#`` are comments. Coinbase transactions (zero
-    inputs) are dropped and tallied; ``out_of_range`` is ``"error"`` or
-    ``"skip"`` for timestamps outside the calendar.
+    inputs) are dropped and tallied; a timestamp outside the calendar is an
+    error.
     """
-    if out_of_range not in ("error", "skip"):
-        raise ValueError(f"out_of_range must be 'error' or 'skip', got {out_of_range!r}")
     groups: dict[dt.date, list[TxRecord]] = {}
     skipped_coinbase = 0
-    skipped_range = 0
     n_lines = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -131,7 +124,7 @@ def load_transactions(
                 ts, n_in, n_out, amount = (int(p) for p in parts)
             except ValueError:
                 raise ParseError(f"non-integer field in {line!r}", path, line_no) from None
-            if n_out < 1 or amount < 0:
+            if n_in < 0 or n_out < 1 or amount < 0:
                 raise ParseError(f"invalid record {line!r}", path, line_no)
             if n_in == 0:
                 skipped_coinbase += 1
@@ -139,13 +132,10 @@ def load_transactions(
             rec = TxRecord(ts, n_in, n_out, amount)
             day = rec.day
             if day not in calendar:
-                if out_of_range == "error":
-                    raise ParseError(f"timestamp {ts} ({day}) outside calendar", path, line_no)
-                skipped_range += 1
-                continue
+                raise ParseError(f"timestamp {ts} ({day}) outside calendar", path, line_no)
             groups.setdefault(day, []).append(rec)
     days = sorted(groups.items())
-    return TxLoadResult(days, skipped_coinbase, skipped_range, n_lines)
+    return TxLoadResult(days, skipped_coinbase, n_lines)
 
 
 def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
@@ -165,15 +155,17 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ParseError(f"expected 2 fields, got {len(parts)}", path, line_no)
-            day = _parse_date(parts[0], path, line_no)
+            day = parse_date(parts[0], path, line_no)
             try:
                 close = float(parts[1])
             except ValueError:
-                raise ParseError(f"bad price {parts[1]!r}", path, line_no) from None
+                close = math.nan
+            if not math.isfinite(close):
+                raise ParseError(f"bad price {parts[1]!r}", path, line_no)
             if close <= 0:
-                raise ValidationError(f"non-positive price {close} on {day}")
+                raise ValidationError(f"{path}:{line_no}: non-positive price {close} on {day}")
             if day in rows:
-                raise ValidationError(f"duplicate date {day} in {path}")
+                raise ValidationError(f"{path}:{line_no}: duplicate date {day}")
             rows[day] = close
     if len(rows) < 2:
         raise ValidationError(f"price file {path} has fewer than 2 rows")
@@ -193,15 +185,14 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
     return PriceSeries(dates, np.array(closes))
 
 
-def load_matrix_file(path, dim: int = 20, integer: bool = True) -> list[tuple[dt.date, np.ndarray]]:
+def load_matrix_file(path, dim: int = 20) -> list[tuple[dt.date, np.ndarray]]:
     """Read a matrix file: per line a date then dim*dim row-major values.
 
     Row index is the input class i (1..dim), column the output class j.
-    Occurrence files carry integers, amount files decimal satoshis.
+    Occurrence files carry counts, amount files integer satoshis.
     """
     out: list[tuple[dt.date, np.ndarray]] = []
     n2 = dim * dim
-    dtype = np.int64 if integer else float
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -212,32 +203,25 @@ def load_matrix_file(path, dim: int = 20, integer: bool = True) -> list[tuple[dt
                 raise ParseError(
                     f"expected date + {n2} values, got {len(tokens) - 1} values", path, line_no
                 )
-            day = _parse_date(tokens[0], path, line_no)
+            day = parse_date(tokens[0], path, line_no)
             try:
-                if integer:
-                    values = np.array([int(t) for t in tokens[1:]], dtype=np.int64)
-                else:
-                    values = np.array([float(t) for t in tokens[1:]], dtype=float)
+                values = np.array([int(t) for t in tokens[1:]], dtype=np.int64)
             except ValueError:
                 raise ParseError("non-numeric matrix value", path, line_no) from None
             if np.any(values < 0):
                 raise ValidationError(f"{path}:{line_no}: negative matrix value")
-            out.append((day, values.reshape(dim, dim).astype(dtype)))
+            out.append((day, values.reshape(dim, dim)))
     return out
 
 
-def format_matrix_line(day: dt.date, matrix: np.ndarray, integer: bool = True) -> str:
-    flat = matrix.reshape(-1)
-    if integer:
-        body = " ".join(str(int(v)) for v in flat)
-    else:
-        body = " ".join(repr(float(v)) for v in flat)
+def format_matrix_line(day: dt.date, matrix: np.ndarray) -> str:
+    body = " ".join(str(int(v)) for v in matrix.reshape(-1))
     return f"{day.isoformat()} {body}"
 
 
-def write_matrix_file(path, entries, integer: bool = True) -> None:
+def write_matrix_file(path, entries) -> None:
     """Write (date, matrix) entries in the canonical matrix-file format."""
-    lines = [format_matrix_line(day, m, integer) for day, m in entries]
+    lines = [format_matrix_line(day, m) for day, m in entries]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

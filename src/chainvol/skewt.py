@@ -8,7 +8,7 @@ symmetric standardized Student-t); nu > 2 so the variance is finite.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special, stats as sps
+from scipy import special
 
 
 def _check_params(nu: float, xi: float) -> None:
@@ -67,8 +67,8 @@ def skewt_cdf(z, nu: float, xi: float):
     mean, sd = _fs_constants(nu, xi)
     w = sd * z + mean
     c = _std_t_scale(nu)
-    lo = 2.0 / (1.0 + xi**2) * sps.t.cdf(w * xi * c, nu)
-    hi = 1.0 / (1.0 + xi**2) + 2.0 * xi**2 / (1.0 + xi**2) * (sps.t.cdf(w / xi * c, nu) - 0.5)
+    lo = 2.0 / (1.0 + xi**2) * special.stdtr(nu, w * xi * c)
+    hi = 1.0 / (1.0 + xi**2) + 2.0 * xi**2 / (1.0 + xi**2) * (special.stdtr(nu, w / xi * c) - 0.5)
     out = np.where(w < 0, lo, hi)
     return out if out.ndim else float(out)
 
@@ -82,17 +82,11 @@ def skewt_quantile(p, nu: float, xi: float):
     mean, sd = _fs_constants(nu, xi)
     c = _std_t_scale(nu)
     p0 = 1.0 / (1.0 + xi**2)  # mass left of the mode-side split point w = 0
-    w_lo = sps.t.ppf((1.0 + xi**2) * p / 2.0, nu) / (xi * c)
-    w_hi = sps.t.ppf((p - p0) * (1.0 + xi**2) / (2.0 * xi**2) + 0.5, nu) * xi / c
+    w_lo = special.stdtrit(nu, (1.0 + xi**2) * p / 2.0) / (xi * c)
+    w_hi = special.stdtrit(nu, (p - p0) * (1.0 + xi**2) / (2.0 * xi**2) + 0.5) * xi / c
     w = np.where(p < p0, w_lo, w_hi)
     out = (w - mean) / sd
     return out if out.ndim else float(out)
-
-
-def skewt_rvs(n: int, nu: float, xi: float, rng: np.random.Generator):
-    """Inverse-transform draws; deterministic given the generator state."""
-    u = rng.uniform(size=n)
-    return np.asarray(skewt_quantile(u, nu, xi))
 
 
 def student_t_logpdf(z, nu: float):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .errors import DegenerateSeriesError, ValidationError
 from .ingest import PriceSeries
@@ -112,8 +112,9 @@ def standardize(x) -> tuple[np.ndarray, float, float]:
     return (x - mean) / std, mean, std
 
 
-def ols_fit(y, X, names=None, intercept: bool = True) -> OlsReport:
-    """Classical OLS with homoskedastic standard errors and Student-t p-values.
+def ols_fit(y, X, names=None) -> OlsReport:
+    """Classical OLS with an intercept, homoskedastic standard errors and
+    Student-t p-values.
 
     p-values use n - k - 1 degrees of freedom where k counts the non-intercept
     regressors.
@@ -125,10 +126,8 @@ def ols_fit(y, X, names=None, intercept: bool = True) -> OlsReport:
     n, k = X.shape
     if names is None:
         names = [f"x{i + 1}" for i in range(k)]
-    names = list(names)
-    if intercept:
-        X = np.column_stack([np.ones(n), X])
-        names = ["(Intercept)"] + names
+    X = np.column_stack([np.ones(n), X])
+    names = ["(Intercept)"] + list(names)
     n_params = X.shape[1]
     if n <= n_params:
         raise DegenerateSeriesError(f"{n} observations for {n_params} parameters")
@@ -148,7 +147,7 @@ def ols_fit(y, X, names=None, intercept: bool = True) -> OlsReport:
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):  # se == 0 on perfect fits
         t_value = coef / se
-    p_value = 2.0 * sps.t.sf(np.abs(t_value), dof)
+    p_value = 2.0 * special.stdtr(dof, -np.abs(t_value))
     return OlsReport(names, coef, se, t_value, p_value, n, k, resid)
 
 

@@ -14,7 +14,6 @@ from chainvol.chainlets import (
     extreme_features,
     extreme_sets,
     feature_series,
-    threshold_percentile,
 )
 from chainvol.errors import AlignmentError, ValidationError
 from chainvol.ingest import PriceSeries, TxRecord
@@ -258,10 +257,6 @@ class TestFeatureSeries:
 
 
 class TestHelpers:
-    def test_threshold_percentile(self):
-        txs = [tx(1, 1)] * 95 + [tx(30, 1)] * 5
-        assert threshold_percentile(txs, 20) == pytest.approx(0.95)
-
     def test_feature_csv_round_trip(self, tmp_path):
         matrices = [build_matrix(DAY, [tx(25, 1, 500), tx(1, 2, 700)], 20)]
         prices = PriceSeries([DAY, DAY + dt.timedelta(days=1)], np.array([100.0, 101.0]))

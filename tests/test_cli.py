@@ -255,6 +255,36 @@ class TestConfigFile:
             cli.resolve_config(Args())
 
 
+class TestBadInput:
+    """Bad lines end the run with exit code 1 and name file and line."""
+
+    def test_short_feature_line(self, dataset, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        lines = dataset["features"].read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:3])
+        features.write_text("\n".join(lines) + "\n")
+        assert cli.main(["analyze", str(features), str(dataset["data"] / "prices.csv"),
+                         "--out", str(tmp_path / "a")]) == 1
+        assert f"{features}:4: expected 7 fields, got 3" in capsys.readouterr().err
+
+    def test_bad_event_date(self, dataset, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text("date,label\n2015-01-05,ok\n2015-13-01,bad\n")
+        assert cli.main(["features", str(dataset["occ"]), str(dataset["amo"]),
+                         str(dataset["data"] / "prices.csv"), "--out", str(tmp_path / "f.csv"),
+                         "--plot-data", str(tmp_path / "plot.csv"),
+                         "--events", str(events)]) == 1
+        assert f"{events}:3: bad date '2015-13-01'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["window=abc", "gap_policy=sometimes"])
+    def test_bad_config_value(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        assert cli.main(["--config", str(cfg), "synth", "--out", str(tmp_path / "d"),
+                         "--days", "3"]) == 1
+        assert f"{cfg}:2: bad value for {line.split('=')[0]}" in capsys.readouterr().err
+
+
 class TestTopLevelFlags:
     def test_top_level_seed_reaches_subcommand(self, tmp_path):
         out = tmp_path / "d"
@@ -275,10 +305,12 @@ class TestTopLevelFlags:
 
 
 def test_import_does_not_load_scipy_signal():
-    # the filter imports scipy.signal where it runs; every CLI stage pays
-    # for what chainvol.cli imports
-    code = "import sys, chainvol.cli; print('scipy.signal' in sys.modules)"
+    # the filter imports scipy.signal and the fit scipy.optimize where they
+    # run, and scipy.stats is not used at all; every CLI stage pays for what
+    # chainvol.cli imports
+    code = ("import sys, chainvol.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import datetime as dt
 import os
+import re
 import stat
 
 import numpy as np
@@ -57,12 +58,17 @@ class TestLoadTransactions:
             ingest.load_transactions(p, CAL)
         assert exc.value.line_no == 2
 
-    def test_out_of_range_skip_or_error(self, tmp_path):
-        p = write(tmp_path, "tx.csv", "100,1,1,10\n")  # 1970, outside calendar
-        with pytest.raises(ParseError):
-            ingest.load_transactions(p, CAL, out_of_range="error")
-        result = ingest.load_transactions(p, CAL, out_of_range="skip")
-        assert result.skipped_out_of_range == 1
+    def test_out_of_range_rejected(self, tmp_path):
+        p = write(tmp_path, "tx.csv", "1420070400,1,1,10\n100,1,1,10\n")  # 1970, outside calendar
+        with pytest.raises(ParseError) as exc:
+            ingest.load_transactions(p, CAL)
+        assert exc.value.line_no == 2
+
+    def test_negative_input_count_names_line(self, tmp_path):
+        p = write(tmp_path, "tx.csv", "1420070400,1,1,10\n1420070400,-1,1,10\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.load_transactions(p, CAL)
+        assert str(exc.value).startswith(f"{p}:2: ")
 
     def test_header_and_blank_lines_ignored(self, tmp_path):
         p = write(tmp_path, "tx.csv", "# header\n\n1420070400,1,1,10\n")
@@ -103,14 +109,22 @@ class TestLoadPrices:
     def test_negative_price_rejected(self, tmp_path):
         cal = DailyCalendar(dt.date(2012, 1, 1), dt.date(2012, 1, 2))
         p = write(tmp_path, "p.csv", "2012-01-01,-3.0\n2012-01-02,5.0\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{p}:1: ")):
             ingest.load_prices(p, cal)
 
     def test_duplicate_date_rejected(self, tmp_path):
         cal = DailyCalendar(dt.date(2012, 1, 1), dt.date(2012, 1, 2))
         p = write(tmp_path, "p.csv", "2012-01-01,1.0\n2012-01-01,2.0\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{p}:2: ")):
             ingest.load_prices(p, cal)
+
+    @pytest.mark.parametrize("close", ["nan", "inf", "-inf"])
+    def test_non_finite_price_rejected(self, tmp_path, close):
+        cal = DailyCalendar(dt.date(2012, 1, 1), dt.date(2012, 1, 2))
+        p = write(tmp_path, "p.csv", f"2012-01-01,1.0\n2012-01-02,{close}\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.load_prices(p, cal)
+        assert exc.value.line_no == 2
 
     def test_too_few_rows(self, tmp_path):
         cal = DailyCalendar(dt.date(2012, 1, 1), dt.date(2012, 1, 1))

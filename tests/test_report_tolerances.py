@@ -53,12 +53,10 @@ def test_reports_at_recorded_parameters(readme_dataset, monkeypatch):
         rec = next(fits)
         assert rec["spec"] == {"p": spec.p, "q": spec.q, "k": spec.k,
                                "distribution": spec.distribution}
-        empty = np.zeros(0)
         return FitResult(
             spec=spec, params=ArmaGarchXParams.from_dict(rec["params"]),
             loglik=rec["loglik"], converged=True, iterations=0,
-            sigma=empty, std_resid=empty, resid=empty,
-            x_mean=np.array(rec["x_mean"]), x_std=np.array(rec["x_std"]), n_obs=len(y),
+            x_mean=np.array(rec["x_mean"]), x_std=np.array(rec["x_std"]),
         )
 
     monkeypatch.setattr(backtest, "fit", replay_fit)

@@ -75,15 +75,16 @@ class TestOls:
     def test_identity_fit(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=50)
-        report = stats.ols_fit(x, x[:, None], intercept=False)
-        assert report.coef[0] == pytest.approx(1.0, abs=1e-12)
+        report = stats.ols_fit(x, x[:, None])
+        assert report.coef[0] == pytest.approx(0.0, abs=1e-12)
+        assert report.coef[1] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(report.residuals)) < 1e-12
 
     def test_exact_linear_data(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=80)
         y = 2 * x + 3
-        report = stats.ols_fit(y, x[:, None], intercept=True)
+        report = stats.ols_fit(y, x[:, None])
         assert report.coef[0] == pytest.approx(3.0, abs=1e-8)
         assert report.coef[1] == pytest.approx(2.0, abs=1e-8)
 
@@ -91,7 +92,7 @@ class TestOls:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
-        report = stats.ols_fit(y, X, intercept=True)
+        report = stats.ols_fit(y, X)
         # oracle: explicit 4x4 inversion of the normal equations
         Xd = np.column_stack([np.ones(50), X])
         XtX = Xd.T @ Xd
@@ -108,7 +109,7 @@ class TestOls:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
-        report = stats.ols_fit(y, X, intercept=True)
+        report = stats.ols_fit(y, X)
         for j in range(4):
             assert abs(report.residuals @ X[:, j]) < 1e-8
 
@@ -127,7 +128,7 @@ class TestOls:
         def standardized_fit(y_raw, X_raw):
             ys, _, _ = stats.standardize(y_raw)
             Xs = np.column_stack([stats.standardize(X_raw[:, j])[0] for j in range(X_raw.shape[1])])
-            return stats.ols_fit(ys, Xs, intercept=True)
+            return stats.ols_fit(ys, Xs)
 
         base = standardized_fit(y, X)
         rescaled = standardized_fit(3.5 * y + 7.0, X * np.array([2.0, 0.5, 10.0]) + 1.0)
