@@ -22,6 +22,7 @@ from .garchx import (
 
 CHI2_CRIT_1DF_95 = 3.841
 CHI2_CRIT_2DF_95 = 5.991
+DM_MIN_OBS = 10  # fewest forecast errors a Diebold-Mariano test accepts
 
 
 @dataclass
@@ -242,8 +243,8 @@ def diebold_mariano(e1, e2) -> DmReport:
     if e1.shape != e2.shape:
         raise ValidationError(f"error series lengths differ: {e1.size} vs {e2.size}")
     n = e1.size
-    if n < 10:
-        raise ValidationError(f"need >= 10 forecast errors, got {n}")
+    if n < DM_MIN_OBS:
+        raise ValidationError(f"need >= {DM_MIN_OBS} forecast errors, got {n}")
     d = e1**2 - e2**2
     dbar = float(np.mean(d))
     dc = d - dbar

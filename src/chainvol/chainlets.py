@@ -1,4 +1,4 @@
-"""Chainlet classification, daily matrix aggregation and extreme-activity features.
+"""Daily chainlet matrix aggregation and extreme-activity features.
 
 A chainlet C_{i->j} is a single transaction viewed as a subgraph with i input
 and j output addresses; counts above the threshold N are clamped into class N.
@@ -14,19 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ParseError, ValidationError
-from .ingest import PriceSeries, TxRecord, atomic_write_text, parse_date
+from .ingest import PriceSeries, atomic_write_text, parse_date
 
 SATOSHI_PER_BTC = 10**8
 DEFAULT_THRESHOLD = 20
-
-
-@dataclass(frozen=True, order=True)
-class ChainletClass:
-    i: int
-    j: int
-
-    def __str__(self):
-        return f"C_{{{self.i}->{self.j}}}"
+INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -57,7 +49,8 @@ class ChainletMatrix:
 
     @property
     def total_amount(self) -> int:
-        return int(self.amount.sum())
+        # Python ints: a day's total may pass int64 even when every cell fits
+        return sum(self.amount.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -78,40 +71,33 @@ class ExtremeFeatureRow:
         return (self.A_l, self.A_r, self.A_x, self.O_l, self.O_r, self.O_x)
 
 
-def classify(tx: TxRecord, threshold: int = DEFAULT_THRESHOLD) -> ChainletClass:
-    """Map a transaction to its chainlet class, clamping counts at the threshold."""
-    if threshold < 2:
-        raise ValueError(f"threshold must be >= 2, got {threshold}")
-    if tx.n_inputs < 1 or tx.n_outputs < 1:
+def build_matrix(day: dt.date, rows, threshold: int = DEFAULT_THRESHOLD) -> ChainletMatrix:
+    """Aggregate one day's transactions into occurrence and amount matrices.
+
+    ``rows`` holds one ``n_inputs, n_outputs, amount`` row per transaction.
+    Counts clamp at the threshold N, so C_{i->j} lands in cell (i-1)·N + (j-1)
+    of the flattened matrix. Satoshi sums stay in int64; a cell whose exact sum
+    would pass the int64 range is an error naming the day.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    if np.any(rows[:, :2] < 1):
         raise ValidationError(
-            f"cannot classify tx with {tx.n_inputs} inputs / {tx.n_outputs} outputs "
+            "every transaction needs >= 1 input and >= 1 output "
             "(coinbase must be filtered upstream)"
         )
-    return ChainletClass(min(tx.n_inputs, threshold), min(tx.n_outputs, threshold))
-
-
-def build_matrix(day: dt.date, txs, threshold: int = DEFAULT_THRESHOLD) -> ChainletMatrix:
-    """Aggregate one day's transactions into occurrence and amount matrices."""
-    occ = np.zeros((threshold, threshold), dtype=np.int64)
-    amo = np.zeros((threshold, threshold), dtype=np.int64)
-    for tx in txs:
-        c = classify(tx, threshold)
-        occ[c.i - 1, c.j - 1] += 1
-        amo[c.i - 1, c.j - 1] += tx.amount
-    return ChainletMatrix(day, threshold, occ, amo)
-
-
-def extreme_sets(threshold: int = DEFAULT_THRESHOLD):
-    """Left (i = N) and right (j = N, i < N) extreme class sets.
-
-    The corner class C_{N->N} belongs to the left set only, so the sets are
-    disjoint with 2N-1 classes in total.
-    """
-    if threshold < 2:
-        raise ValueError(f"threshold must be >= 2, got {threshold}")
-    left = {ChainletClass(threshold, j) for j in range(1, threshold + 1)}
-    right = {ChainletClass(i, threshold) for i in range(1, threshold)}
-    return left, right
+    n = threshold
+    i, j = (np.minimum(rows[:, :2], n) - 1).T
+    cell = i * n + j
+    occ = np.bincount(cell, minlength=n * n)
+    amo = np.zeros(n * n, dtype=np.int64)
+    np.add.at(amo, cell, rows[:, 2])
+    # np.add.at wraps silently, so sum exactly where count x largest amount may pass int64
+    top = max(int(rows[:, 2].max(initial=0)), 1)
+    for c in np.flatnonzero(occ > INT64_MAX // top).tolist():
+        if sum(rows[cell == c, 2].tolist()) > INT64_MAX:
+            i, j = divmod(c, n)
+            raise ValidationError(f"{day}: satoshi sum of C_{{{i + 1}->{j + 1}}} exceeds int64")
+    return ChainletMatrix(day, n, occ.reshape(n, n), amo.reshape(n, n))
 
 
 def extreme_features(m: ChainletMatrix, price: float) -> ExtremeFeatureRow:
@@ -129,8 +115,8 @@ def extreme_features(m: ChainletMatrix, price: float) -> ExtremeFeatureRow:
     # left: bottom row; right: far-right column without the corner
     o_l = int(occ[n - 1, :].sum())
     o_r = int(occ[: n - 1, n - 1].sum())
-    sat_l = int(amo[n - 1, :].sum())
-    sat_r = int(amo[: n - 1, n - 1].sum())
+    sat_l = sum(amo[n - 1, :].tolist())
+    sat_r = sum(amo[: n - 1, n - 1].tolist())
     tot_occ = m.total_occurrences
     tot_amo = m.total_amount
     o_x = (o_l + o_r) / tot_occ if tot_occ > 0 else 0.0

@@ -37,6 +37,18 @@ class PipelineConfig:
     gap_policy: str = "error"
     seed: int = 0
 
+    def __post_init__(self):
+        for key, ok, bound in (
+            ("threshold", self.threshold >= 2, ">= 2"),
+            ("alpha_tail", 0 < self.alpha_tail < 0.5, "in (0, 0.5)"),
+            ("var_level", 0 < self.var_level < 0.5, "in (0, 0.5)"),
+            ("window", self.window >= garchx.MIN_OBS, f">= {garchx.MIN_OBS}"),
+            ("refit_every", self.refit_every >= 1, ">= 1"),
+            ("restarts", self.restarts >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ChainvolError(f"{key} must be {bound}, got {getattr(self, key)}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -99,20 +111,15 @@ def cmd_extract(args, config: PipelineConfig) -> int:
         return 0
     by_day = dict(result.days)
     first, last = result.days[0][0], result.days[-1][0]
-    occ_entries, amo_entries = [], []
-    n_txs = 0
-    day = first
-    while day <= last:
-        txs = by_day.get(day, [])
-        m = chainlets.build_matrix(day, txs, config.threshold)
-        occ_entries.append((day, m.occurrence))
-        amo_entries.append((day, m.amount))
-        n_txs += len(txs)
-        day += dt.timedelta(days=1)
-    ingest.write_matrix_file(args.out_occurrence, occ_entries)
-    ingest.write_matrix_file(args.out_amount, amo_entries)
+    matrices = [
+        chainlets.build_matrix(day, by_day.get(day, []), config.threshold)
+        for day in ingest.DailyCalendar(first, last).days()
+    ]
+    ingest.write_matrix_file(args.out_occurrence, [(m.date, m.occurrence) for m in matrices])
+    ingest.write_matrix_file(args.out_amount, [(m.date, m.amount) for m in matrices])
+    n_txs = sum(len(rows) for _, rows in result.days)
     print(
-        f"{len(occ_entries)} days ({first}..{last}), {n_txs} transactions, "
+        f"{len(matrices)} days ({first}..{last}), {n_txs} transactions, "
         f"{result.skipped_coinbase} coinbase skipped"
     )
     return 0
@@ -255,6 +262,11 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
     if len(dates) <= config.window + 10:
         raise ChainvolError(
             f"need > {config.window + 10} aligned days for window {config.window}, got {len(dates)}"
+        )
+    n_forecast = len(dates) - config.window
+    if args.compare and not bt.DM_MIN_OBS <= args.horizon <= n_forecast:
+        raise ChainvolError(
+            f"horizon must be in [{bt.DM_MIN_OBS}, {n_forecast}] forecast days, got {args.horizon}"
         )
     os.makedirs(args.out, exist_ok=True)
     models = ["garch", "garchx"] if args.compare else [args.model]

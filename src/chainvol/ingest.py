@@ -9,6 +9,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,32 +17,14 @@ import numpy as np
 
 from .errors import AlignmentError, ParseError, ValidationError
 
+EPOCH = dt.date(1970, 1, 1)
+SECONDS_PER_DAY = 86400
+MAX_MONEY = 21_000_000 * 10**8  # Bitcoin's supply cap in satoshi
+
 
 class GapPolicy(Enum):
     ERROR = "error"
     FORWARD_FILL = "ffill"
-
-
-@dataclass(frozen=True)
-class TxRecord:
-    """One blockchain transaction, amount = total output value in satoshis."""
-
-    timestamp: int
-    n_inputs: int
-    n_outputs: int
-    amount: int
-
-    def __post_init__(self):
-        if self.n_outputs < 1:
-            raise ValidationError(f"transaction must have >= 1 output, got {self.n_outputs}")
-        if self.n_inputs < 0:
-            raise ValidationError(f"negative input count {self.n_inputs}")
-        if self.amount < 0:
-            raise ValidationError(f"negative amount {self.amount}")
-
-    @property
-    def day(self) -> dt.date:
-        return dt.datetime.fromtimestamp(self.timestamp, tz=dt.timezone.utc).date()
 
 
 @dataclass(frozen=True)
@@ -53,9 +36,6 @@ class DailyCalendar:
     def __post_init__(self):
         if self.start > self.end:
             raise ValidationError(f"calendar start {self.start} after end {self.end}")
-
-    def __contains__(self, day: dt.date) -> bool:
-        return self.start <= day <= self.end
 
     def days(self) -> list[dt.date]:
         n = (self.end - self.start).days + 1
@@ -86,9 +66,13 @@ class PriceSeries:
 
 @dataclass
 class TxLoadResult:
-    """Transactions grouped by UTC day, plus the coinbase tally."""
+    """Transactions grouped by UTC day, plus the coinbase tally.
 
-    days: list[tuple[dt.date, list[TxRecord]]]
+    Each day holds an (n, 3) int64 array of ``n_inputs, n_outputs, amount``
+    rows in file order.
+    """
+
+    days: list[tuple[dt.date, np.ndarray]]
     skipped_coinbase: int = 0
     n_lines: int = 0
 
@@ -101,14 +85,16 @@ def parse_date(token: str, path, line_no) -> dt.date:
 
 
 def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
-    """Read a transaction CSV and group records by UTC day.
+    """Read a transaction CSV and group its rows by UTC day.
 
     Line format: ``timestamp_unix_seconds,n_inputs,n_outputs,amount_satoshi``.
     Lines starting with ``#`` are comments. Coinbase transactions (zero
-    inputs) are dropped and tallied; a timestamp outside the calendar is an
-    error.
+    inputs) are dropped and tallied; a timestamp outside the calendar or an
+    amount above ``MAX_MONEY`` is an error.
     """
-    groups: dict[dt.date, list[TxRecord]] = {}
+    start_s = (calendar.start - EPOCH).days * SECONDS_PER_DAY
+    end_s = ((calendar.end - EPOCH).days + 1) * SECONDS_PER_DAY
+    table = array("q")  # timestamp, n_inputs, n_outputs, amount per kept row
     skipped_coinbase = 0
     n_lines = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -121,20 +107,33 @@ def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
             if len(parts) != 4:
                 raise ParseError(f"expected 4 fields, got {len(parts)}", path, line_no)
             try:
-                ts, n_in, n_out, amount = (int(p) for p in parts)
+                ts, n_in, n_out, amount = map(int, parts)
             except ValueError:
                 raise ParseError(f"non-integer field in {line!r}", path, line_no) from None
             if n_in < 0 or n_out < 1 or amount < 0:
                 raise ParseError(f"invalid record {line!r}", path, line_no)
+            if amount > MAX_MONEY:
+                raise ParseError(f"amount {amount} above MAX_MONEY {MAX_MONEY}", path, line_no)
             if n_in == 0:
                 skipped_coinbase += 1
                 continue
-            rec = TxRecord(ts, n_in, n_out, amount)
-            day = rec.day
-            if day not in calendar:
-                raise ParseError(f"timestamp {ts} ({day}) outside calendar", path, line_no)
-            groups.setdefault(day, []).append(rec)
-    days = sorted(groups.items())
+            if not start_s <= ts < end_s:
+                raise ParseError(
+                    f"timestamp {ts} outside calendar {calendar.start}..{calendar.end}",
+                    path, line_no,
+                )
+            try:
+                table.extend((ts, n_in, n_out, amount))
+            except OverflowError:
+                raise ParseError(f"count out of int64 range in {line!r}", path, line_no) from None
+    table = np.frombuffer(table, dtype=np.int64).reshape(-1, 4)
+    day_index = table[:, 0] // SECONDS_PER_DAY
+    order = np.argsort(day_index, kind="stable")
+    day_index, starts = np.unique(day_index[order], return_index=True)
+    days = [
+        (EPOCH + dt.timedelta(days=int(d)), rows)
+        for d, rows in zip(day_index, np.split(table[order, 1:], starts[1:]))
+    ]
     return TxLoadResult(days, skipped_coinbase, n_lines)
 
 
@@ -215,7 +214,7 @@ def load_matrix_file(path, dim: int = 20) -> list[tuple[dt.date, np.ndarray]]:
 
 
 def format_matrix_line(day: dt.date, matrix: np.ndarray) -> str:
-    body = " ".join(str(int(v)) for v in matrix.reshape(-1))
+    body = " ".join(map(str, matrix.ravel().tolist()))
     return f"{day.isoformat()} {body}"
 
 

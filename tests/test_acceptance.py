@@ -18,9 +18,8 @@ from scipy import integrate, stats as sps
 
 from chainvol import backtest as bt
 from chainvol import chainlets, garchx, skewt, stats
-from chainvol.chainlets import ChainletClass, ChainletMatrix, build_matrix, classify, extreme_sets
+from chainvol.chainlets import ChainletMatrix, build_matrix
 from chainvol.garchx import ArmaGarchXParams, FitConfig, ModelSpec
-from chainvol.ingest import TxRecord
 
 
 def report(number: int, description: str, ok: bool, detail: str = ""):
@@ -69,12 +68,15 @@ def test_criterion_03_amount_ratio_worked_example():
 
 
 def test_criterion_04_chainlet_taxonomy():
-    # three input addresses, one output address
-    c = classify(TxRecord(1420070400, 3, 1, 1000), 20)
-    left, right = extreme_sets(20)
-    ok = c == ChainletClass(3, 1) and len(left) == 20 and len(right) == 19
+    # three input addresses, one output address: C_{3->1} is cell [3-1, 1-1]
+    m = build_matrix(dt.date(2015, 1, 1), [(3, 1, 1000)], 20)
+    cells = [tuple(int(v) for v in c) for c in np.argwhere(m.occurrence)]
+    # with one chainlet in every class, the counts are the extreme set sizes
+    ones = np.ones((20, 20), dtype=np.int64)
+    row = chainlets.extreme_features(ChainletMatrix(dt.date(2015, 1, 1), 20, ones, ones), 1.0)
+    ok = cells == [(2, 0)] and row.O_l == 20 and row.O_r == 19
     report(4, "3-in/1-out classifies as C_{3->1}; extreme set sizes 20 and 19", ok,
-           f"class={c}, |left|={len(left)}, |right|={len(right)}")
+           f"cells={cells}, |left|={row.O_l}, |right|={row.O_r}")
 
 
 def test_criterion_05_garch_parameter_recovery():

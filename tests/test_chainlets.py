@@ -6,23 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainvol import chainlets
-from chainvol.chainlets import (
-    ChainletClass,
-    ChainletMatrix,
-    build_matrix,
-    classify,
-    extreme_features,
-    extreme_sets,
-    feature_series,
-)
+from chainvol.chainlets import ChainletMatrix, build_matrix, extreme_features, feature_series
 from chainvol.errors import AlignmentError, ValidationError
-from chainvol.ingest import PriceSeries, TxRecord
+from chainvol.ingest import MAX_MONEY, PriceSeries
 
 DAY = dt.date(2015, 6, 1)
 
 
-def tx(n_in, n_out, amount=1000, ts=1433116800):
-    return TxRecord(ts, n_in, n_out, amount)
+def tx(n_in, n_out, amount=1000):
+    """One ``n_inputs, n_outputs, amount`` row, the form ``build_matrix`` takes."""
+    return (n_in, n_out, amount)
+
+
+def cell_of(row, n=20):
+    """The one matrix cell that a single-row day fills."""
+    m = build_matrix(DAY, [row], n)
+    (i,), (j,) = np.nonzero(m.occurrence)
+    return int(i), int(j)
 
 
 tx_strategy = st.builds(
@@ -34,61 +34,71 @@ tx_strategy = st.builds(
 
 
 class TestClassify:
+    """A transaction with i inputs and j outputs lands in cell [i-1, j-1], clamped at N."""
+
     def test_three_to_one(self):
-        assert classify(tx(3, 1), 20) == ChainletClass(3, 1)
+        assert cell_of(tx(3, 1)) == (2, 0)
 
     def test_clamping_beyond_threshold(self):
-        assert classify(tx(25, 2), 20) == ChainletClass(20, 2)
+        assert cell_of(tx(25, 2)) == (19, 1)
 
     def test_identity_case(self):
-        assert classify(tx(1, 1), 20) == ChainletClass(1, 1)
+        assert cell_of(tx(1, 1)) == (0, 0)
 
     def test_zero_inputs_rejected(self):
-        coinbase = TxRecord(1433116800, 0, 1, 10)
-        with pytest.raises(ValidationError):
-            classify(coinbase, 20)
+        with pytest.raises(ValidationError, match="coinbase must be filtered upstream"):
+            build_matrix(DAY, [tx(2, 2), tx(0, 1, 10)], 20)
+
+    def test_zero_outputs_rejected(self):
+        with pytest.raises(ValidationError, match=">= 1 output"):
+            build_matrix(DAY, [tx(1, 0, 10), tx(2, 2)], 20)
 
     @given(t=tx_strategy)
     def test_clamping_monotonicity(self, t):
-        c = classify(t, 20)
-        bigger = tx(t.n_inputs + 1, t.n_outputs, t.amount)
-        c2 = classify(bigger, 20)
-        assert c2.i >= c.i
-        assert c2.i <= 20
+        i, _ = cell_of(t)
+        i2, _ = cell_of(tx(t[0] + 1, t[1], t[2]))
+        assert i <= i2 <= 19
+
+
+def single_cell_features(n, i, j):
+    """Features of a day whose one transaction sits in cell [i-1, j-1]."""
+    occ = np.zeros((n, n), dtype=np.int64)
+    occ[i - 1, j - 1] = 1
+    return extreme_features(ChainletMatrix(DAY, n, occ, occ), price=1.0)
 
 
 class TestExtremeSets:
+    """Left set: bottom row (i = N). Right set: last column without the corner."""
+
     def test_cardinalities_n20(self):
-        left, right = extreme_sets(20)
-        assert len(left) == 20
-        assert len(right) == 19
+        ones = np.ones((20, 20), dtype=np.int64)
+        row = extreme_features(ChainletMatrix(DAY, 20, ones, ones), price=1.0)
+        assert (row.O_l, row.O_r) == (20, 19)
 
     def test_smallest_case(self):
-        left, right = extreme_sets(2)
-        assert left == {ChainletClass(2, 1), ChainletClass(2, 2)}
-        assert right == {ChainletClass(1, 2)}
+        got = {(i, j): (single_cell_features(2, i, j).O_l, single_cell_features(2, i, j).O_r)
+               for i in (1, 2) for j in (1, 2)}
+        assert got == {(2, 1): (1, 0), (2, 2): (1, 0), (1, 2): (0, 1), (1, 1): (0, 0)}
 
     def test_corner_in_left_only(self):
-        left, right = extreme_sets(20)
-        assert ChainletClass(20, 20) in left
-        assert ChainletClass(20, 20) not in right
+        row = single_cell_features(20, 20, 20)
+        assert (row.O_l, row.O_r) == (1, 0)
 
     @given(n=st.integers(min_value=2, max_value=40))
     def test_partition(self, n):
-        left, right = extreme_sets(n)
-        assert left & right == set()
-        assert len(left | right) == 2 * n - 1
+        ones = np.ones((n, n), dtype=np.int64)
+        row = extreme_features(ChainletMatrix(DAY, n, ones, ones), price=1.0)
+        assert row.O_l + row.O_r == 2 * n - 1
         # every cell falls in exactly one of {left, right, non-extreme}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                c = ChainletClass(i, j)
-                memberships = (c in left) + (c in right)
+                got = single_cell_features(n, i, j)
                 if i == n:
-                    assert c in left and c not in right
+                    assert (got.O_l, got.O_r) == (1, 0)
                 elif j == n:
-                    assert c in right and c not in left
+                    assert (got.O_l, got.O_r) == (0, 1)
                 else:
-                    assert memberships == 0
+                    assert (got.O_l, got.O_r) == (0, 0)
 
 
 class TestBuildMatrix:
@@ -109,15 +119,15 @@ class TestBuildMatrix:
             tx(int(rng.integers(1, 40)), int(rng.integers(1, 40)), int(rng.integers(0, 10**9)))
             for _ in range(100)
         ]
-        m = build_matrix(DAY, txs, 20)
+        m = build_matrix(DAY, np.array(txs, dtype=np.int64), 20)
         # oracle: independent per-transaction tally
         occ = np.zeros((20, 20), dtype=np.int64)
         amo = np.zeros((20, 20), dtype=np.int64)
-        for t in txs:
-            i = min(t.n_inputs, 20) - 1
-            j = min(t.n_outputs, 20) - 1
+        for n_in, n_out, amount in txs:
+            i = min(n_in, 20) - 1
+            j = min(n_out, 20) - 1
             occ[i, j] += 1
-            amo[i, j] += t.amount
+            amo[i, j] += amount
         assert np.array_equal(m.occurrence, occ)
         assert np.array_equal(m.amount, amo)
 
@@ -126,7 +136,30 @@ class TestBuildMatrix:
     def test_conservation(self, txs):
         m = build_matrix(DAY, txs, 20)
         assert m.total_occurrences == len(txs)
-        assert m.total_amount == sum(t.amount for t in txs)
+        assert m.total_amount == sum(t[2] for t in txs)
+
+    def test_max_money_day_sums_exactly(self):
+        # the total, 2.1e18 satoshi, is far above 2**53, where float sums lose units
+        rows = [tx(1, 1, MAX_MONEY)] * 999 + [tx(1, 1, MAX_MONEY - 1)]
+        m = build_matrix(DAY, rows, 20)
+        assert m.total_amount > 2**53
+        assert int(m.amount[0, 0]) == 1000 * MAX_MONEY - 1
+
+    def test_cell_past_int64_names_day(self):
+        # 9223372036854775807 // MAX_MONEY is 4392, so one row more passes int64
+        fits = build_matrix(DAY, [tx(1, 1, MAX_MONEY)] * 4392, 20)
+        assert int(fits.amount[0, 0]) == 4392 * MAX_MONEY
+        with pytest.raises(ValidationError, match=r"^2015-06-01: .*C_\{1->1\} exceeds int64"):
+            build_matrix(DAY, [tx(2, 2)] + [tx(1, 1, MAX_MONEY)] * 4393, 20)
+
+    def test_day_total_past_int64_stays_exact(self):
+        # each cell fits in int64, the day's total does not
+        rows = [tx(1, 1, MAX_MONEY)] * 4392 + [tx(20, 1, MAX_MONEY)] * 4392
+        m = build_matrix(DAY, rows, 20)
+        assert m.total_amount == 8784 * MAX_MONEY
+        row = extreme_features(m, price=1.0)
+        assert row.A_x == 0.5
+        assert row.A_l == 4392 * MAX_MONEY / 10**8
 
 
 class TestExtremeFeatures:
@@ -196,7 +229,7 @@ class TestExtremeFeatures:
     def test_scale_invariance_of_ratios(self):
         txs = [tx(25, 1, 100), tx(2, 2, 300), tx(1, 30, 600)]
         k = 7
-        scaled = [tx(t.n_inputs, t.n_outputs, t.amount * k) for t in txs]
+        scaled = [tx(n_in, n_out, amount * k) for n_in, n_out, amount in txs]
         r1 = extreme_features(build_matrix(DAY, txs, 20), 100.0)
         r2 = extreme_features(build_matrix(DAY, scaled, 20), 100.0)
         assert r2.A_x == pytest.approx(r1.A_x, rel=1e-12)
@@ -215,16 +248,16 @@ class TestExtremeFeatures:
         row = extreme_features(build_matrix(DAY, txs, n), price)
         # oracle: one pass over raw transactions, no matrix
         o_l = o_r = sat_l = sat_r = tot_o = tot_a = 0
-        for t in txs:
-            i, j = min(t.n_inputs, n), min(t.n_outputs, n)
+        for n_in, n_out, amount in txs:
+            i, j = min(n_in, n), min(n_out, n)
             tot_o += 1
-            tot_a += t.amount
+            tot_a += amount
             if i == n:
                 o_l += 1
-                sat_l += t.amount
+                sat_l += amount
             elif j == n:
                 o_r += 1
-                sat_r += t.amount
+                sat_r += amount
         assert (row.O_l, row.O_r) == (o_l, o_r)
         assert row.O_x == pytest.approx((o_l + o_r) / tot_o, rel=1e-12)
         assert row.A_x == pytest.approx((sat_l + sat_r) / tot_a, rel=1e-12)

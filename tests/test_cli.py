@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from chainvol import cli
+from chainvol import backtest, cli, garchx
 from chainvol.chainlets import read_feature_csv
 
 
@@ -93,6 +93,17 @@ class TestExtract:
         tokens = (tmp_path / "o.txt").read_text().split()
         matrix = np.array(tokens[1:], dtype=int).reshape(20, 20)
         assert matrix[19, 0] == 1
+
+    def test_cell_past_int64_names_day(self, tmp_path, capsys):
+        tx = tmp_path / "tx.csv"
+        tx.write_text("1420070400,1,1,2100000000000000\n" * 4393)
+        assert cli.main([
+            "extract", str(tx),
+            "--out-occurrence", str(tmp_path / "o.txt"),
+            "--out-amount", str(tmp_path / "a.txt"),
+        ]) == 1
+        assert "2015-01-01: satoshi sum of C_{1->1} exceeds int64" in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
 
     def test_parse_error_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -221,6 +232,20 @@ class TestBacktest:
         assert "diebold_mariano" in doc
         assert 0.0 <= doc["diebold_mariano"]["p_value"] <= 1.0
 
+    @pytest.mark.parametrize("horizon", ["0", "5", "1000"])
+    def test_bad_horizon_fails_before_any_fit(self, dataset, tmp_path, capsys, monkeypatch, horizon):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(garchx, "fit", no_fit)
+        monkeypatch.setattr(backtest, "fit", no_fit)
+        assert cli.main([
+            "backtest", str(dataset["features"]), str(dataset["data"] / "prices.csv"),
+            "--out", str(tmp_path / "bt"), "--compare", "--horizon", horizon,
+        ]) == 1
+        assert "horizon must be in [10, " in capsys.readouterr().err
+        assert not (tmp_path / "bt").exists()
+
     def test_window_too_large_fails(self, dataset, tmp_path, capsys):
         assert cli.main([
             "backtest", str(dataset["features"]), str(dataset["data"] / "prices.csv"),
@@ -283,6 +308,26 @@ class TestBadInput:
         assert cli.main(["--config", str(cfg), "synth", "--out", str(tmp_path / "d"),
                          "--days", "3"]) == 1
         assert f"{cfg}:2: bad value for {line.split('=')[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "tx.csv", "--out-occurrence", "o", "--out-amount", "a", "--threshold", "1"],
+    ["analyze", "f.csv", "p.csv", "--out", "a", "--alpha-tail", "0.7"],
+    ["analyze", "f.csv", "p.csv", "--out", "a", "--alpha-tail", "0"],
+    ["backtest", "f.csv", "p.csv", "--out", "b", "--refit-every", "0"],
+    ["backtest", "f.csv", "p.csv", "--out", "b", "--refit-every", "-3"],
+    ["backtest", "f.csv", "p.csv", "--out", "b", "--var-level", "0.7"],
+    ["backtest", "f.csv", "p.csv", "--out", "b", "--var-level", "0"],
+    ["backtest", "f.csv", "p.csv", "--out", "b", "--window", "49"],
+    ["backtest", "f.csv", "p.csv", "--out", "b", "--restarts", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_config_value_out_of_range(tmp_path, capsys, monkeypatch, argv):
+    # the input files do not exist: the config is checked before any of them is read
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    key = argv[-2].lstrip("-").replace("-", "_")
+    assert f"error: {key} must be " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 class TestTopLevelFlags:

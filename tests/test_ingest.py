@@ -8,7 +8,7 @@ import pytest
 
 from chainvol import ingest
 from chainvol.errors import AlignmentError, ParseError, ValidationError
-from chainvol.ingest import DailyCalendar, GapPolicy, PriceSeries, TxRecord
+from chainvol.ingest import MAX_MONEY, DailyCalendar, GapPolicy, PriceSeries
 
 
 CAL = DailyCalendar(dt.date(2015, 1, 1), dt.date(2015, 12, 31))
@@ -26,9 +26,10 @@ class TestLoadTransactions:
         p = write(tmp_path, "tx.csv", "1420070400,3,1,150000\n")
         result = ingest.load_transactions(p, CAL)
         assert len(result.days) == 1
-        day, recs = result.days[0]
+        day, rows = result.days[0]
         assert day == dt.date(2015, 1, 1)
-        assert recs == [TxRecord(1420070400, 3, 1, 150000)]
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[3, 1, 150000]]
 
     def test_coinbase_skipped_and_tallied(self, tmp_path):
         p = write(tmp_path, "tx.csv", "1420070400,0,5,5000000000\n")
@@ -37,20 +38,42 @@ class TestLoadTransactions:
         assert result.skipped_coinbase == 1
 
     def test_day_grouping_matches_brute_force(self, tmp_path):
+        rng = np.random.default_rng(11)
+        start = 1420070400  # 2015-01-01T00:00:00Z
         lines = [
-            "1420070400,1,1,10",
-            "1420070401,2,2,20",
-            "1420156800,1,3,30",  # next UTC day
+            f"{start + int(rng.integers(0, 10 * 86400))},{int(rng.integers(0, 4))},"
+            f"{int(rng.integers(1, 30))},{int(rng.integers(0, 10**9))}"
+            for _ in range(300)
         ]
+        lines += [f"{start + 86399},1,1,10", f"{start + 86400},2,2,20"]  # either side of midnight
+        rng.shuffle(lines)
         p = write(tmp_path, "tx.csv", "\n".join(lines) + "\n")
         result = ingest.load_transactions(p, CAL)
-        # oracle: group the same lines by epoch-day arithmetic
+        # oracle: group the same lines by epoch-day arithmetic, in file order
         by_day = {}
         for line in lines:
-            ts = int(line.split(",")[0])
-            by_day.setdefault(ts // 86400, []).append(line)
-        assert len(result.days) == len(by_day)
-        assert sum(len(recs) for _, recs in result.days) == len(lines)
+            ts, n_in, n_out, amount = map(int, line.split(","))
+            if n_in > 0:
+                by_day.setdefault(dt.date(1970, 1, 1) + dt.timedelta(days=ts // 86400), []).append(
+                    [n_in, n_out, amount])
+        assert [day for day, _ in result.days] == sorted(by_day)
+        assert {day: rows.tolist() for day, rows in result.days} == by_day
+
+    @pytest.mark.parametrize("ts,inside", [
+        (1420070400 - 1, False),  # 2014-12-31T23:59:59Z
+        (1420070400, True),  # 2015-01-01T00:00:00Z
+        (1451606400 - 1, True),  # 2015-12-31T23:59:59Z
+        (1451606400, False),  # 2016-01-01T00:00:00Z
+    ])
+    def test_calendar_edges(self, tmp_path, ts, inside):
+        p = write(tmp_path, "tx.csv", f"1420156800,1,1,10\n{ts},1,1,10\n")
+        if inside:
+            days = ingest.load_transactions(p, CAL).days
+            assert sum(len(rows) for _, rows in days) == 2
+        else:
+            with pytest.raises(ParseError, match="outside calendar") as exc:
+                ingest.load_transactions(p, CAL)
+            assert exc.value.line_no == 2
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = write(tmp_path, "tx.csv", "1420070400,1,1,10\nnot,a,line\n")
@@ -70,6 +93,24 @@ class TestLoadTransactions:
             ingest.load_transactions(p, CAL)
         assert str(exc.value).startswith(f"{p}:2: ")
 
+    @pytest.mark.parametrize("amount", [str(MAX_MONEY + 1), "99999999999999999999"])
+    def test_amount_above_max_money_names_line(self, tmp_path, amount):
+        p = write(tmp_path, "tx.csv", f"1420070400,1,1,{MAX_MONEY}\n1420070400,1,1,{amount}\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{p}:2: amount {amount} above")):
+            ingest.load_transactions(p, CAL)
+
+    def test_amounts_that_would_wrap_int64_are_rejected(self, tmp_path):
+        # two of these sum past 2**63 - 1 in one cell
+        p = write(tmp_path, "tx.csv", "1420070400,1,1,9223372036854775000\n" * 2)
+        with pytest.raises(ParseError) as exc:
+            ingest.load_transactions(p, CAL)
+        assert exc.value.line_no == 1
+
+    def test_count_beyond_int64_names_line(self, tmp_path):
+        p = write(tmp_path, "tx.csv", f"1420070400,1,1,10\n1420070400,{2**63},1,10\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{p}:2: count out of int64 range")):
+            ingest.load_transactions(p, CAL)
+
     def test_header_and_blank_lines_ignored(self, tmp_path):
         p = write(tmp_path, "tx.csv", "# header\n\n1420070400,1,1,10\n")
         result = ingest.load_transactions(p, CAL)
@@ -81,7 +122,7 @@ class TestLoadTransactions:
             "1420070400,1,1,10\n1420070400,0,1,5\n1420070400,2,1,7\n",
         )
         result = ingest.load_transactions(p, CAL)
-        kept = sum(len(recs) for _, recs in result.days)
+        kept = sum(len(rows) for _, rows in result.days)
         assert kept == result.n_lines - result.skipped_coinbase
 
 
