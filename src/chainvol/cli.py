@@ -122,6 +122,17 @@ def cmd_extract(args, config: PipelineConfig) -> int:
         f"{len(matrices)} days ({first}..{last}), {n_txs} transactions, "
         f"{result.skipped_coinbase} coinbase skipped"
     )
+    # (day before, day after) of each run of days without transactions
+    gaps = [(a, b) for (a, _), (b, _) in zip(result.days, result.days[1:]) if (b - a).days > 1]
+    if gaps:
+        before, after = max(gaps, key=lambda g: g[1] - g[0])
+        one_day = dt.timedelta(days=1)
+        print(
+            f"warning: {len(matrices) - len(result.days)} of {len(matrices)} days have no "
+            f"transactions and get zero matrices; the longest gap is "
+            f"{before + one_day}..{after - one_day} ({(after - before).days - 1} days)",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -390,6 +401,10 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except ChainvolError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

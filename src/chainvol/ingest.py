@@ -7,8 +7,10 @@ explicitly converted to USD downstream.
 from __future__ import annotations
 
 import datetime as dt
+import io
 import math
 import os
+import warnings
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +22,7 @@ from .errors import AlignmentError, ParseError, ValidationError
 EPOCH = dt.date(1970, 1, 1)
 SECONDS_PER_DAY = 86400
 MAX_MONEY = 21_000_000 * 10**8  # Bitcoin's supply cap in satoshi
+BLOCK_CHARS = 1 << 18  # characters read per block: 256 KiB of ASCII
 
 
 class GapPolicy(Enum):
@@ -84,6 +87,113 @@ def parse_date(token: str, path, line_no) -> dt.date:
         raise ParseError(f"bad date {token!r}: {exc}", path, line_no) from None
 
 
+def _open_text(path):
+    """Open a text file with universal newlines. Bytes that are not UTF-8
+    become lone surrogates, which the line parsers report with their line."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(line: str, path, line_no) -> None:
+    # UTF-8 decoding gives no surrogates, so any lone surrogate is an escaped byte
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError("bytes that are not valid UTF-8", path, line_no) from None
+
+
+def _line_blocks(fh):
+    """Yield ``(first_line_no, text)`` blocks of whole lines.
+
+    Each block is about ``BLOCK_CHARS`` characters and ends on a newline;
+    only the last block of a file without a final newline does not. Text
+    mode numbers the lines as ``for line in fh`` does.
+    """
+    line_no = 1
+    tail: list[str] = []
+    while chunk := fh.read(BLOCK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if not cut:
+            tail.append(chunk)
+            continue
+        text = "".join(tail) + chunk[:cut]
+        tail = [chunk[cut:]]
+        yield line_no, text
+        line_no += text.count("\n")
+    text = "".join(tail)
+    if text:
+        yield line_no, text
+
+
+def _loadtxt_block(text: str, **kwargs) -> np.ndarray | None:
+    """Parse a block into int64 rows with ``np.loadtxt``, or return None.
+
+    None means loadtxt failed or might read the block otherwise than the
+    line parser: it reads some non-ASCII letters as digits ("1" then U+01FE
+    gives 472), it strips the separators U+001C..U+001F around a number where
+    ``int()`` does not, and it drops a ``#`` comment that does not start its
+    line.
+    """
+    if (not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f")
+            or text.count("#") != text.count("\n#") + text.startswith("#")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, **kwargs)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_tx_lines(lines, line_no, path, calendar, table) -> tuple[int, int]:
+    """The line parser: check each line, append kept rows to ``table``.
+
+    ``lines`` start at file line ``line_no``. Returns the number of rows
+    parsed and of coinbase rows skipped. Every transaction-file error comes
+    from here.
+    """
+    start_s, end_s = _calendar_seconds(calendar)
+    n_lines = skipped_coinbase = 0
+    for line_no, raw in enumerate(lines, start=line_no):
+        _check_utf8(raw, path, line_no)
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        n_lines += 1
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 fields, got {len(parts)}", path, line_no)
+        try:
+            ts, n_in, n_out, amount = map(int, parts)
+        except ValueError:
+            raise ParseError(f"non-integer field in {line!r}", path, line_no) from None
+        if n_in < 0 or n_out < 1 or amount < 0:
+            raise ParseError(f"invalid record {line!r}", path, line_no)
+        if amount > MAX_MONEY:
+            raise ParseError(f"amount {amount} above MAX_MONEY {MAX_MONEY}", path, line_no)
+        if n_in == 0:
+            skipped_coinbase += 1
+            continue
+        if not start_s <= ts < end_s:
+            raise ParseError(
+                f"timestamp {ts} outside calendar {calendar.start}..{calendar.end}",
+                path, line_no,
+            )
+        try:
+            table.extend((ts, n_in, n_out, amount))
+        except OverflowError:
+            raise ParseError(f"count out of int64 range in {line!r}", path, line_no) from None
+    return n_lines, skipped_coinbase
+
+
+def _calendar_seconds(calendar: DailyCalendar) -> tuple[int, int]:
+    """Unix seconds of the calendar's first midnight and of the one after its end."""
+    return (
+        (calendar.start - EPOCH).days * SECONDS_PER_DAY,
+        ((calendar.end - EPOCH).days + 1) * SECONDS_PER_DAY,
+    )
+
+
 def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
     """Read a transaction CSV and group its rows by UTC day.
 
@@ -91,41 +201,35 @@ def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
     Lines starting with ``#`` are comments. Coinbase transactions (zero
     inputs) are dropped and tallied; a timestamp outside the calendar or an
     amount above ``MAX_MONEY`` is an error.
+
+    Each block of lines is parsed by one ``np.loadtxt`` call. A block that
+    loadtxt fails on, or whose rows break a check, is parsed again by the
+    line parser, which raises the error with its line.
     """
-    start_s = (calendar.start - EPOCH).days * SECONDS_PER_DAY
-    end_s = ((calendar.end - EPOCH).days + 1) * SECONDS_PER_DAY
+    start_s, end_s = _calendar_seconds(calendar)
     table = array("q")  # timestamp, n_inputs, n_outputs, amount per kept row
     skipped_coinbase = 0
     n_lines = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            n_lines += 1
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(f"expected 4 fields, got {len(parts)}", path, line_no)
-            try:
-                ts, n_in, n_out, amount = map(int, parts)
-            except ValueError:
-                raise ParseError(f"non-integer field in {line!r}", path, line_no) from None
-            if n_in < 0 or n_out < 1 or amount < 0:
-                raise ParseError(f"invalid record {line!r}", path, line_no)
-            if amount > MAX_MONEY:
-                raise ParseError(f"amount {amount} above MAX_MONEY {MAX_MONEY}", path, line_no)
-            if n_in == 0:
-                skipped_coinbase += 1
-                continue
-            if not start_s <= ts < end_s:
-                raise ParseError(
-                    f"timestamp {ts} outside calendar {calendar.start}..{calendar.end}",
-                    path, line_no,
-                )
-            try:
-                table.extend((ts, n_in, n_out, amount))
-            except OverflowError:
-                raise ParseError(f"count out of int64 range in {line!r}", path, line_no) from None
+    with _open_text(path) as fh:
+        for first_line, text in _line_blocks(fh):
+            rows = _loadtxt_block(text, delimiter=",")
+            if rows is not None and rows.shape[1] == 4:
+                _, n_in, n_out, amount = rows.T
+                kept = rows[n_in != 0]  # coinbase rows dropped
+                if not (
+                    n_in.min() < 0 or n_out.min() < 1 or amount.min() < 0
+                    or amount.max() > MAX_MONEY
+                    or (len(kept) and (kept[:, 0].min() < start_s or kept[:, 0].max() >= end_s))
+                ):
+                    table.frombytes(kept.tobytes())
+                    n_lines += len(rows)
+                    skipped_coinbase += len(rows) - len(kept)
+                    continue
+            parsed, coinbase = _parse_tx_lines(
+                text.split("\n"), first_line, path, calendar, table
+            )
+            n_lines += parsed
+            skipped_coinbase += coinbase
     table = np.frombuffer(table, dtype=np.int64).reshape(-1, 4)
     day_index = table[:, 0] // SECONDS_PER_DAY
     order = np.argsort(day_index, kind="stable")
@@ -144,8 +248,9 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
     FORWARD_FILL carries the last seen close forward.
     """
     rows: dict[dt.date, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
+            _check_utf8(raw, path, line_no)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -184,32 +289,67 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
     return PriceSeries(dates, np.array(closes))
 
 
+def _parse_matrix_lines(lines, line_no, path, dim: int) -> list[tuple[dt.date, np.ndarray]]:
+    """The line parser of matrix files; ``lines`` start at file line ``line_no``."""
+    out: list[tuple[dt.date, np.ndarray]] = []
+    n2 = dim * dim
+    for line_no, raw in enumerate(lines, start=line_no):
+        _check_utf8(raw, path, line_no)
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != n2 + 1:
+            raise ParseError(
+                f"expected date + {n2} values, got {len(tokens) - 1} values", path, line_no
+            )
+        day = parse_date(tokens[0], path, line_no)
+        try:
+            values = [int(t) for t in tokens[1:]]
+        except ValueError:
+            raise ParseError("non-numeric matrix value", path, line_no) from None
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise ParseError("matrix value out of int64 range", path, line_no) from None
+        if np.any(values < 0):
+            raise ValidationError(f"{path}:{line_no}: negative matrix value")
+        out.append((day, values.reshape(dim, dim)))
+    return out
+
+
 def load_matrix_file(path, dim: int = 20) -> list[tuple[dt.date, np.ndarray]]:
     """Read a matrix file: per line a date then dim*dim row-major values.
 
     Row index is the input class i (1..dim), column the output class j.
     Occurrence files carry counts, amount files integer satoshis.
+
+    Each block of lines is parsed by one ``np.loadtxt`` call, which hands
+    the date column to a converter, so a row of the wrong width fails there.
+    A block with a bad date, a wrong width or a negative value is parsed
+    again by the line parser, which raises the error with its line.
     """
     out: list[tuple[dt.date, np.ndarray]] = []
     n2 = dim * dim
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != n2 + 1:
-                raise ParseError(
-                    f"expected date + {n2} values, got {len(tokens) - 1} values", path, line_no
-                )
-            day = parse_date(tokens[0], path, line_no)
-            try:
-                values = np.array([int(t) for t in tokens[1:]], dtype=np.int64)
-            except ValueError:
-                raise ParseError("non-numeric matrix value", path, line_no) from None
-            if np.any(values < 0):
-                raise ValidationError(f"{path}:{line_no}: negative matrix value")
-            out.append((day, values.reshape(dim, dim)))
+    with _open_text(path) as fh:
+        for first_line, text in _line_blocks(fh):
+            tokens: list[str] = []
+
+            def date_column(token: str) -> int:
+                tokens.append(token)
+                return 0
+
+            rows = _loadtxt_block(text, converters={0: date_column})
+            if rows is not None and rows.shape[1] == n2 + 1:
+                values = rows[:, 1:]
+                try:
+                    days = [dt.date.fromisoformat(t) for t in tokens]
+                except ValueError:
+                    days = None
+                if days is not None and not (values < 0).any():
+                    out.extend(zip(days, values.reshape(-1, dim, dim)))
+                    continue
+            out.extend(_parse_matrix_lines(text.split("\n"), first_line, path, dim))
     return out
 
 
@@ -232,7 +372,10 @@ def atomic_write_text(path, text: str) -> None:
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".tmp-chainvol-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -115,6 +115,51 @@ class TestExtract:
         ]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_gap_days_warn_with_longest_gap(self, tmp_path, capsys):
+        # a few rows in 2015, plus one at each edge of the calendar
+        tx = tmp_path / "tx.csv"
+        rows = [f"{1425168000 + k * 86400},2,3,100" for k in (0, 1, 3, 4, 5)]  # from 2015-03-01
+        rows += ["1230940800,1,1,5", "4102531199,1,1,7"]  # 2009-01-03, 2100-01-01 23:59:59
+        tx.write_text("\n".join(rows) + "\n")
+        assert cli.main([
+            "extract", str(tx), "--threshold", "2",
+            "--out-occurrence", str(tmp_path / "o.txt"),
+            "--out-amount", str(tmp_path / "a.txt"),
+        ]) == 0
+        out, err = capsys.readouterr()
+        assert "33236 days (2009-01-03..2100-01-01), 7 transactions" in out
+        assert err.count("warning") == 1
+        assert ("warning: 33229 of 33236 days have no transactions and get zero matrices; "
+                "the longest gap is 2015-03-07..2099-12-31 (30981 days)") in err
+        assert len((tmp_path / "o.txt").read_text().splitlines()) == 33236
+
+    def test_no_gap_warning_without_empty_days(self, dataset, tmp_path, capsys):
+        assert cli.main([
+            "extract", str(dataset["data"] / "transactions.csv"),
+            "--out-occurrence", str(tmp_path / "o.txt"),
+            "--out-amount", str(tmp_path / "a.txt"),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_missing_input_names_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([
+            "extract", "nonexist.csv", "--out-occurrence", "o.txt", "--out-amount", "a.txt",
+        ]) == 1
+        assert capsys.readouterr().err == "error: nonexist.csv: No such file or directory\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_unwritable_output_names_path(self, tmp_path, capsys):
+        tx = tmp_path / "tx.csv"
+        tx.write_text("1420070400,1,1,10\n")
+        out = tmp_path / "missing" / "o.txt"
+        assert cli.main([
+            "extract", str(tx), "--out-occurrence", str(out),
+            "--out-amount", str(tmp_path / "a.txt"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+        assert os.listdir(tmp_path) == ["tx.csv"]
+
 
 class TestFeatures:
     def test_plot_data_one_point_per_day(self, dataset, tmp_path):

@@ -125,6 +125,12 @@ class TestLoadTransactions:
         kept = sum(len(rows) for _, rows in result.days)
         assert kept == result.n_lines - result.skipped_coinbase
 
+    def test_undecodable_bytes_name_line(self, tmp_path):
+        p = tmp_path / "tx.csv"
+        p.write_bytes(b"1420070400,1,1,10\n# caf\xe9\n1420070400,1,1,10\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{p}:2: bytes that are not valid UTF-8")):
+            ingest.load_transactions(p, CAL)
+
 
 class TestLoadPrices:
     def test_direct_mapping(self, tmp_path):
@@ -167,6 +173,13 @@ class TestLoadPrices:
             ingest.load_prices(p, cal)
         assert exc.value.line_no == 2
 
+    def test_undecodable_bytes_name_line(self, tmp_path):
+        cal = DailyCalendar(dt.date(2012, 1, 1), dt.date(2012, 1, 2))
+        p = tmp_path / "p.csv"
+        p.write_bytes(b"date,close\n2012-01-01,1.0\n2012-01-02,\xff2.0\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{p}:3: bytes that are not valid UTF-8")):
+            ingest.load_prices(p, cal)
+
     def test_too_few_rows(self, tmp_path):
         cal = DailyCalendar(dt.date(2012, 1, 1), dt.date(2012, 1, 1))
         p = write(tmp_path, "p.csv", "2012-01-01,1.0\n")
@@ -203,6 +216,17 @@ class TestMatrixFiles:
         p = write(tmp_path, "m.txt", f"2015-01-01 {values}\n")
         with pytest.raises(ValidationError):
             ingest.load_matrix_file(p, dim=20)
+
+    def test_value_past_int64_names_line(self, tmp_path):
+        p = write(tmp_path, "m.txt", f"2015-01-01 1 2 3 4\n2015-01-02 1 2 3 {2**63}\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{p}:2: matrix value out of int64")):
+            ingest.load_matrix_file(p, dim=2)
+
+    def test_undecodable_bytes_name_line(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_bytes(b"2015-01-01 1 2 3 4\r\n2015-01-02 1 2 3 4\r\n2015-01-03 1 2 \x80 4\r\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{p}:3: bytes that are not valid UTF-8")):
+            ingest.load_matrix_file(p, dim=2)
 
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(0)
