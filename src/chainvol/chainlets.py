@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ParseError, ValidationError
-from .ingest import PriceSeries, atomic_write_text, parse_date
+from .ingest import PriceSeries, atomic_write_text, data_lines, parse_date
 
 SATOSHI_PER_BTC = 10**8
 DEFAULT_THRESHOLD = 20
@@ -161,20 +161,18 @@ def write_feature_csv(path, rows) -> None:
 
 def read_feature_csv(path) -> list[ExtremeFeatureRow]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("date,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ParseError(f"expected 7 fields, got {len(parts)}", path, line_no)
-            d, a_l, a_r, a_x, o_l, o_r, o_x = parts
-            day = parse_date(d, path, line_no)
-            try:
-                rows.append(ExtremeFeatureRow(
-                    day, float(a_l), float(a_r), float(a_x), int(o_l), int(o_r), float(o_x),
-                ))
-            except ValueError:
-                raise ParseError(f"non-numeric field in {line!r}", path, line_no) from None
+    for line_no, line in data_lines(path):
+        if line.startswith("date,"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise ParseError(f"expected 7 fields, got {len(parts)}", path, line_no)
+        d, a_l, a_r, a_x, o_l, o_r, o_x = parts
+        day = parse_date(d, path, line_no)
+        try:
+            rows.append(ExtremeFeatureRow(
+                day, float(a_l), float(a_r), float(a_x), int(o_l), int(o_r), float(o_x),
+            ))
+        except ValueError:
+            raise ParseError(f"non-numeric field in {line!r}", path, line_no) from None
     return rows

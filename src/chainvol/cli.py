@@ -58,24 +58,20 @@ def load_config_file(path) -> dict:
     out = {}
     valid = {f.name: f.type for f in fields(PipelineConfig)}
     casts = {"int": int, "float": float, "str": str}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ChainvolError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in valid:
-                raise ChainvolError(f"{path}:{line_no}: unknown config key {key!r}")
-            value = value.strip()
-            try:
-                out[key] = casts[valid[key]](value)
-                if key == "gap_policy":
-                    ingest.GapPolicy(value)
-            except ValueError:
-                raise ChainvolError(f"{path}:{line_no}: bad value for {key}: {value!r}") from None
+    for line_no, line in ingest.data_lines(path):
+        if "=" not in line:
+            raise ChainvolError(f"expected key=value, got {line!r}", path, line_no)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in valid:
+            raise ChainvolError(f"unknown config key {key!r}", path, line_no)
+        value = value.strip()
+        try:
+            out[key] = casts[valid[key]](value)
+            if key == "gap_policy":
+                ingest.GapPolicy(value)
+        except ValueError:
+            raise ChainvolError(f"bad value for {key}: {value!r}", path, line_no) from None
     return out
 
 
@@ -157,13 +153,11 @@ def cmd_features(args, config: PipelineConfig) -> int:
     if args.plot_data:
         events = {}
         if args.events:
-            with open(args.events, "r", encoding="utf-8") as fh:
-                for line_no, raw in enumerate(fh, start=1):
-                    line = raw.strip()
-                    if not line or line.startswith("#") or line.startswith("date,"):
-                        continue
-                    d, _, label = line.partition(",")
-                    events[ingest.parse_date(d, args.events, line_no)] = label
+            for line_no, line in ingest.data_lines(args.events):
+                if line.startswith("date,"):
+                    continue
+                d, _, label = line.partition(",")
+                events[ingest.parse_date(d, args.events, line_no)] = label
         lines = ["day_index,O_x,label"]
         for i, r in enumerate(rows):
             lines.append(f"{i},{r.O_x!r},{events.get(r.date, '')}")

@@ -2,21 +2,24 @@
 
 
 class ChainvolError(Exception):
-    """Base class for all package errors."""
-
-
-class ParseError(ChainvolError):
-    """A file line could not be parsed. Carries the 1-based line number."""
+    """Base class for all package errors; a path and line number prefix the message."""
 
     def __init__(self, message, path=None, line_no=None):
-        self.path = path
-        self.line_no = line_no
         prefix = ""
         if path is not None:
             prefix += str(path)
         if line_no is not None:
             prefix += f":{line_no}"
         super().__init__(f"{prefix}: {message}" if prefix else message)
+
+
+class ParseError(ChainvolError):
+    """A file line could not be parsed. Carries the path and 1-based line number."""
+
+    def __init__(self, message, path=None, line_no=None):
+        self.path = path
+        self.line_no = line_no
+        super().__init__(message, path, line_no)
 
 
 class ValidationError(ChainvolError):

@@ -89,17 +89,29 @@ def parse_date(token: str, path, line_no) -> dt.date:
 
 def _open_text(path):
     """Open a text file with universal newlines. Bytes that are not UTF-8
-    become lone surrogates, which the line parsers report with their line."""
+    become lone surrogates, which ``data_lines`` reports with their line."""
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
-def _check_utf8(line: str, path, line_no) -> None:
-    # UTF-8 decoding gives no surrogates, so any lone surrogate is an escaped byte
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ParseError("bytes that are not valid UTF-8", path, line_no) from None
+def data_lines(path, lines=None, line_no=1):
+    """Yield ``(line_no, line)`` for each data line of the file at ``path``, or
+    of ``lines`` numbered from ``line_no``: stripped, without blank lines and
+    ``#`` comments. Bytes that are not UTF-8 are a ParseError naming the line.
+    """
+    if lines is None:
+        with _open_text(path) as fh:
+            yield from data_lines(path, fh)
+        return
+    for line_no, raw in enumerate(lines, start=line_no):
+        # UTF-8 decoding gives no surrogates, so any lone surrogate is an escaped byte
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("bytes that are not valid UTF-8", path, line_no) from None
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 def _line_blocks(fh):
@@ -154,11 +166,7 @@ def _parse_tx_lines(lines, line_no, path, calendar, table) -> tuple[int, int]:
     """
     start_s, end_s = _calendar_seconds(calendar)
     n_lines = skipped_coinbase = 0
-    for line_no, raw in enumerate(lines, start=line_no):
-        _check_utf8(raw, path, line_no)
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in data_lines(path, lines, line_no):
         n_lines += 1
         parts = line.split(",")
         if len(parts) != 4:
@@ -248,29 +256,24 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
     FORWARD_FILL carries the last seen close forward.
     """
     rows: dict[dt.date, float] = {}
-    with _open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            _check_utf8(raw, path, line_no)
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.lower().startswith("date,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 fields, got {len(parts)}", path, line_no)
-            day = parse_date(parts[0], path, line_no)
-            try:
-                close = float(parts[1])
-            except ValueError:
-                close = math.nan
-            if not math.isfinite(close):
-                raise ParseError(f"bad price {parts[1]!r}", path, line_no)
-            if close <= 0:
-                raise ValidationError(f"{path}:{line_no}: non-positive price {close} on {day}")
-            if day in rows:
-                raise ValidationError(f"{path}:{line_no}: duplicate date {day}")
-            rows[day] = close
+    for line_no, line in data_lines(path):
+        if line.lower().startswith("date,"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 fields, got {len(parts)}", path, line_no)
+        day = parse_date(parts[0], path, line_no)
+        try:
+            close = float(parts[1])
+        except ValueError:
+            close = math.nan
+        if not math.isfinite(close):
+            raise ParseError(f"bad price {parts[1]!r}", path, line_no)
+        if close <= 0:
+            raise ValidationError(f"non-positive price {close} on {day}", path, line_no)
+        if day in rows:
+            raise ValidationError(f"duplicate date {day}", path, line_no)
+        rows[day] = close
     if len(rows) < 2:
         raise ValidationError(f"price file {path} has fewer than 2 rows")
 
@@ -293,11 +296,7 @@ def _parse_matrix_lines(lines, line_no, path, dim: int) -> list[tuple[dt.date, n
     """The line parser of matrix files; ``lines`` start at file line ``line_no``."""
     out: list[tuple[dt.date, np.ndarray]] = []
     n2 = dim * dim
-    for line_no, raw in enumerate(lines, start=line_no):
-        _check_utf8(raw, path, line_no)
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in data_lines(path, lines, line_no):
         tokens = line.split()
         if len(tokens) != n2 + 1:
             raise ParseError(
@@ -313,7 +312,7 @@ def _parse_matrix_lines(lines, line_no, path, dim: int) -> list[tuple[dt.date, n
         except OverflowError:
             raise ParseError("matrix value out of int64 range", path, line_no) from None
         if np.any(values < 0):
-            raise ValidationError(f"{path}:{line_no}: negative matrix value")
+            raise ValidationError("negative matrix value", path, line_no)
         out.append((day, values.reshape(dim, dim)))
     return out
 
