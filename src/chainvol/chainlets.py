@@ -9,6 +9,7 @@ column excluding the corner (j = N, i < N) the right extreme set.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,13 @@ class ChainletMatrix:
         expected = (self.dim, self.dim)
         if self.occurrence.shape != expected or self.amount.shape != expected:
             raise ValidationError(
-                f"matrix shapes {self.occurrence.shape}/{self.amount.shape} != {expected}"
+                f"{self.date}: matrix shapes {self.occurrence.shape}/{self.amount.shape} "
+                f"!= {expected}"
             )
         if np.any(self.occurrence < 0) or np.any(self.amount < 0):
-            raise ValidationError("negative matrix entry")
+            raise ValidationError(f"{self.date}: negative matrix entry")
         if np.any((self.occurrence == 0) & (self.amount != 0)):
-            raise ValidationError("amount recorded in a cell with zero occurrences")
+            raise ValidationError(f"{self.date}: amount recorded in a cell with zero occurrences")
 
     @property
     def total_occurrences(self) -> int:
@@ -137,11 +139,22 @@ def feature_series(matrices, prices: PriceSeries) -> list[ExtremeFeatureRow]:
 
 
 def combine_matrices(occ_entries, amo_entries, dim: int = DEFAULT_THRESHOLD) -> list[ChainletMatrix]:
-    """Pair (date, occurrence) and (date, amount) file entries into matrices."""
-    amo_by_day = {d: m for d, m in amo_entries}
+    """Pair (date, occurrence) and (date, amount) file entries into matrices.
+
+    Both files must hold the same days, in strictly increasing order.
+    """
+    for name, entries in (("occurrence", occ_entries), ("amount", amo_entries)):
+        for (a, _), (b, _) in zip(entries, entries[1:]):
+            if b <= a:
+                raise ValidationError(f"{b}: {name} file day not after {a}")
+    amo_by_day = dict(amo_entries)
     missing = [d for d, _ in occ_entries if d not in amo_by_day]
     if missing:
         raise AlignmentError("amount file does not cover all occurrence days", missing)
+    if len(amo_entries) > len(occ_entries):
+        occ_days = {d for d, _ in occ_entries}
+        extra = next(d for d, _ in amo_entries if d not in occ_days)
+        raise ValidationError(f"{extra}: day in the amount file but not in the occurrence file")
     return [
         ChainletMatrix(d, dim, occ, amo_by_day[d].astype(np.int64)) for d, occ in occ_entries
     ]
@@ -160,6 +173,7 @@ def write_feature_csv(path, rows) -> None:
 
 
 def read_feature_csv(path) -> list[ExtremeFeatureRow]:
+    """Read a feature CSV: finite values, dates strictly increasing."""
     rows = []
     for line_no, line in data_lines(path):
         if line.startswith("date,"):
@@ -170,9 +184,14 @@ def read_feature_csv(path) -> list[ExtremeFeatureRow]:
         d, a_l, a_r, a_x, o_l, o_r, o_x = parts
         day = parse_date(d, path, line_no)
         try:
-            rows.append(ExtremeFeatureRow(
+            row = ExtremeFeatureRow(
                 day, float(a_l), float(a_r), float(a_x), int(o_l), int(o_r), float(o_x),
-            ))
+            )
         except ValueError:
             raise ParseError(f"non-numeric field in {line!r}", path, line_no) from None
+        if not all(map(math.isfinite, (row.A_l, row.A_r, row.A_x, row.O_x))):
+            raise ParseError(f"non-finite field in {line!r}", path, line_no)
+        if rows and day <= rows[-1].date:
+            raise ValidationError(f"date {day} not after {rows[-1].date}", path, line_no)
+        rows.append(row)
     return rows

@@ -97,13 +97,19 @@ def _wide_calendar() -> ingest.DailyCalendar:
 
 # --- subcommands -----------------------------------------------------------
 
+def _write_matrix_pair(args, matrices) -> None:
+    """Write both matrix files or neither: a failed write leaves the old pair as it was."""
+    with ingest.atomic_files(args.out_occurrence, args.out_amount) as (occ, amo):
+        ingest.write_matrix_file(occ, [(m.date, m.occurrence) for m in matrices])
+        ingest.write_matrix_file(amo, [(m.date, m.amount) for m in matrices])
+
+
 def cmd_extract(args, config: PipelineConfig) -> int:
     calendar = _wide_calendar()
     result = ingest.load_transactions(args.transactions, calendar)
     if not result.days:
         print("warning: no usable transactions in input", file=sys.stderr)
-        ingest.write_matrix_file(args.out_occurrence, [])
-        ingest.write_matrix_file(args.out_amount, [])
+        _write_matrix_pair(args, [])
         return 0
     by_day = dict(result.days)
     first, last = result.days[0][0], result.days[-1][0]
@@ -111,8 +117,7 @@ def cmd_extract(args, config: PipelineConfig) -> int:
         chainlets.build_matrix(day, by_day.get(day, []), config.threshold)
         for day in ingest.DailyCalendar(first, last).days()
     ]
-    ingest.write_matrix_file(args.out_occurrence, [(m.date, m.occurrence) for m in matrices])
-    ingest.write_matrix_file(args.out_amount, [(m.date, m.amount) for m in matrices])
+    _write_matrix_pair(args, matrices)
     n_txs = sum(len(rows) for _, rows in result.days)
     print(
         f"{len(matrices)} days ({first}..{last}), {n_txs} transactions, "
@@ -149,15 +154,15 @@ def cmd_features(args, config: PipelineConfig) -> int:
     )
     prices = ingest.load_prices(args.prices, calendar)
     rows = chainlets.feature_series(matrices, prices)
+    events = {}
+    if args.plot_data and args.events:
+        for line_no, line in ingest.data_lines(args.events):
+            if line.startswith("date,"):
+                continue
+            d, _, label = line.partition(",")
+            events[ingest.parse_date(d, args.events, line_no)] = label
     chainlets.write_feature_csv(args.out, rows)
     if args.plot_data:
-        events = {}
-        if args.events:
-            for line_no, line in ingest.data_lines(args.events):
-                if line.startswith("date,"):
-                    continue
-                d, _, label = line.partition(",")
-                events[ingest.parse_date(d, args.events, line_no)] = label
         lines = ["day_index,O_x,label"]
         for i, r in enumerate(rows):
             lines.append(f"{i},{r.O_x!r},{events.get(r.date, '')}")

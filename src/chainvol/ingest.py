@@ -7,11 +7,13 @@ explicitly converted to USD downstream.
 from __future__ import annotations
 
 import datetime as dt
+import errno
 import io
 import math
 import os
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -152,7 +154,9 @@ def _loadtxt_block(text: str, **kwargs) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, **kwargs)
+            # one byte a character; a StringIO buffer would take four
+            data = io.BytesIO(text.encode("ascii"))
+            return np.loadtxt(data, dtype=np.int64, ndmin=2, **kwargs)
     except (ValueError, OverflowError):
         return None
 
@@ -357,29 +361,58 @@ def format_matrix_line(day: dt.date, matrix: np.ndarray) -> str:
     return f"{day.isoformat()} {body}"
 
 
-def write_matrix_file(path, entries) -> None:
-    """Write (date, matrix) entries in the canonical matrix-file format."""
-    lines = [format_matrix_line(day, m) for day, m in entries]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+def write_matrix_file(out, entries) -> None:
+    """Write (date, matrix) entries in the canonical matrix-file format.
+
+    ``out`` is a path, written atomically, or a text file open for writing.
+    """
+    lines = (format_matrix_line(day, m) + "\n" for day, m in entries)
+    if isinstance(out, io.TextIOBase):
+        out.writelines(lines)
+    else:
+        with atomic_files(out) as (fh,):
+            fh.writelines(lines)
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename.
+    """Write via a temp file in the same directory, then rename."""
+    with atomic_files(path) as (fh,):
+        fh.write(text)
 
-    The temp file is created with mode 0o666, so the umask decides the final
-    mode as it does for any plainly created file.
+
+@contextmanager
+def atomic_files(*paths):
+    """Yield a text file open for writing for each path: all or none are written.
+
+    Each file is a temp file in its path's directory, and all of them are
+    created before the block runs. When the block ends, each is renamed onto
+    its path; when it fails, or a path is a directory, every temp file is
+    removed and no path changes. The temp files are created with mode 0o666,
+    so the umask decides the final mode as it does for any plainly created file.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = os.path.join(directory, f".tmp-chainvol-{os.urandom(8).hex()}")
+    tmps, handles = [], []
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # name the file asked for, not the temp file
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path in paths:
+            directory = os.path.dirname(os.path.abspath(path)) or "."
+            tmp = os.path.join(directory, f".tmp-chainvol-{os.urandom(8).hex()}")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:  # name the file asked for, not the temp file
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+            tmps.append(tmp)
+            handles.append(os.fdopen(fd, "w", encoding="utf-8"))
+        yield handles
+        for fh in handles:
+            fh.close()
+        for path in paths:  # the one rename failure to expect; checked before any rename
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for fh in handles:
+            fh.close()
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise

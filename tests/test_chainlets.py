@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainvol import chainlets
-from chainvol.chainlets import ChainletMatrix, build_matrix, extreme_features, feature_series
-from chainvol.errors import AlignmentError, ValidationError
+from chainvol.chainlets import (
+    ChainletMatrix, build_matrix, combine_matrices, extreme_features, feature_series,
+)
+from chainvol.errors import AlignmentError, ParseError, ValidationError
 from chainvol.ingest import MAX_MONEY, PriceSeries
 
 DAY = dt.date(2015, 6, 1)
@@ -305,3 +308,75 @@ class TestHelpers:
         amo[0, 0] = 5
         with pytest.raises(ValidationError):
             ChainletMatrix(DAY, 3, occ, amo)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda occ, amo: ChainletMatrix(DAY, 2, occ, amo - 10), "negative matrix entry"),
+        (lambda occ, amo: ChainletMatrix(DAY, 2, 0 * occ, amo), "amount recorded in a cell"),
+        (lambda occ, amo: ChainletMatrix(DAY, 3, occ, amo), "matrix shapes (2, 2)/(2, 2)"),
+    ], ids=["negative", "amount-without-occurrence", "shape"])
+    def test_matrix_errors_name_day(self, make, message):
+        occ = np.ones((2, 2), dtype=np.int64)
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{DAY}: {message}")):
+            make(occ, 5 * occ)
+
+
+FEATURE_LINES = [
+    "date,A_l,A_r,A_x,O_l,O_r,O_x",
+    "2015-06-01,1.5,2.5,0.25,3,4,0.5",
+    "2015-06-02,1.5,2.5,0.25,3,4,0.5",
+]
+
+
+class TestReadFeatureCsv:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [1, 3, 6])
+    def test_non_finite_value_names_line(self, tmp_path, value, field):
+        parts = FEATURE_LINES[2].split(",")
+        parts[field] = value
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(FEATURE_LINES[:2] + [",".join(parts)]) + "\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}:3: non-finite field")):
+            chainlets.read_feature_csv(path)
+
+    @pytest.mark.parametrize("second,message", [
+        ("2015-06-01", "date 2015-06-01 not after 2015-06-01"),
+        ("2015-05-31", "date 2015-05-31 not after 2015-06-01"),
+    ], ids=["repeated", "reversed"])
+    def test_dates_must_increase(self, tmp_path, second, message):
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(FEATURE_LINES[:2] + [
+            FEATURE_LINES[2].replace("2015-06-02", second)]) + "\n")
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}:3: {message}")):
+            chainlets.read_feature_csv(path)
+
+
+def entries(*days, value=1):
+    return [(dt.date(2015, 6, d), np.full((2, 2), value, dtype=np.int64)) for d in days]
+
+
+class TestCombineMatrices:
+    def test_pairs_by_day(self):
+        matrices = combine_matrices(entries(1, 2, 4), entries(1, 2, 4, value=7), 2)
+        assert [m.date.day for m in matrices] == [1, 2, 4]
+        assert all(m.amount.tolist() == [[7, 7], [7, 7]] for m in matrices)
+
+    @pytest.mark.parametrize("occ,amo,message", [
+        ((1, 2, 2, 3), (1, 2, 2, 3), "2015-06-02: occurrence file day not after 2015-06-02"),
+        ((1, 3, 2), (1, 3, 2), "2015-06-02: occurrence file day not after 2015-06-03"),
+        ((1, 2, 3), (1, 2, 2, 3), "2015-06-02: amount file day not after 2015-06-02"),
+        ((1, 2, 3), (1, 3, 2), "2015-06-02: amount file day not after 2015-06-03"),
+    ], ids=["repeated", "reversed", "amount-repeated", "amount-reversed"])
+    def test_days_strictly_increasing(self, occ, amo, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            combine_matrices(entries(*occ), entries(*amo), 2)
+
+    def test_missing_amount_day(self):
+        with pytest.raises(AlignmentError, match="^amount file does not cover") as exc:
+            combine_matrices(entries(1, 2, 3), entries(1, 3), 2)
+        assert exc.value.missing_dates == [dt.date(2015, 6, 2)]
+
+    @pytest.mark.parametrize("amo,day", [((1, 2, 3, 4), 1), ((2, 3, 4), 4)])
+    def test_extra_amount_day(self, amo, day):
+        message = f"2015-06-0{day}: day in the amount file but not in the occurrence file"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            combine_matrices(entries(2, 3), entries(*amo), 2)

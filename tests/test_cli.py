@@ -160,6 +160,27 @@ class TestExtract:
         assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
         assert os.listdir(tmp_path) == ["tx.csv"]
 
+    @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+    def test_failed_amount_write_keeps_old_pair(self, tmp_path, capsys, bad):
+        tx = tmp_path / "tx.csv"
+        tx.write_text("1420070400,1,1,10\n")
+        occ, amo = tmp_path / "occ.txt", tmp_path / "amo.txt"
+        occ.write_text("old occurrence\n")
+        amo.write_text("old amount\n")
+        out_amo = tmp_path / "nodir" / "a.txt"
+        if bad == "directory":
+            out_amo = tmp_path / "adir"
+            out_amo.mkdir()
+        reason = "No such file or directory" if bad == "missing-dir" else "Is a directory"
+        assert cli.main([
+            "extract", str(tx), "--out-occurrence", str(occ), "--out-amount", str(out_amo),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {out_amo}: {reason}\n"
+        assert occ.read_text() == "old occurrence\n"
+        assert amo.read_text() == "old amount\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["tx.csv", "occ.txt", "amo.txt"] + (["adir"] if bad == "directory" else []))
+
 
 class TestFeatures:
     def test_plot_data_one_point_per_day(self, dataset, tmp_path):
@@ -346,6 +367,40 @@ class TestBadInput:
                          "--events", str(events)]) == 1
         assert f"{events}:3: bad date '2015-13-01'" in capsys.readouterr().err
 
+    def test_non_finite_feature_value(self, dataset, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        lines = dataset["features"].read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:3] + ["nan"] + lines[5].split(",")[4:])
+        features.write_text("\n".join(lines) + "\n")
+        assert cli.main(["analyze", str(features), str(dataset["data"] / "prices.csv"),
+                         "--out", str(tmp_path / "a")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {features}:6: non-finite field")
+        assert sorted(os.listdir(tmp_path)) == ["f.csv"]
+
+    def test_repeated_feature_day(self, dataset, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        lines = dataset["features"].read_text().splitlines()
+        features.write_text("\n".join(lines[:4] + lines[3:]) + "\n")
+        assert cli.main(["analyze", str(features), str(dataset["data"] / "prices.csv"),
+                         "--out", str(tmp_path / "a")]) == 1
+        day = lines[3].split(",")[0]
+        assert capsys.readouterr().err == (
+            f"error: {features}:5: date {day} not after {day}\n")
+
+    def test_repeated_matrix_day(self, dataset, tmp_path, capsys):
+        # the same day twice in both files: the error names the day, not later "missing" days
+        paths = []
+        for name in ("occ", "amo"):
+            lines = dataset[name].read_text().splitlines()
+            paths.append(tmp_path / f"{name}.txt")
+            paths[-1].write_text("\n".join(lines[:3] + lines[2:]) + "\n")
+        assert cli.main(["features", *map(str, paths), str(dataset["data"] / "prices.csv"),
+                         "--out", str(tmp_path / "f.csv")]) == 1
+        day = dataset["occ"].read_text().splitlines()[2].split()[0]
+        assert capsys.readouterr().err == (
+            f"error: {day}: occurrence file day not after {day}\n")
+        assert not (tmp_path / "f.csv").exists()
+
     @pytest.mark.parametrize("line", ["window=abc", "gap_policy=sometimes"])
     def test_bad_config_value(self, tmp_path, capsys, line):
         cfg = tmp_path / "cfg"
@@ -353,6 +408,46 @@ class TestBadInput:
         assert cli.main(["--config", str(cfg), "synth", "--out", str(tmp_path / "d"),
                          "--days", "3"]) == 1
         assert f"{cfg}:2: bad value for {line.split('=')[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [
+    "transactions", "prices", "occurrence", "amount", "features", "config", "events",
+])
+def test_undecodable_byte_in_any_input(dataset, tmp_path, capsys, name):
+    """A byte that is not UTF-8 in any input: exit 1 naming file and line, nothing written."""
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    files = {
+        "transactions": dataset["data"] / "transactions.csv",
+        "prices": dataset["data"] / "prices.csv",
+        "occurrence": dataset["occ"],
+        "amount": dataset["amo"],
+        "features": dataset["features"],
+    }
+    paths = {key: inputs / path.name for key, path in files.items()}
+    for key, path in files.items():
+        paths[key].write_bytes(path.read_bytes())
+    paths["config"] = inputs / "cfg.txt"
+    paths["config"].write_text("# settings\nthreshold=20\nseed=7\n")
+    paths["events"] = inputs / "events.csv"
+    paths["events"].write_text("date,label\n2015-01-05,start\n2015-01-09,halving\n")
+    lines = paths[name].read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"0", b"\xff", 1) if b"0" in lines[2] else b"\xe9" + lines[2]
+    paths[name].write_bytes(b"".join(lines))
+    p = {key: str(path) for key, path in paths.items()}
+    features_argv = ["features", p["occurrence"], p["amount"], p["prices"],
+                     "--out", str(out / "f.csv"), "--plot-data", str(out / "plot.csv"),
+                     "--events", p["events"]]
+    argv = {
+        "transactions": ["extract", p["transactions"],
+                         "--out-occurrence", str(out / "o.txt"), "--out-amount", str(out / "a.txt")],
+        "features": ["analyze", p["features"], p["prices"], "--out", str(out / "a")],
+        "config": ["--config", p["config"], *features_argv],
+    }.get(name, features_argv)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {paths[name]}:3: bytes that are not valid UTF-8\n"
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("argv", [

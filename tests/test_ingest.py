@@ -6,8 +6,8 @@ import stat
 import numpy as np
 import pytest
 
-from chainvol import ingest
-from chainvol.errors import AlignmentError, ParseError, ValidationError
+from chainvol import chainlets, cli, ingest
+from chainvol.errors import AlignmentError, ChainvolError, ParseError, ValidationError
 from chainvol.ingest import MAX_MONEY, DailyCalendar, GapPolicy, PriceSeries
 
 
@@ -242,6 +242,38 @@ class TestMatrixFiles:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def run_events_reader(path):
+    """The --events reader of ``features``, on a two-day input with threshold 2."""
+    d = path.parent
+    (d / "occ.txt").write_text("2015-01-01 1 0 0 0\n2015-01-02 1 0 0 0\n")
+    (d / "amo.txt").write_text("2015-01-01 5 0 0 0\n2015-01-02 5 0 0 0\n")
+    (d / "prices.csv").write_text("2015-01-01,1.0\n2015-01-02,2.0\n")
+    args = cli.build_parser().parse_args([
+        "features", str(d / "occ.txt"), str(d / "amo.txt"), str(d / "prices.csv"),
+        "--out", str(d / "f.csv"), "--plot-data", str(d / "plot.csv"),
+        "--events", str(path), "--threshold", "2",
+    ])
+    cli.cmd_features(args, cli.resolve_config(args))
+
+
+@pytest.mark.parametrize("read,text", [
+    (chainlets.read_feature_csv, b"date,A_l,A_r,A_x,O_l,O_r,O_x\n# caf\xe9\n"),
+    (cli.load_config_file, b"threshold=20\nseed=1 # caf\xe9\n"),
+    (run_events_reader, b"date,label\n2015-01-01,caf\xe9\n"),
+], ids=["feature-csv", "config", "events"])
+def test_undecodable_bytes_name_line_in_other_readers(tmp_path, read, text):
+    # the readers that used to open their file strictly and end in UnicodeDecodeError
+    p = tmp_path / "input.txt"
+    p.write_bytes(text)
+    with pytest.raises(ChainvolError, match="^" + re.escape(f"{p}:2: bytes that are not valid UTF-8")):
+        read(p)
+
+
+def test_data_lines_rule():
+    lines = ["a\n", "\n", "  # note\n", " \tb c \r\n", "#\n", "d"]
+    assert list(ingest.data_lines("f", lines, 5)) == [(5, "a"), (8, "b c"), (10, "d")]
+
+
 def test_calendar_validation():
     with pytest.raises(ValidationError):
         DailyCalendar(dt.date(2015, 1, 2), dt.date(2015, 1, 1))
@@ -264,3 +296,19 @@ def test_atomic_write_honours_umask(tmp_path):
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
     assert path.read_text() == "x\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_files_write_all_or_none(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("old a\n")
+    with pytest.raises(KeyboardInterrupt):
+        with ingest.atomic_files(a, b) as (fa, fb):
+            fa.write("new a\n")
+            raise KeyboardInterrupt
+    assert a.read_text() == "old a\n" and not b.exists()
+    assert sorted(os.listdir(tmp_path)) == ["a.txt"]
+    with ingest.atomic_files(a, b) as (fa, fb):
+        fa.write("new a\n")
+        fb.write("new b\n")
+    assert (a.read_text(), b.read_text()) == ("new a\n", "new b\n")
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
