@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import FitError, ValidationError
 from .garchx import (
@@ -19,6 +18,9 @@ from .garchx import (
     forecast_one,
     innovation_quantile,
 )
+
+# scipy.special is imported in the functions that call it, so that the stages
+# that never call them (extract, features) never load scipy
 
 CHI2_CRIT_1DF_95 = 3.841
 CHI2_CRIT_2DF_95 = 5.991
@@ -110,6 +112,7 @@ def _xlogy(x: float, y: float) -> float:
 
 def kupiec_test(n: int, x: int, alpha: float) -> tuple[float, float]:
     """Unconditional coverage likelihood ratio; chi-square(1) p-value."""
+    from scipy import special
     if n < 1 or not 0 <= x <= n or not 0 < alpha < 1:
         raise ValidationError(f"bad kupiec inputs n={n} x={x} alpha={alpha}")
     pi_hat = x / n
@@ -126,6 +129,7 @@ def christoffersen_test(breaches, alpha: float) -> tuple[float, float, float]:
     alternative on the observed transition counts; LR.cc = LR.uc + LR.ind
     with a chi-square(2) p-value.
     """
+    from scipy import special
     b = np.asarray(breaches, dtype=int)
     if b.size < 2:
         raise ValidationError("need at least 2 observations for the Christoffersen test")
@@ -238,6 +242,7 @@ def diebold_mariano(e1, e2) -> DmReport:
     d_t = e1_t^2 - e2_t^2, whose long-run variance is its plain variance at
     horizon one. Negative statistics favor model 1.
     """
+    from scipy import special
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
     if e1.shape != e2.shape:

@@ -15,16 +15,150 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ParseError, ValidationError
-from .ingest import PriceSeries, atomic_write_text, data_lines, parse_date
+from .ingest import (
+    EPOCH, SECONDS_PER_DAY, PriceSeries, atomic_write_text, data_lines, parse_date,
+)
 
 SATOSHI_PER_BTC = 10**8
 DEFAULT_THRESHOLD = 20
-INT64_MAX = np.iinfo(np.int64).max
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@dataclass
+class DayCube:
+    """Per-day N x N occurrence counts and satoshi amount sums.
+
+    Layer k of each array belongs to ``dates[k]``; dates strictly increase.
+    """
+
+    dates: list[dt.date]
+    occurrence: np.ndarray  # int64 [day, i-1, j-1]
+    amount: np.ndarray  # int64 satoshis
+
+    def __post_init__(self):
+        self.occurrence = np.asarray(self.occurrence, dtype=np.int64)
+        self.amount = np.asarray(self.amount, dtype=np.int64)
+        occ, amo = self.occurrence, self.amount
+        negative = (occ < 0).any(axis=(1, 2)) | (amo < 0).any(axis=(1, 2))
+        orphan = ((occ == 0) & (amo != 0)).any(axis=(1, 2))
+        bad = np.flatnonzero(negative | orphan)
+        if bad.size:
+            k = bad[0]
+            if negative[k]:
+                raise ValidationError(f"{self.dates[k]}: negative matrix entry")
+            raise ValidationError(
+                f"{self.dates[k]}: amount recorded in a cell with zero occurrences"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.occurrence.shape[-1]
+
+
+class DayCubeBuilder:
+    """Adds blocks of transactions into per-day occurrence and amount sums.
+
+    Blocks may come in any day order: the accumulators grow to cover a day
+    before or after their range. Satoshi sums stay exact in int64; a cell
+    whose sum passes the int64 range is an error naming the day, raised by
+    ``cube`` for the earliest such day and cell. ``cube`` returns views of
+    the sums, so it comes after the last ``add``.
+    """
+
+    def __init__(self, threshold: int = DEFAULT_THRESHOLD):
+        self.dim = threshold
+        self._first = 0  # epoch day of the accumulators' first layer
+        self._occ = np.zeros(0, dtype=np.int64)  # flat: (day - first)·N² + cell
+        self._amo = np.zeros(0, dtype=np.int64)
+        self._seen: tuple[int, int] | None = None  # first and last epoch day added
+        self._overflow: tuple[int, int] | None = None  # earliest (epoch day, cell) past int64
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Grow the accumulators to cover epoch days ``lo..hi``."""
+        n2 = self.dim * self.dim
+        if self._seen is None:
+            self._first, self._seen = lo, (lo, hi)
+        self._seen = (min(self._seen[0], lo), max(self._seen[1], hi))
+        start, end = self._first, self._first + self._occ.size // n2
+        new_start, new_end = min(start, lo), max(end, hi + 1)
+        if (new_start, new_end) == (start, end):
+            return
+        shift, size = (start - new_start) * n2, (new_end - new_start) * n2
+        for name in ("_occ", "_amo"):
+            # in place: realloc zero-fills the new cells and, for a large array,
+            # remaps its pages rather than copying them
+            getattr(self, name).resize(size)
+            if shift:
+                a = getattr(self, name)
+                a[shift:] = a[:size - shift].copy()
+                a[:shift] = 0
+        self._first = new_start
+
+    def add(self, rows) -> None:
+        """Add an (n, 4) int64 block of ``timestamp, n_inputs, n_outputs, amount`` rows.
+
+        Counts clamp at the threshold N, so C_{i->j} lands in cell (i-1)·N + (j-1).
+        """
+        if not len(rows):
+            return
+        if rows[:, 1:3].min() < 1:
+            raise ValidationError(
+                "every transaction needs >= 1 input and >= 1 output "
+                "(coinbase must be filtered upstream)"
+            )
+        n, n2 = self.dim, self.dim * self.dim
+        day = rows[:, 0] // SECONDS_PER_DAY
+        lo, hi = int(day.min()), int(day.max())
+        self._cover(lo, hi)
+        i, j = np.minimum(rows[:, 1], n) - 1, np.minimum(rows[:, 2], n) - 1
+        idx = (day - self._first) * n2 + i * n + j
+        np.add.at(self._occ, idx, 1)
+        # np.add.at wraps silently, so sum exactly where a cell's sum plus its
+        # count x the largest amount may pass int64; a bound over the block's
+        # days rules that out for almost every block
+        amount = rows[:, 3]
+        top = max(int(amount.max()), 1)
+        span = slice((lo - self._first) * n2, (hi + 1 - self._first) * n2)
+        risky = []
+        if int(self._amo[span].max()) + len(rows) * top > INT64_MAX:
+            counts = np.bincount(idx - span.start, minlength=span.stop - span.start)
+            limit = (INT64_MAX - self._amo[span]) // top
+            risky = (span.start + np.flatnonzero(counts > limit)).tolist()
+        before = self._amo[risky].tolist()
+        np.add.at(self._amo, idx, amount)
+        for c, acc in zip(risky, before):
+            total = acc + sum(amount[idx == c].tolist())
+            if total > INT64_MAX:
+                total = INT64_MAX  # any later row in the cell passes int64 too
+                where = (self._first + c // n2, c % n2)
+                self._overflow = min(self._overflow or where, where)
+            self._amo[c] = total
+
+    def cube(self) -> DayCube:
+        """The sums of every day from the first to the last day added, gap days as zeros."""
+        n = self.dim
+        if self._overflow is not None:
+            day, c = self._overflow
+            i, j = divmod(c, n)
+            raise ValidationError(
+                f"{EPOCH + dt.timedelta(days=day)}: satoshi sum of C_{{{i + 1}->{j + 1}}} "
+                "exceeds int64"
+            )
+        if self._seen is None:
+            empty = np.zeros((0, n, n), dtype=np.int64)
+            return DayCube([], empty, empty)
+        lo, hi = self._seen
+        part = slice((lo - self._first) * n * n, (hi + 1 - self._first) * n * n)
+        return DayCube(
+            [EPOCH + dt.timedelta(days=d) for d in range(lo, hi + 1)],
+            self._occ[part].reshape(-1, n, n),
+            self._amo[part].reshape(-1, n, n),
+        )
 
 
 @dataclass
 class ChainletMatrix:
-    """Per-day N x N occurrence counts and satoshi amount sums."""
+    """One day's N x N occurrence counts and satoshi amount sums."""
 
     date: dt.date
     dim: int
@@ -40,10 +174,10 @@ class ChainletMatrix:
                 f"{self.date}: matrix shapes {self.occurrence.shape}/{self.amount.shape} "
                 f"!= {expected}"
             )
-        if np.any(self.occurrence < 0) or np.any(self.amount < 0):
-            raise ValidationError(f"{self.date}: negative matrix entry")
-        if np.any((self.occurrence == 0) & (self.amount != 0)):
-            raise ValidationError(f"{self.date}: amount recorded in a cell with zero occurrences")
+        self.cube()  # the checks of its entries
+
+    def cube(self) -> DayCube:
+        return DayCube([self.date], self.occurrence[None], self.amount[None])
 
     @property
     def total_occurrences(self) -> int:
@@ -74,90 +208,102 @@ class ExtremeFeatureRow:
 
 
 def build_matrix(day: dt.date, rows, threshold: int = DEFAULT_THRESHOLD) -> ChainletMatrix:
-    """Aggregate one day's transactions into occurrence and amount matrices.
-
-    ``rows`` holds one ``n_inputs, n_outputs, amount`` row per transaction.
-    Counts clamp at the threshold N, so C_{i->j} lands in cell (i-1)·N + (j-1)
-    of the flattened matrix. Satoshi sums stay in int64; a cell whose exact sum
-    would pass the int64 range is an error naming the day.
-    """
+    """Aggregate one day's ``n_inputs, n_outputs, amount`` rows through ``DayCubeBuilder``."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-    if np.any(rows[:, :2] < 1):
-        raise ValidationError(
-            "every transaction needs >= 1 input and >= 1 output "
-            "(coinbase must be filtered upstream)"
-        )
-    n = threshold
-    i, j = (np.minimum(rows[:, :2], n) - 1).T
-    cell = i * n + j
-    occ = np.bincount(cell, minlength=n * n)
-    amo = np.zeros(n * n, dtype=np.int64)
-    np.add.at(amo, cell, rows[:, 2])
-    # np.add.at wraps silently, so sum exactly where count x largest amount may pass int64
-    top = max(int(rows[:, 2].max(initial=0)), 1)
-    for c in np.flatnonzero(occ > INT64_MAX // top).tolist():
-        if sum(rows[cell == c, 2].tolist()) > INT64_MAX:
-            i, j = divmod(c, n)
-            raise ValidationError(f"{day}: satoshi sum of C_{{{i + 1}->{j + 1}}} exceeds int64")
-    return ChainletMatrix(day, n, occ.reshape(n, n), amo.reshape(n, n))
+    builder = DayCubeBuilder(threshold)
+    seconds = np.full((len(rows), 1), (day - EPOCH).days * SECONDS_PER_DAY)
+    builder.add(np.hstack([seconds, rows]))
+    cube = builder.cube()
+    if not cube.dates:  # no rows: a zero day
+        zeros = np.zeros((threshold, threshold), dtype=np.int64)
+        return ChainletMatrix(day, threshold, zeros, zeros)
+    return ChainletMatrix(day, threshold, cube.occurrence[0], cube.amount[0])
 
 
-def extreme_features(m: ChainletMatrix, price: float) -> ExtremeFeatureRow:
-    """Compute the six extreme-activity features of one day's matrix.
+def _extreme_sums(a: np.ndarray, wide) -> list[list]:
+    """Per day: sums over the left set (bottom row), the right set (far-right
+    column without the corner) and the whole matrix, as Python ints. Days in
+    ``wide`` are summed exactly, as their int64 sums may wrap."""
+    n = a.shape[-1]
+    sums = [a[:, n - 1, :].sum(axis=1), a[:, : n - 1, n - 1].sum(axis=1), a.sum(axis=(1, 2))]
+    sums = [s.tolist() for s in sums]
+    for k in wide:
+        day = a[k]
+        exact = (day[n - 1, :], day[: n - 1, n - 1], day.ravel())
+        for s, part in zip(sums, exact):
+            s[k] = sum(part.tolist())
+    return sums
 
-    Occurrence and amount sums over the left/right extreme sets; ratios are
-    taken against day totals and degenerate (all-zero) days yield zeros.
-    A_l/A_r convert satoshis to USD at the given close price; A_x is a pure
-    satoshi ratio so the price cancels.
+
+def cube_features(cube: DayCube, prices) -> list[ExtremeFeatureRow]:
+    """The six extreme-activity features of each day of the cube.
+
+    ``prices`` holds each day's close. Occurrence and amount sums over the
+    left/right extreme sets; ratios are taken against day totals and
+    degenerate (all-zero) days yield zeros. A_l/A_r convert satoshis to USD
+    at the close; A_x is a pure satoshi ratio, so the price cancels. Ratios
+    divide Python ints, so they stay exact past 2^53.
     """
-    if price <= 0:
-        raise ValidationError(f"price must be positive, got {price}")
-    n = m.dim
-    occ, amo = m.occurrence, m.amount
-    # left: bottom row; right: far-right column without the corner
-    o_l = int(occ[n - 1, :].sum())
-    o_r = int(occ[: n - 1, n - 1].sum())
-    sat_l = sum(amo[n - 1, :].tolist())
-    sat_r = sum(amo[: n - 1, n - 1].tolist())
-    tot_occ = m.total_occurrences
-    tot_amo = m.total_amount
-    o_x = (o_l + o_r) / tot_occ if tot_occ > 0 else 0.0
-    a_x = (sat_l + sat_r) / tot_amo if tot_amo > 0 else 0.0
-    usd = float(price) / SATOSHI_PER_BTC
-    return ExtremeFeatureRow(m.date, sat_l * usd, sat_r * usd, float(a_x), o_l, o_r, float(o_x))
-
-
-def feature_series(matrices, prices: PriceSeries) -> list[ExtremeFeatureRow]:
-    """One feature row per day, matrices and prices aligned by date."""
-    price_by_day = dict(zip(prices.dates, prices.close))
-    missing = [m.date for m in matrices if m.date not in price_by_day]
-    if missing:
-        raise AlignmentError("price series does not cover all matrix days", missing)
-    rows = [extreme_features(m, price_by_day[m.date]) for m in matrices]
-    rows.sort(key=lambda r: r.date)
+    prices = np.asarray(prices, dtype=float)
+    if np.any(prices <= 0):
+        raise ValidationError(f"price must be positive, got {prices[prices <= 0][0]}")
+    n = cube.dim
+    occ, amo = cube.occurrence, cube.amount
+    # int64 sums of a day are exact while each of its N² cells is at most INT64_MAX // N²
+    cap = INT64_MAX // (n * n)
+    wide = np.flatnonzero(
+        (occ.max(axis=(1, 2), initial=0) > cap) | (amo.max(axis=(1, 2), initial=0) > cap)
+    ).tolist()
+    o_l, o_r, tot_occ = _extreme_sums(occ, wide)
+    sat_l, sat_r, tot_amo = _extreme_sums(amo, wide)
+    usd = (prices / SATOSHI_PER_BTC).tolist()
+    rows = []
+    for k, day in enumerate(cube.dates):
+        o_x = (o_l[k] + o_r[k]) / tot_occ[k] if tot_occ[k] > 0 else 0.0
+        a_x = (sat_l[k] + sat_r[k]) / tot_amo[k] if tot_amo[k] > 0 else 0.0
+        rows.append(ExtremeFeatureRow(
+            day, sat_l[k] * usd[k], sat_r[k] * usd[k], a_x, o_l[k], o_r[k], o_x,
+        ))
     return rows
 
 
-def combine_matrices(occ_entries, amo_entries, dim: int = DEFAULT_THRESHOLD) -> list[ChainletMatrix]:
-    """Pair (date, occurrence) and (date, amount) file entries into matrices.
+def extreme_features(m: ChainletMatrix, price: float) -> ExtremeFeatureRow:
+    """The six extreme-activity features of one day's matrix; see ``cube_features``."""
+    return cube_features(m.cube(), [price])[0]
+
+
+def feature_series(cube: DayCube, prices: PriceSeries) -> list[ExtremeFeatureRow]:
+    """One feature row per day of the cube, prices aligned by date."""
+    price_by_day = dict(zip(prices.dates, prices.close.tolist()))
+    missing = [d for d in cube.dates if d not in price_by_day]
+    if missing:
+        raise AlignmentError("price series does not cover all matrix days", missing)
+    return cube_features(cube, [price_by_day[d] for d in cube.dates])
+
+
+def combine_matrices(occ_entries, amo_entries, dim: int = DEFAULT_THRESHOLD) -> DayCube:
+    """Pair (date, occurrence) and (date, amount) file entries into a cube.
 
     Both files must hold the same days, in strictly increasing order.
     """
-    for name, entries in (("occurrence", occ_entries), ("amount", amo_entries)):
-        for (a, _), (b, _) in zip(entries, entries[1:]):
+    dates = [d for d, _ in occ_entries]
+    amo_dates = [d for d, _ in amo_entries]
+    for name, days in (("occurrence", dates), ("amount", amo_dates)):
+        for a, b in zip(days, days[1:]):
             if b <= a:
                 raise ValidationError(f"{b}: {name} file day not after {a}")
-    amo_by_day = dict(amo_entries)
-    missing = [d for d, _ in occ_entries if d not in amo_by_day]
-    if missing:
-        raise AlignmentError("amount file does not cover all occurrence days", missing)
-    if len(amo_entries) > len(occ_entries):
-        occ_days = {d for d, _ in occ_entries}
-        extra = next(d for d, _ in amo_entries if d not in occ_days)
+    if dates != amo_dates:
+        amo_days, occ_days = set(amo_dates), set(dates)
+        missing = [d for d in dates if d not in amo_days]
+        if missing:
+            raise AlignmentError("amount file does not cover all occurrence days", missing)
+        extra = next(d for d in amo_dates if d not in occ_days)
         raise ValidationError(f"{extra}: day in the amount file but not in the occurrence file")
-    return [
-        ChainletMatrix(d, dim, occ, amo_by_day[d].astype(np.int64)) for d, occ in occ_entries
-    ]
+
+    def stack(entries):
+        return np.array([m for _, m in entries], dtype=np.int64).reshape(-1, dim, dim)
+
+    return DayCube(dates, stack(occ_entries), stack(amo_entries))
 
 
 FEATURE_HEADER = "date,A_l,A_r,A_x,O_l,O_r,O_x"
@@ -189,6 +335,8 @@ def read_feature_csv(path) -> list[ExtremeFeatureRow]:
             )
         except ValueError:
             raise ParseError(f"non-numeric field in {line!r}", path, line_no) from None
+        if not all(-INT64_MAX - 1 <= count <= INT64_MAX for count in (row.O_l, row.O_r)):
+            raise ParseError(f"count out of int64 range in {line!r}", path, line_no)
         if not all(map(math.isfinite, (row.A_l, row.A_r, row.A_x, row.O_x))):
             raise ParseError(f"non-finite field in {line!r}", path, line_no)
         if rows and day <= rows[-1].date:

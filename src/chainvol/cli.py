@@ -97,39 +97,34 @@ def _wide_calendar() -> ingest.DailyCalendar:
 
 # --- subcommands -----------------------------------------------------------
 
-def _write_matrix_pair(args, matrices) -> None:
-    """Write both matrix files or neither: a failed write leaves the old pair as it was."""
-    with ingest.atomic_files(args.out_occurrence, args.out_amount) as (occ, amo):
-        ingest.write_matrix_file(occ, [(m.date, m.occurrence) for m in matrices])
-        ingest.write_matrix_file(amo, [(m.date, m.amount) for m in matrices])
-
-
 def cmd_extract(args, config: PipelineConfig) -> int:
-    calendar = _wide_calendar()
-    result = ingest.load_transactions(args.transactions, calendar)
-    if not result.days:
+    builder = chainlets.DayCubeBuilder(config.threshold)
+    skipped_coinbase = 0
+    for rows, coinbase in ingest.tx_blocks(args.transactions, _wide_calendar()):
+        builder.add(rows)
+        skipped_coinbase += coinbase
+    cube = builder.cube()
+    # both files or neither: a failed write leaves the old pair as it was
+    with ingest.atomic_files(args.out_occurrence, args.out_amount) as (occ, amo):
+        ingest.write_matrix_file(occ, zip(cube.dates, cube.occurrence))
+        ingest.write_matrix_file(amo, zip(cube.dates, cube.amount))
+    if not cube.dates:
         print("warning: no usable transactions in input", file=sys.stderr)
-        _write_matrix_pair(args, [])
         return 0
-    by_day = dict(result.days)
-    first, last = result.days[0][0], result.days[-1][0]
-    matrices = [
-        chainlets.build_matrix(day, by_day.get(day, []), config.threshold)
-        for day in ingest.DailyCalendar(first, last).days()
-    ]
-    _write_matrix_pair(args, matrices)
-    n_txs = sum(len(rows) for _, rows in result.days)
+    n_days = len(cube.dates)
+    per_day = cube.occurrence.sum(axis=(1, 2))
+    active = np.flatnonzero(per_day)  # days with transactions
+    first, last = cube.dates[0], cube.dates[-1]
     print(
-        f"{len(matrices)} days ({first}..{last}), {n_txs} transactions, "
-        f"{result.skipped_coinbase} coinbase skipped"
+        f"{n_days} days ({first}..{last}), {int(per_day.sum())} transactions, "
+        f"{skipped_coinbase} coinbase skipped"
     )
-    # (day before, day after) of each run of days without transactions
-    gaps = [(a, b) for (a, _), (b, _) in zip(result.days, result.days[1:]) if (b - a).days > 1]
-    if gaps:
-        before, after = max(gaps, key=lambda g: g[1] - g[0])
+    if len(active) < n_days:
+        k = int(np.argmax(np.diff(active)))  # the first of the longest runs of empty days
+        before, after = cube.dates[active[k]], cube.dates[active[k + 1]]
         one_day = dt.timedelta(days=1)
         print(
-            f"warning: {len(matrices) - len(result.days)} of {len(matrices)} days have no "
+            f"warning: {n_days - len(active)} of {n_days} days have no "
             f"transactions and get zero matrices; the longest gap is "
             f"{before + one_day}..{after - one_day} ({(after - before).days - 1} days)",
             file=sys.stderr,
@@ -137,23 +132,21 @@ def cmd_extract(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _load_matrices(occ_path, amo_path, dim: int):
-    occ = ingest.load_matrix_file(occ_path, dim=dim)
-    amo = ingest.load_matrix_file(amo_path, dim=dim)
-    return chainlets.combine_matrices(occ, amo, dim)
-
-
 def cmd_features(args, config: PipelineConfig) -> int:
-    matrices = _load_matrices(args.occurrence, args.amount, config.threshold)
-    if not matrices:
+    cube = chainlets.combine_matrices(
+        ingest.load_matrix_file(args.occurrence, dim=config.threshold),
+        ingest.load_matrix_file(args.amount, dim=config.threshold),
+        config.threshold,
+    )
+    if not cube.dates:
         print("warning: empty matrix input", file=sys.stderr)
         chainlets.write_feature_csv(args.out, [])
         return 0
     calendar = ingest.DailyCalendar(
-        matrices[0].date, matrices[-1].date, ingest.GapPolicy(config.gap_policy)
+        cube.dates[0], cube.dates[-1], ingest.GapPolicy(config.gap_policy)
     )
     prices = ingest.load_prices(args.prices, calendar)
-    rows = chainlets.feature_series(matrices, prices)
+    rows = chainlets.feature_series(cube, prices)
     events = {}
     if args.plot_data and args.events:
         for line_no, line in ingest.data_lines(args.events):

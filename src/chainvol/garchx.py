@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import FitError, ValidationError
 from .skewt import normal_logpdf, skewt_logpdf, skewt_quantile, student_t_logpdf
+
+# scipy.special is imported in the functions that call it, so that the stages
+# that never call them (extract, features) never load scipy
 
 SIGMA2_MIN = 1e-12
 PENALTY_NLL = 1e10
@@ -198,6 +200,7 @@ def innovation_logpdf(z, params: ArmaGarchXParams, spec: ModelSpec):
 
 def innovation_quantile(params: ArmaGarchXParams, spec: ModelSpec, p):
     """Quantile of the innovation law at probability p (scalar or array)."""
+    from scipy import special
     if spec.distribution == "normal":
         return special.ndtri(p)
     xi = params.xi if spec.distribution == "skewt" else 1.0
@@ -226,6 +229,7 @@ def neg_log_likelihood(y, x, params: ArmaGarchXParams, spec: ModelSpec) -> float
 #         beta_x(k), [log(nu-2)], [log(xi)]
 
 def _sigmoid(v):
+    from scipy import special
     return float(special.expit(v))
 
 

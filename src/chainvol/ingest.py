@@ -161,17 +161,15 @@ def _loadtxt_block(text: str, **kwargs) -> np.ndarray | None:
         return None
 
 
-def _parse_tx_lines(lines, line_no, path, calendar, table) -> tuple[int, int]:
+def _parse_tx_lines(lines, line_no, path, calendar, table) -> int:
     """The line parser: check each line, append kept rows to ``table``.
 
-    ``lines`` start at file line ``line_no``. Returns the number of rows
-    parsed and of coinbase rows skipped. Every transaction-file error comes
-    from here.
+    ``lines`` start at file line ``line_no``. Returns the number of coinbase
+    rows skipped. Every transaction-file error comes from here.
     """
     start_s, end_s = _calendar_seconds(calendar)
-    n_lines = skipped_coinbase = 0
+    skipped_coinbase = 0
     for line_no, line in data_lines(path, lines, line_no):
-        n_lines += 1
         parts = line.split(",")
         if len(parts) != 4:
             raise ParseError(f"expected 4 fields, got {len(parts)}", path, line_no)
@@ -195,7 +193,7 @@ def _parse_tx_lines(lines, line_no, path, calendar, table) -> tuple[int, int]:
             table.extend((ts, n_in, n_out, amount))
         except OverflowError:
             raise ParseError(f"count out of int64 range in {line!r}", path, line_no) from None
-    return n_lines, skipped_coinbase
+    return skipped_coinbase
 
 
 def _calendar_seconds(calendar: DailyCalendar) -> tuple[int, int]:
@@ -206,12 +204,14 @@ def _calendar_seconds(calendar: DailyCalendar) -> tuple[int, int]:
     )
 
 
-def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
-    """Read a transaction CSV and group its rows by UTC day.
+def tx_blocks(path, calendar: DailyCalendar):
+    """Yield ``(rows, coinbase)`` for each block of lines of a transaction CSV.
 
-    Line format: ``timestamp_unix_seconds,n_inputs,n_outputs,amount_satoshi``.
-    Lines starting with ``#`` are comments. Coinbase transactions (zero
-    inputs) are dropped and tallied; a timestamp outside the calendar or an
+    ``rows`` is an (n, 4) int64 array of the block's kept rows,
+    ``timestamp, n_inputs, n_outputs, amount``, in file order; ``coinbase``
+    counts the coinbase rows (zero inputs) the block dropped. Line format:
+    ``timestamp_unix_seconds,n_inputs,n_outputs,amount_satoshi``; lines
+    starting with ``#`` are comments. A timestamp outside the calendar or an
     amount above ``MAX_MONEY`` is an error.
 
     Each block of lines is parsed by one ``np.loadtxt`` call. A block that
@@ -219,9 +219,6 @@ def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
     line parser, which raises the error with its line.
     """
     start_s, end_s = _calendar_seconds(calendar)
-    table = array("q")  # timestamp, n_inputs, n_outputs, amount per kept row
-    skipped_coinbase = 0
-    n_lines = 0
     with _open_text(path) as fh:
         for first_line, text in _line_blocks(fh):
             rows = _loadtxt_block(text, delimiter=",")
@@ -233,16 +230,20 @@ def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
                     or amount.max() > MAX_MONEY
                     or (len(kept) and (kept[:, 0].min() < start_s or kept[:, 0].max() >= end_s))
                 ):
-                    table.frombytes(kept.tobytes())
-                    n_lines += len(rows)
-                    skipped_coinbase += len(rows) - len(kept)
+                    yield kept, len(rows) - len(kept)
                     continue
-            parsed, coinbase = _parse_tx_lines(
-                text.split("\n"), first_line, path, calendar, table
-            )
-            n_lines += parsed
-            skipped_coinbase += coinbase
-    table = np.frombuffer(table, dtype=np.int64).reshape(-1, 4)
+            table = array("q")  # timestamp, n_inputs, n_outputs, amount per kept row
+            coinbase = _parse_tx_lines(text.split("\n"), first_line, path, calendar, table)
+            yield np.frombuffer(table, dtype=np.int64).reshape(-1, 4), coinbase
+
+
+def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
+    """Read a transaction CSV through ``tx_blocks`` and group its rows by UTC day."""
+    blocks, skipped_coinbase = [np.empty((0, 4), dtype=np.int64)], 0
+    for rows, coinbase in tx_blocks(path, calendar):
+        blocks.append(rows)
+        skipped_coinbase += coinbase
+    table = np.concatenate(blocks)
     day_index = table[:, 0] // SECONDS_PER_DAY
     order = np.argsort(day_index, kind="stable")
     day_index, starts = np.unique(day_index[order], return_index=True)
@@ -250,7 +251,7 @@ def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
         (EPOCH + dt.timedelta(days=int(d)), rows)
         for d, rows in zip(day_index, np.split(table[order, 1:], starts[1:]))
     ]
-    return TxLoadResult(days, skipped_coinbase, n_lines)
+    return TxLoadResult(days, skipped_coinbase, len(table) + skipped_coinbase)
 
 
 def load_prices(path, calendar: DailyCalendar) -> PriceSeries:

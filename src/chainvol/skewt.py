@@ -8,7 +8,9 @@ symmetric standardized Student-t); nu > 2 so the variance is finite.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
+
+# scipy.special is imported in the functions that call it, so that the stages
+# that never call them (extract, features) never load scipy
 
 
 def _check_params(nu: float, xi: float) -> None:
@@ -31,6 +33,7 @@ def _std_t_logpdf(a, nu: float):
     normalizing constant log Gamma((nu+1)/2) - log Gamma(nu/2) is taken as
     log poch(nu/2, 1/2), as scipy does, which keeps it accurate for large nu.
     """
+    from scipy import special
     return (np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * np.log((nu - 2.0) * np.pi)
             - 0.5 * (nu + 1.0) * np.log1p(a * a / (nu - 2.0)))
 
@@ -40,6 +43,7 @@ def _fs_constants(nu: float, xi: float):
 
     m1 is the absolute first moment of the unit-variance Student-t.
     """
+    from scipy import special
     m1 = 2.0 * np.sqrt(nu - 2.0) / (nu - 1.0) / special.beta(nu / 2.0, 0.5)
     mean = m1 * (xi - 1.0 / xi)
     var = (1.0 - m1**2) * (xi**2 + 1.0 / xi**2) + 2.0 * m1**2 - 1.0
@@ -62,6 +66,7 @@ def skewt_pdf(z, nu: float, xi: float):
 
 
 def skewt_cdf(z, nu: float, xi: float):
+    from scipy import special
     _check_params(nu, xi)
     z = np.asarray(z, dtype=float)
     mean, sd = _fs_constants(nu, xi)
@@ -75,6 +80,7 @@ def skewt_cdf(z, nu: float, xi: float):
 
 def skewt_quantile(p, nu: float, xi: float):
     """Inverse CDF via the closed-form piecewise inversion of the skewing."""
+    from scipy import special
     _check_params(nu, xi)
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0) | (p >= 1)):

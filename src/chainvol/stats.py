@@ -7,10 +7,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateSeriesError, ValidationError
 from .ingest import PriceSeries
+
+# scipy.special is imported in the functions that call it, so that the stages
+# that never call them (extract, features) never load scipy
 
 
 @dataclass
@@ -119,6 +121,7 @@ def ols_fit(y, X, names=None) -> OlsReport:
     p-values use n - k - 1 degrees of freedom where k counts the non-intercept
     regressors.
     """
+    from scipy import special
     y = np.asarray(y, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] != y.shape[0]:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chainvol import chainlets
 from chainvol.chainlets import (
-    ChainletMatrix, build_matrix, combine_matrices, extreme_features, feature_series,
+    ChainletMatrix, DayCube, build_matrix, combine_matrices, extreme_features, feature_series,
 )
 from chainvol.errors import AlignmentError, ParseError, ValidationError
 from chainvol.ingest import MAX_MONEY, PriceSeries
@@ -267,36 +267,41 @@ class TestExtremeFeatures:
         assert row.A_l == pytest.approx(sat_l * price / 1e8, rel=1e-12)
 
 
+def cube_of(matrices):
+    """The cube of a list of one-day matrices."""
+    return DayCube([m.date for m in matrices], np.stack([m.occurrence for m in matrices]),
+                   np.stack([m.amount for m in matrices]))
+
+
 class TestFeatureSeries:
     def make_inputs(self, n_days=3):
         days = [DAY + dt.timedelta(days=i) for i in range(n_days)]
         matrices = [build_matrix(d, [tx(25, 1, 500), tx(1, 1, 500)], 20) for d in days]
         prices = PriceSeries(days, np.full(n_days, 100.0))
-        return matrices, prices
+        return cube_of(matrices), prices
 
     def test_dates_preserved(self):
-        matrices, prices = self.make_inputs()
-        rows = feature_series(matrices, prices)
-        assert [r.date for r in rows] == [m.date for m in matrices]
+        cube, prices = self.make_inputs()
+        rows = feature_series(cube, prices)
+        assert [r.date for r in rows] == cube.dates
 
     def test_missing_price_day_raises(self):
-        matrices, prices = self.make_inputs()
+        cube, prices = self.make_inputs()
         short = PriceSeries(prices.dates[:-1], prices.close[:-1])
         with pytest.raises(AlignmentError) as exc:
-            feature_series(matrices, short)
-        assert matrices[-1].date in exc.value.missing_dates
+            feature_series(cube, short)
+        assert cube.dates[-1] in exc.value.missing_dates
 
     def test_constant_inputs_constant_rows(self):
-        matrices, prices = self.make_inputs()
-        rows = feature_series(matrices, prices)
+        cube, prices = self.make_inputs()
+        rows = feature_series(cube, prices)
         assert len({r.values() for r in rows}) == 1
 
 
 class TestHelpers:
     def test_feature_csv_round_trip(self, tmp_path):
         matrices = [build_matrix(DAY, [tx(25, 1, 500), tx(1, 2, 700)], 20)]
-        prices = PriceSeries([DAY, DAY + dt.timedelta(days=1)], np.array([100.0, 101.0]))
-        rows = feature_series(matrices, PriceSeries([DAY], np.array([100.0])))
+        rows = feature_series(cube_of(matrices), PriceSeries([DAY], np.array([100.0])))
         path = tmp_path / "f.csv"
         chainlets.write_feature_csv(path, rows)
         back = chainlets.read_feature_csv(path)
@@ -356,9 +361,10 @@ def entries(*days, value=1):
 
 class TestCombineMatrices:
     def test_pairs_by_day(self):
-        matrices = combine_matrices(entries(1, 2, 4), entries(1, 2, 4, value=7), 2)
-        assert [m.date.day for m in matrices] == [1, 2, 4]
-        assert all(m.amount.tolist() == [[7, 7], [7, 7]] for m in matrices)
+        cube = combine_matrices(entries(1, 2, 4), entries(1, 2, 4, value=7), 2)
+        assert [d.day for d in cube.dates] == [1, 2, 4]
+        assert cube.occurrence.tolist() == [[[1, 1], [1, 1]]] * 3
+        assert cube.amount.tolist() == [[[7, 7], [7, 7]]] * 3
 
     @pytest.mark.parametrize("occ,amo,message", [
         ((1, 2, 2, 3), (1, 2, 2, 3), "2015-06-02: occurrence file day not after 2015-06-02"),

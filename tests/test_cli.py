@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -377,6 +378,18 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith(f"error: {features}:6: non-finite field")
         assert sorted(os.listdir(tmp_path)) == ["f.csv"]
 
+    def test_count_outside_int64_names_line(self, dataset, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        lines = dataset["features"].read_text().splitlines()
+        parts = lines[5].split(",")
+        parts[4] = str(10**400)  # O_l
+        lines[5] = ",".join(parts)
+        features.write_text("\n".join(lines) + "\n")
+        assert cli.main(["analyze", str(features), str(dataset["data"] / "prices.csv"),
+                         "--out", str(tmp_path / "a")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {features}:6: count out of int64 range")
+        assert sorted(os.listdir(tmp_path)) == ["f.csv"]
+
     def test_repeated_feature_day(self, dataset, tmp_path, capsys):
         features = tmp_path / "f.csv"
         lines = dataset["features"].read_text().splitlines()
@@ -489,13 +502,25 @@ class TestTopLevelFlags:
         assert json.loads((out / "manifest.json").read_text())["seed"] == 4
 
 
-def test_import_does_not_load_scipy_signal():
-    # the filter imports scipy.signal and the fit scipy.optimize where they
-    # run, and scipy.stats is not used at all; every CLI stage pays for what
-    # chainvol.cli imports
-    code = ("import sys, chainvol.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules])")
+def test_import_does_not_load_scipy_signal(dataset, tmp_path):
+    # the filter imports scipy.signal, the fit scipy.optimize and every caller
+    # of scipy.special that module where it runs, and scipy.stats is not used
+    # at all; so importing chainvol.cli, extract and features load no scipy
+    code = textwrap.dedent("""
+        import sys, chainvol.cli
+        def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+        print(scipy())
+        tx, occ, amo, prices, out = sys.argv[1:]
+        main = chainvol.cli.main
+        assert main(['extract', tx, '--out-occurrence', occ, '--out-amount', amo]) == 0
+        assert main(['features', occ, amo, prices, '--out', out]) == 0
+        print(scipy())
+    """)
+    data = dataset["data"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(data / "transactions.csv"), str(tmp_path / "occ.txt"),
+         str(tmp_path / "amo.txt"), str(data / "prices.csv"), str(tmp_path / "f.csv")],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines()[0] == "[]" and out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "f.csv").read_bytes() == dataset["features"].read_bytes()

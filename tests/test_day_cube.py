@@ -1,0 +1,184 @@
+"""The streaming extract path: ``ingest.tx_blocks`` into ``DayCubeBuilder``.
+
+With blocks of a few dozen characters, rows of one day spread over many
+blocks and blocks step back in time; the cube must still equal a per-day
+tally of the rows, stay exact in int64 and name the day of a cell past it.
+"""
+
+import datetime as dt
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainvol import chainlets, cli, ingest
+from chainvol.chainlets import INT64_MAX, DayCubeBuilder
+from chainvol.errors import ValidationError
+from chainvol.ingest import MAX_MONEY, DailyCalendar
+
+CAL = DailyCalendar(dt.date(2015, 1, 1), dt.date(2015, 12, 31))
+START_S = 1420070400  # 2015-01-01T00:00:00Z
+DAY_S = 86400
+N = 3
+
+
+def small_blocks(size):
+    return mock.patch.object(ingest, "BLOCK_CHARS", size)
+
+
+def read_cube(path, threshold=N):
+    builder = DayCubeBuilder(threshold)
+    coinbase = 0
+    for rows, skipped in ingest.tx_blocks(path, CAL):
+        builder.add(rows)
+        coinbase += skipped
+    return builder.cube(), coinbase
+
+
+def reference_tally(rows, n=N):
+    """(dates, occurrence, amount, coinbase) tallied row by row in Python ints."""
+    occ, amo, coinbase = {}, {}, 0
+    for ts, n_in, n_out, amount in rows:
+        if n_in == 0:
+            coinbase += 1
+            continue
+        key = (ts // DAY_S, min(n_in, n) - 1, min(n_out, n) - 1)
+        occ[key] = occ.get(key, 0) + 1
+        amo[key] = amo.get(key, 0) + amount
+    if not occ:
+        return [], [], [], coinbase
+    days = range(min(k[0] for k in occ), max(k[0] for k in occ) + 1)
+    dates = [dt.date(1970, 1, 1) + dt.timedelta(days=d) for d in days]
+
+    def layers(tally):
+        return [[[tally.get((d, i, j), 0) for j in range(n)] for i in range(n)] for d in days]
+
+    return dates, layers(occ), layers(amo), coinbase
+
+
+row_strategy = st.tuples(
+    st.integers(START_S, START_S + 10 * DAY_S - 1),  # ten days, some left empty
+    st.integers(0, 5),  # zero inputs: a coinbase row
+    st.integers(1, 5),
+    st.integers(0, MAX_MONEY),
+)
+
+
+@given(rows=st.lists(row_strategy, max_size=40), block=st.integers(8, 80))
+@settings(max_examples=150, deadline=None)
+def test_cube_matches_per_day_tally(tmp_path_factory, rows, block):
+    # rows come in drawn order, so blocks step back and forth in time
+    path = tmp_path_factory.mktemp("cube") / "tx.csv"
+    path.write_text("".join(f"{ts},{n_in},{n_out},{amount}\n" for ts, n_in, n_out, amount in rows))
+    with small_blocks(block):
+        cube, coinbase = read_cube(path)
+    dates, occ, amo, ref_coinbase = reference_tally(rows)
+    assert (cube.dates, coinbase) == (dates, ref_coinbase)
+    assert cube.occurrence.tolist() == occ and cube.amount.tolist() == amo
+    assert cube.occurrence.dtype == cube.amount.dtype == np.int64
+
+
+def test_blocks_before_and_after_the_range_grow_the_cube():
+    builder = DayCubeBuilder(N)
+    for day, amount in ((5, 7), (2, 3), (40, 11), (0, 1), (5, 100)):
+        builder.add(np.array([[START_S + day * DAY_S, 1, 1, amount]], dtype=np.int64))
+    cube = builder.cube()
+    assert cube.dates[0] == dt.date(2015, 1, 1) and len(cube.dates) == 41
+    assert {k: int(cube.amount[k, 0, 0]) for k in np.flatnonzero(cube.amount[:, 0, 0])} == {
+        0: 1, 2: 3, 5: 107, 40: 11}
+    assert int(cube.occurrence.sum()) == 5
+
+
+def max_money_rows(day, count, n_in=1):
+    return np.array([[START_S + day * DAY_S, n_in, 1, MAX_MONEY]] * count, dtype=np.int64)
+
+
+def test_cell_past_int64_across_two_blocks_names_the_day():
+    # 9223372036854775807 // MAX_MONEY is 4392: each block fits, the two together do not
+    builder = DayCubeBuilder(N)
+    builder.add(max_money_rows(0, 2500))
+    builder.add(max_money_rows(0, 1893))
+    message = r"^2015-01-01: satoshi sum of C_\{1->1\} exceeds int64$"
+    with pytest.raises(ValidationError, match=message):
+        builder.cube()
+
+
+def test_cell_at_int64_edge_across_blocks_stays_exact():
+    builder = DayCubeBuilder(N)
+    builder.add(max_money_rows(0, 2500))
+    builder.add(max_money_rows(0, 1892))
+    builder.add(np.array([[START_S, 1, 1, INT64_MAX - 4392 * MAX_MONEY]], dtype=np.int64))
+    assert int(builder.cube().amount[0, 0, 0]) == INT64_MAX
+
+
+def test_overflow_names_the_earliest_day_and_cell():
+    # day 3 passes int64 first in the file, then day 1 in two cells; the error
+    # names day 1 and its first cell, as a day-by-day aggregation would
+    builder = DayCubeBuilder(N)
+    builder.add(max_money_rows(3, 4393))
+    builder.add(np.vstack([max_money_rows(1, 2000, n_in=3), max_money_rows(1, 2000, n_in=2)]))
+    builder.add(np.vstack([max_money_rows(1, 2393, n_in=3), max_money_rows(1, 2393, n_in=2)]))
+    with pytest.raises(ValidationError, match=r"^2015-01-02: satoshi sum of C_\{2->1\}"):
+        builder.cube()
+
+
+def test_extract_cell_past_int64_over_many_blocks(tmp_path, capsys):
+    tx = tmp_path / "tx.csv"
+    tx.write_text(f"{START_S},1,1,{MAX_MONEY}\n" * 4393)
+    with small_blocks(1 << 12):
+        assert cli.main(["extract", str(tx), "--out-occurrence", str(tmp_path / "o.txt"),
+                         "--out-amount", str(tmp_path / "a.txt")]) == 1
+    assert "2015-01-01: satoshi sum of C_{1->1} exceeds int64" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tx.csv"]
+
+
+def test_day_total_past_2_53_split_over_blocks_keeps_amount_ratio_exact(tmp_path):
+    # the total, 5 * MAX_MONEY - 3, passes 2**53; a float64 division rounds it
+    left = MAX_MONEY - 4
+    rows = [(20, 1, left)] + [(1, 1, MAX_MONEY)] * 4 + [(2, 2, 1)]
+    total = left + 4 * MAX_MONEY + 1
+    assert total > 2**53 and float(left) / float(total) != left / total
+    tx = tmp_path / "tx.csv"
+    tx.write_text("".join(f"{START_S + k},{n_in},{n_out},{a}\n"
+                          for k, (n_in, n_out, a) in enumerate(rows)))
+    with small_blocks(40):
+        cube, _ = read_cube(tx, threshold=20)
+    row, = chainlets.cube_features(cube, [100.0])
+    assert row.A_x == left / total
+    assert row.A_l == left * (100.0 / 10**8)
+
+
+def extract_peak_bytes(tmp_path, lines):
+    tx = tmp_path / "tx.csv"
+    tx.write_text(lines)
+    argv = ["extract", str(tx), "--out-occurrence", str(tmp_path / "o.txt"),
+            "--out-amount", str(tmp_path / "a.txt")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extract_memory_does_not_grow_with_rows(tmp_path, capsys):
+    # R rows, then 8R rows, over the same 100 days. The rows are not in time
+    # order, so every block reaches every day: the peak is the day cube plus
+    # one block of lines, whatever the row count
+    rng = np.random.default_rng(0)
+
+    def lines(n_rows):
+        ts = START_S + rng.integers(0, 100 * DAY_S, n_rows)
+        shape = rng.integers(1, 30, (n_rows, 2))
+        amount = rng.integers(0, 10**9, n_rows)
+        return "".join(f"{t},{i},{o},{a}\n" for t, (i, o), a in
+                       zip(ts.tolist(), shape.tolist(), amount.tolist()))
+
+    r = 5_000  # four blocks of lines
+    with small_blocks(1 << 15):
+        small = extract_peak_bytes(tmp_path, lines(r))
+        large = extract_peak_bytes(tmp_path, lines(8 * r))
+    assert abs(large - small) < 0.1 * small, (small, large)
