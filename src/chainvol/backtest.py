@@ -64,16 +64,13 @@ class VarBacktestReport:
     lr_cc: float
     lr_cc_p: float
 
-    lr_uc_crit: float = CHI2_CRIT_1DF_95
-    lr_cc_crit: float = CHI2_CRIT_2DF_95
-
     @property
     def reject_uc(self) -> bool:
-        return self.lr_uc > self.lr_uc_crit
+        return self.lr_uc > CHI2_CRIT_1DF_95
 
     @property
     def reject_cc(self) -> bool:
-        return self.lr_cc > self.lr_cc_crit
+        return self.lr_cc > CHI2_CRIT_2DF_95
 
     def to_dict(self) -> dict:
         return {
@@ -82,9 +79,9 @@ class VarBacktestReport:
             "expected_breaches": self.expected,
             "expected_breaches_display": round(self.expected, 1),
             "actual_breaches": self.x,
-            "lr_uc": {"statistic": self.lr_uc, "critical": self.lr_uc_crit,
+            "lr_uc": {"statistic": self.lr_uc, "critical": CHI2_CRIT_1DF_95,
                       "p_value": self.lr_uc_p, "reject": self.reject_uc},
-            "lr_cc": {"statistic": self.lr_cc, "critical": self.lr_cc_crit,
+            "lr_cc": {"statistic": self.lr_cc, "critical": CHI2_CRIT_2DF_95,
                       "p_value": self.lr_cc_p, "reject": self.reject_cc,
                       "lr_ind": self.lr_ind},
         }
@@ -95,12 +92,11 @@ class DmReport:
     statistic: float
     p_value: float
     n: int
-    loss: str = "quadratic"
     identical: bool = False
 
     def to_dict(self) -> dict:
         return {"statistic": self.statistic, "p_value": self.p_value,
-                "n": self.n, "loss": self.loss, "identical": self.identical}
+                "n": self.n, "loss": "quadratic", "identical": self.identical}
 
 
 def _xlogy(x: float, y: float) -> float:

@@ -62,7 +62,7 @@ class DayCubeBuilder:
     before or after their range. Satoshi sums stay exact in int64; a cell
     whose sum passes the int64 range is an error naming the day, raised by
     ``cube`` for the earliest such day and cell. ``cube`` returns views of
-    the sums, so it comes after the last ``add``.
+    the sums, so it comes after the last ``add``; an ``add`` after it raises.
     """
 
     def __init__(self, threshold: int = DEFAULT_THRESHOLD):
@@ -70,15 +70,14 @@ class DayCubeBuilder:
         self._first = 0  # epoch day of the accumulators' first layer
         self._occ = np.zeros(0, dtype=np.int64)  # flat: (day - first)·N² + cell
         self._amo = np.zeros(0, dtype=np.int64)
-        self._seen: tuple[int, int] | None = None  # first and last epoch day added
         self._overflow: tuple[int, int] | None = None  # earliest (epoch day, cell) past int64
+        self._viewed = False  # set by ``cube``, whose arrays are views of the sums
 
     def _cover(self, lo: int, hi: int) -> None:
         """Grow the accumulators to cover epoch days ``lo..hi``."""
         n2 = self.dim * self.dim
-        if self._seen is None:
-            self._first, self._seen = lo, (lo, hi)
-        self._seen = (min(self._seen[0], lo), max(self._seen[1], hi))
+        if not self._occ.size:
+            self._first = lo
         start, end = self._first, self._first + self._occ.size // n2
         new_start, new_end = min(start, lo), max(end, hi + 1)
         if (new_start, new_end) == (start, end):
@@ -86,8 +85,9 @@ class DayCubeBuilder:
         shift, size = (start - new_start) * n2, (new_end - new_start) * n2
         for name in ("_occ", "_amo"):
             # in place: realloc zero-fills the new cells and, for a large array,
-            # remaps its pages rather than copying them
-            getattr(self, name).resize(size)
+            # remaps its pages; no view exists before ``cube``, so no refcheck,
+            # which fails while a profiler or tracer holds a reference
+            getattr(self, name).resize(size, refcheck=False)
             if shift:
                 a = getattr(self, name)
                 a[shift:] = a[:size - shift].copy()
@@ -99,6 +99,8 @@ class DayCubeBuilder:
 
         Counts clamp at the threshold N, so C_{i->j} lands in cell (i-1)·N + (j-1).
         """
+        if self._viewed:
+            raise RuntimeError("DayCubeBuilder.add after cube(): the cube holds views of the sums")
         if not len(rows):
             return
         if rows[:, 1:3].min() < 1:
@@ -144,15 +146,12 @@ class DayCubeBuilder:
                 f"{EPOCH + dt.timedelta(days=day)}: satoshi sum of C_{{{i + 1}->{j + 1}}} "
                 "exceeds int64"
             )
-        if self._seen is None:
-            empty = np.zeros((0, n, n), dtype=np.int64)
-            return DayCube([], empty, empty)
-        lo, hi = self._seen
-        part = slice((lo - self._first) * n * n, (hi + 1 - self._first) * n * n)
+        self._viewed = True
+        days = range(self._first, self._first + self._occ.size // (n * n))
         return DayCube(
-            [EPOCH + dt.timedelta(days=d) for d in range(lo, hi + 1)],
-            self._occ[part].reshape(-1, n, n),
-            self._amo[part].reshape(-1, n, n),
+            [EPOCH + dt.timedelta(days=d) for d in days],
+            self._occ.reshape(-1, n, n),
+            self._amo.reshape(-1, n, n),
         )
 
 
@@ -281,13 +280,13 @@ def feature_series(cube: DayCube, prices: PriceSeries) -> list[ExtremeFeatureRow
     return cube_features(cube, [price_by_day[d] for d in cube.dates])
 
 
-def combine_matrices(occ_entries, amo_entries, dim: int = DEFAULT_THRESHOLD) -> DayCube:
-    """Pair (date, occurrence) and (date, amount) file entries into a cube.
+def combine_matrices(occ, amo) -> DayCube:
+    """Pair the ``(dates, values)`` of an occurrence file and of an amount file
+    into a cube on the same arrays.
 
     Both files must hold the same days, in strictly increasing order.
     """
-    dates = [d for d, _ in occ_entries]
-    amo_dates = [d for d, _ in amo_entries]
+    (dates, occ_values), (amo_dates, amo_values) = occ, amo
     for name, days in (("occurrence", dates), ("amount", amo_dates)):
         for a, b in zip(days, days[1:]):
             if b <= a:
@@ -299,11 +298,7 @@ def combine_matrices(occ_entries, amo_entries, dim: int = DEFAULT_THRESHOLD) -> 
             raise AlignmentError("amount file does not cover all occurrence days", missing)
         extra = next(d for d in amo_dates if d not in occ_days)
         raise ValidationError(f"{extra}: day in the amount file but not in the occurrence file")
-
-    def stack(entries):
-        return np.array([m for _, m in entries], dtype=np.int64).reshape(-1, dim, dim)
-
-    return DayCube(dates, stack(occ_entries), stack(amo_entries))
+    return DayCube(dates, occ_values, amo_values)
 
 
 FEATURE_HEADER = "date,A_l,A_r,A_x,O_l,O_r,O_x"

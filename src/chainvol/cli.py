@@ -106,8 +106,8 @@ def cmd_extract(args, config: PipelineConfig) -> int:
     cube = builder.cube()
     # both files or neither: a failed write leaves the old pair as it was
     with ingest.atomic_files(args.out_occurrence, args.out_amount) as (occ, amo):
-        ingest.write_matrix_file(occ, zip(cube.dates, cube.occurrence))
-        ingest.write_matrix_file(amo, zip(cube.dates, cube.amount))
+        ingest.write_matrix_file(occ, cube.dates, cube.occurrence)
+        ingest.write_matrix_file(amo, cube.dates, cube.amount)
     if not cube.dates:
         print("warning: no usable transactions in input", file=sys.stderr)
         return 0
@@ -136,7 +136,6 @@ def cmd_features(args, config: PipelineConfig) -> int:
     cube = chainlets.combine_matrices(
         ingest.load_matrix_file(args.occurrence, dim=config.threshold),
         ingest.load_matrix_file(args.amount, dim=config.threshold),
-        config.threshold,
     )
     if not cube.dates:
         print("warning: empty matrix input", file=sys.stderr)

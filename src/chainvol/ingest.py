@@ -132,8 +132,10 @@ def _line_blocks(fh):
             continue
         text = "".join(tail) + chunk[:cut]
         tail = [chunk[cut:]]
-        yield line_no, text
-        line_no += text.count("\n")
+        del chunk  # hold no block while the next one is read
+        first, line_no = line_no, line_no + text.count("\n")
+        yield first, text
+        del text
     text = "".join(tail)
     if text:
         yield line_no, text
@@ -204,6 +206,24 @@ def _calendar_seconds(calendar: DailyCalendar) -> tuple[int, int]:
     )
 
 
+def _tx_block(text: str, first_line: int, path, calendar: DailyCalendar):
+    """The kept rows and the coinbase count of one block of lines; see ``tx_blocks``."""
+    start_s, end_s = _calendar_seconds(calendar)
+    rows = _loadtxt_block(text, delimiter=",")
+    if rows is not None and rows.shape[1] == 4:
+        _, n_in, n_out, amount = rows.T
+        kept = rows[n_in != 0]  # coinbase rows dropped
+        if not (
+            n_in.min() < 0 or n_out.min() < 1 or amount.min() < 0
+            or amount.max() > MAX_MONEY
+            or (len(kept) and (kept[:, 0].min() < start_s or kept[:, 0].max() >= end_s))
+        ):
+            return kept, len(rows) - len(kept)
+    table = array("q")  # timestamp, n_inputs, n_outputs, amount per kept row
+    coinbase = _parse_tx_lines(text.split("\n"), first_line, path, calendar, table)
+    return np.frombuffer(table, dtype=np.int64).reshape(-1, 4), coinbase
+
+
 def tx_blocks(path, calendar: DailyCalendar):
     """Yield ``(rows, coinbase)`` for each block of lines of a transaction CSV.
 
@@ -216,25 +236,13 @@ def tx_blocks(path, calendar: DailyCalendar):
 
     Each block of lines is parsed by one ``np.loadtxt`` call. A block that
     loadtxt fails on, or whose rows break a check, is parsed again by the
-    line parser, which raises the error with its line.
+    line parser, which raises the error with its line. No block is held
+    while the next one is read.
     """
-    start_s, end_s = _calendar_seconds(calendar)
     with _open_text(path) as fh:
         for first_line, text in _line_blocks(fh):
-            rows = _loadtxt_block(text, delimiter=",")
-            if rows is not None and rows.shape[1] == 4:
-                _, n_in, n_out, amount = rows.T
-                kept = rows[n_in != 0]  # coinbase rows dropped
-                if not (
-                    n_in.min() < 0 or n_out.min() < 1 or amount.min() < 0
-                    or amount.max() > MAX_MONEY
-                    or (len(kept) and (kept[:, 0].min() < start_s or kept[:, 0].max() >= end_s))
-                ):
-                    yield kept, len(rows) - len(kept)
-                    continue
-            table = array("q")  # timestamp, n_inputs, n_outputs, amount per kept row
-            coinbase = _parse_tx_lines(text.split("\n"), first_line, path, calendar, table)
-            yield np.frombuffer(table, dtype=np.int64).reshape(-1, 4), coinbase
+            yield _tx_block(text, first_line, path, calendar)
+            del text
 
 
 def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
@@ -297,9 +305,11 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
     return PriceSeries(dates, np.array(closes))
 
 
-def _parse_matrix_lines(lines, line_no, path, dim: int) -> list[tuple[dt.date, np.ndarray]]:
-    """The line parser of matrix files; ``lines`` start at file line ``line_no``."""
-    out: list[tuple[dt.date, np.ndarray]] = []
+def _parse_matrix_lines(lines, line_no, path, dim: int) -> tuple[list[dt.date], np.ndarray]:
+    """The line parser of matrix files; ``lines`` start at file line ``line_no``.
+    Returns the days and their (days, dim*dim) int64 values."""
+    days: list[dt.date] = []
+    table = array("q")
     n2 = dim * dim
     for line_no, line in data_lines(path, lines, line_no):
         tokens = line.split()
@@ -307,72 +317,58 @@ def _parse_matrix_lines(lines, line_no, path, dim: int) -> list[tuple[dt.date, n
             raise ParseError(
                 f"expected date + {n2} values, got {len(tokens) - 1} values", path, line_no
             )
-        day = parse_date(tokens[0], path, line_no)
+        days.append(parse_date(tokens[0], path, line_no))
         try:
             values = [int(t) for t in tokens[1:]]
         except ValueError:
             raise ParseError("non-numeric matrix value", path, line_no) from None
         try:
-            values = np.array(values, dtype=np.int64)
+            table.extend(values)
         except OverflowError:
             raise ParseError("matrix value out of int64 range", path, line_no) from None
-        if np.any(values < 0):
+        if min(values) < 0:
             raise ValidationError("negative matrix value", path, line_no)
-        out.append((day, values.reshape(dim, dim)))
-    return out
+    return days, np.frombuffer(table, dtype=np.int64).reshape(-1, n2)
 
 
-def load_matrix_file(path, dim: int = 20) -> list[tuple[dt.date, np.ndarray]]:
+def load_matrix_file(path, dim: int = 20) -> tuple[list[dt.date], np.ndarray]:
     """Read a matrix file: per line a date then dim*dim row-major values.
 
     Row index is the input class i (1..dim), column the output class j.
-    Occurrence files carry counts, amount files integer satoshis.
+    Occurrence files carry counts, amount files integer satoshis. Returns
+    the days and one C-contiguous (days, dim, dim) int64 array.
 
     Each block of lines is parsed by one ``np.loadtxt`` call, which hands
-    the date column to a converter, so a row of the wrong width fails there.
-    A block with a bad date, a wrong width or a negative value is parsed
-    again by the line parser, which raises the error with its line.
+    the date column to a converter, so a row of the wrong width or with a
+    bad date fails there. Such a block, or one with a negative value, is
+    parsed again by the line parser, which raises the error with its line.
     """
-    out: list[tuple[dt.date, np.ndarray]] = []
+    days: list[dt.date] = []
     n2 = dim * dim
+    blocks = [np.empty((0, n2), dtype=np.int64)]
     with _open_text(path) as fh:
         for first_line, text in _line_blocks(fh):
-            tokens: list[str] = []
+            block_days: list[dt.date] = []
 
             def date_column(token: str) -> int:
-                tokens.append(token)
+                block_days.append(dt.date.fromisoformat(token))
                 return 0
 
             rows = _loadtxt_block(text, converters={0: date_column})
-            if rows is not None and rows.shape[1] == n2 + 1:
+            if rows is not None and rows.shape[1] == n2 + 1 and not (rows[:, 1:] < 0).any():
                 values = rows[:, 1:]
-                try:
-                    days = [dt.date.fromisoformat(t) for t in tokens]
-                except ValueError:
-                    days = None
-                if days is not None and not (values < 0).any():
-                    out.extend(zip(days, values.reshape(-1, dim, dim)))
-                    continue
-            out.extend(_parse_matrix_lines(text.split("\n"), first_line, path, dim))
-    return out
+            else:
+                block_days, values = _parse_matrix_lines(text.split("\n"), first_line, path, dim)
+            days += block_days
+            blocks.append(values)
+    return days, np.concatenate(blocks).reshape(-1, dim, dim)
 
 
-def format_matrix_line(day: dt.date, matrix: np.ndarray) -> str:
-    body = " ".join(map(str, matrix.ravel().tolist()))
-    return f"{day.isoformat()} {body}"
-
-
-def write_matrix_file(out, entries) -> None:
-    """Write (date, matrix) entries in the canonical matrix-file format.
-
-    ``out`` is a path, written atomically, or a text file open for writing.
-    """
-    lines = (format_matrix_line(day, m) + "\n" for day, m in entries)
-    if isinstance(out, io.TextIOBase):
-        out.writelines(lines)
-    else:
-        with atomic_files(out) as (fh,):
-            fh.writelines(lines)
+def write_matrix_file(fh, dates, values) -> None:
+    """Write one matrix-file line per day, its date then its row-major
+    ``values`` layer, to the text file ``fh``."""
+    for day, matrix in zip(dates, values):
+        fh.write(f"{day.isoformat()} {' '.join(map(str, matrix.ravel().tolist()))}\n")
 
 
 def atomic_write_text(path, text: str) -> None:

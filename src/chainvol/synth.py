@@ -9,7 +9,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,10 @@ from .garchx import ArmaGarchXParams, ModelSpec, simulate
 from .ingest import atomic_write_text
 
 SECONDS_PER_DAY = 86400
+START = dt.date(2015, 1, 1)  # first day of every synthetic dataset
+START_PRICE = 250.0
+GARCH_PARAMS = ArmaGarchXParams(alpha0=1e-4, alpha1=0.08, beta=0.88, nu=6.0, xi=1.1)
+DISTRIBUTION = "skewt"
 
 
 @dataclass
@@ -25,12 +29,6 @@ class SynthConfig:
     txs_per_day: float = 50.0
     extreme_prob: float = 0.05
     threshold: int = 20
-    start: dt.date = dt.date(2015, 1, 1)
-    start_price: float = 250.0
-    garch_params: ArmaGarchXParams = field(
-        default_factory=lambda: ArmaGarchXParams(alpha0=1e-4, alpha1=0.08, beta=0.88, nu=6.0, xi=1.1)
-    )
-    distribution: str = "skewt"
     seed: int = 0
 
     def __post_init__(self):
@@ -45,10 +43,10 @@ class SynthConfig:
             "txs_per_day": self.txs_per_day,
             "extreme_prob": self.extreme_prob,
             "threshold": self.threshold,
-            "start": self.start.isoformat(),
-            "start_price": self.start_price,
-            "garch_params": self.garch_params.to_dict(),
-            "distribution": self.distribution,
+            "start": START.isoformat(),
+            "start_price": START_PRICE,
+            "garch_params": GARCH_PARAMS.to_dict(),
+            "distribution": DISTRIBUTION,
             "seed": self.seed,
         }
 
@@ -64,7 +62,7 @@ def synth_transactions(config: SynthConfig, rng: np.random.Generator) -> list[st
     for day_idx in range(config.days):
         day_start = int(
             dt.datetime.combine(
-                config.start + dt.timedelta(days=day_idx), dt.time(), dt.timezone.utc
+                START + dt.timedelta(days=day_idx), dt.time(), dt.timezone.utc
             ).timestamp()
         )
         count = max(1, rng.poisson(config.txs_per_day))
@@ -88,12 +86,12 @@ def synth_transactions(config: SynthConfig, rng: np.random.Generator) -> list[st
 def synth_prices(config: SynthConfig) -> list[str]:
     """CSV lines for a GARCH-driven daily close series (days + 1 rows, so the
     return series spans all matrix days)."""
-    spec = ModelSpec(p=0, q=0, k=0, distribution=config.distribution)
-    y, _, _ = simulate(config.garch_params, spec, None, config.days, config.seed + 1)
-    prices = config.start_price * np.exp(np.concatenate([[0.0], np.cumsum(y)]))
+    spec = ModelSpec(p=0, q=0, k=0, distribution=DISTRIBUTION)
+    y, _, _ = simulate(GARCH_PARAMS, spec, None, config.days, config.seed + 1)
+    prices = START_PRICE * np.exp(np.concatenate([[0.0], np.cumsum(y)]))
     lines = ["date,close"]
     for i, p in enumerate(prices):
-        day = config.start + dt.timedelta(days=i)
+        day = START + dt.timedelta(days=i)
         lines.append(f"{day.isoformat()},{float(p)!r}")
     return lines
 

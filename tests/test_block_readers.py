@@ -124,9 +124,10 @@ def assert_same_transactions(path, block):
 
 def assert_same_matrices(path, block):
     def load():
-        matrices = ingest.load_matrix_file(path, dim=DIM)
-        assert all(m.shape == (DIM, DIM) for _, m in matrices)
-        return [(day, m.ravel().tolist()) for day, m in matrices]
+        dates, values = ingest.load_matrix_file(path, dim=DIM)
+        assert values.shape == (len(dates), DIM, DIM) and values.dtype == np.int64
+        assert values.flags.c_contiguous
+        return list(zip(dates, values.reshape(len(dates), DIM * DIM).tolist()))
 
     with small_blocks(block):
         got = outcome(load)
@@ -316,7 +317,8 @@ def test_empty_inputs_give_nothing_without_warnings(tmp_path, text):
         result = ingest.load_transactions(tx, CAL)
         matrices = ingest.load_matrix_file(tx, dim=DIM)
     assert (result.days, result.skipped_coinbase, result.n_lines) == ([], 0, 0)
-    assert matrices == []
+    dates, values = matrices
+    assert dates == [] and values.shape == (0, DIM, DIM) and values.dtype == np.int64
 
 
 def test_fast_path_serves_clean_blocks(tmp_path):
@@ -332,4 +334,6 @@ def test_fast_path_serves_clean_blocks(tmp_path):
         matrices = ingest.load_matrix_file(m, dim=DIM)
     assert (result.n_lines, result.skipped_coinbase) == (100, 50)
     assert result.days[0][1].tolist() == [[2, 3, 100]] * 50
-    assert len(matrices) == 28 and matrices[-1][1].tolist() == [[1, 2], [3, 4]]
+    dates, values = matrices
+    assert dates == [dt.date(2015, 1, d) for d in range(1, 29)]
+    assert values.tolist() == [[[1, 2], [3, 4]]] * 28

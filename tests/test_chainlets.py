@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainvol import chainlets
+from chainvol import chainlets, ingest
 from chainvol.chainlets import (
     ChainletMatrix, DayCube, build_matrix, combine_matrices, extreme_features, feature_series,
 )
@@ -356,15 +356,32 @@ class TestReadFeatureCsv:
 
 
 def entries(*days, value=1):
-    return [(dt.date(2015, 6, d), np.full((2, 2), value, dtype=np.int64)) for d in days]
+    """The ``(dates, values)`` of a matrix file with N = 2 holding ``value`` everywhere."""
+    return [dt.date(2015, 6, d) for d in days], np.full((len(days), 2, 2), value, dtype=np.int64)
 
 
 class TestCombineMatrices:
     def test_pairs_by_day(self):
-        cube = combine_matrices(entries(1, 2, 4), entries(1, 2, 4, value=7), 2)
+        cube = combine_matrices(entries(1, 2, 4), entries(1, 2, 4, value=7))
         assert [d.day for d in cube.dates] == [1, 2, 4]
         assert cube.occurrence.tolist() == [[[1, 1], [1, 1]]] * 3
         assert cube.amount.tolist() == [[[7, 7], [7, 7]]] * 3
+
+    def test_cube_is_built_on_the_loaded_arrays(self, tmp_path):
+        occ_path, amo_path, empty_path = (tmp_path / n for n in ("occ.txt", "amo.txt", "e.txt"))
+        occ_path.write_text("2015-06-01 1 0 0 2\n2015-06-02 0 3 0 0\n")
+        amo_path.write_text("2015-06-01 5 0 0 9\n2015-06-02 0 4 0 0\n")
+        empty_path.write_text("")
+        occ = ingest.load_matrix_file(occ_path, dim=2)
+        amo = ingest.load_matrix_file(amo_path, dim=2)
+        cube = combine_matrices(occ, amo)
+        assert np.shares_memory(cube.occurrence, occ[1])
+        assert np.shares_memory(cube.amount, amo[1])
+        assert cube.amount.tolist() == [[[5, 0], [0, 9]], [[0, 4], [0, 0]]]
+        empty = ingest.load_matrix_file(empty_path, dim=2)
+        cube = combine_matrices(empty, empty)
+        assert cube.dates == [] and cube.occurrence.shape == cube.amount.shape == (0, 2, 2)
+        assert cube.occurrence.dtype == cube.amount.dtype == np.int64
 
     @pytest.mark.parametrize("occ,amo,message", [
         ((1, 2, 2, 3), (1, 2, 2, 3), "2015-06-02: occurrence file day not after 2015-06-02"),
@@ -374,15 +391,15 @@ class TestCombineMatrices:
     ], ids=["repeated", "reversed", "amount-repeated", "amount-reversed"])
     def test_days_strictly_increasing(self, occ, amo, message):
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            combine_matrices(entries(*occ), entries(*amo), 2)
+            combine_matrices(entries(*occ), entries(*amo))
 
     def test_missing_amount_day(self):
         with pytest.raises(AlignmentError, match="^amount file does not cover") as exc:
-            combine_matrices(entries(1, 2, 3), entries(1, 3), 2)
+            combine_matrices(entries(1, 2, 3), entries(1, 3))
         assert exc.value.missing_dates == [dt.date(2015, 6, 2)]
 
     @pytest.mark.parametrize("amo,day", [((1, 2, 3, 4), 1), ((2, 3, 4), 4)])
     def test_extra_amount_day(self, amo, day):
         message = f"2015-06-0{day}: day in the amount file but not in the occurrence file"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            combine_matrices(entries(2, 3), entries(*amo), 2)
+            combine_matrices(entries(2, 3), entries(*amo))

@@ -524,3 +524,18 @@ def test_import_does_not_load_scipy_signal(dataset, tmp_path):
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.splitlines()[0] == "[]" and out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "f.csv").read_bytes() == dataset["features"].read_bytes()
+
+
+def test_extract_runs_under_cprofile(dataset, tmp_path):
+    # the way to profile a stage: the same matrix files as the plain run
+    occ, amo = tmp_path / "occ.txt", tmp_path / "amo.txt"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "extract.prof"),
+         "-m", "chainvol.cli", "extract", str(dataset["data"] / "transactions.csv"),
+         "--out-occurrence", str(occ), "--out-amount", str(amo)],
+        capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert occ.read_bytes() == dataset["occ"].read_bytes()
+    assert amo.read_bytes() == dataset["amo"].read_bytes()
+    assert (tmp_path / "extract.prof").stat().st_size > 0

@@ -6,6 +6,7 @@ tally of the rows, stay exact in int64 and name the day of a cell past it.
 """
 
 import datetime as dt
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -182,3 +183,66 @@ def test_extract_memory_does_not_grow_with_rows(tmp_path, capsys):
         small = extract_peak_bytes(tmp_path, lines(r))
         large = extract_peak_bytes(tmp_path, lines(8 * r))
     assert abs(large - small) < 0.1 * small, (small, large)
+
+
+def test_add_after_cube_raises():
+    # cube() hands out views of the sums, which growing them in place would break
+    builder = DayCubeBuilder(N)
+    builder.add(max_money_rows(0, 1))
+    cube = builder.cube()
+    with pytest.raises(RuntimeError, match="after cube"):
+        builder.add(max_money_rows(5, 1))
+    assert cube.occurrence.shape == (1, N, N) and int(cube.occurrence.sum()) == 1
+
+
+@pytest.mark.parametrize("hook", [sys.setprofile, sys.settrace], ids=["setprofile", "settrace"])
+def test_extract_runs_under_profiler_and_tracer_hooks(tmp_path, capsys, hook):
+    # a profiler or tracer holds extra references to the arrays it sees, which
+    # fails numpy's reference check when the accumulators grow in place
+    tx = tmp_path / "tx.csv"
+    days = [3, 40, 0, 41]  # 20 rows a day, a few a block: the cube grows both ways
+    tx.write_text("".join(f"{START_S + d * DAY_S + k},{k % 4 + 1},{k % 3 + 1},{k * 1000}\n"
+                          for d in days for k in range(20)))
+
+    def extract(name):
+        argv = ["extract", str(tx), "--out-occurrence", str(tmp_path / f"{name}.occ"),
+                "--out-amount", str(tmp_path / f"{name}.amo")]
+        with small_blocks(200):
+            return cli.main(argv)
+
+    assert extract("plain") == 0
+    previous = sys.getprofile() if hook is sys.setprofile else sys.gettrace()
+    hook(lambda *args: None)
+    try:
+        code = extract("hooked")
+    finally:
+        hook(previous)
+    assert code == 0
+    for suffix in ("occ", "amo"):
+        plain = (tmp_path / f"plain.{suffix}").read_bytes()
+        assert plain and (tmp_path / f"hooked.{suffix}").read_bytes() == plain
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0] == out[1]
+
+
+def test_tx_blocks_holds_one_block_at_a_time(tmp_path):
+    # many equal blocks: reading and parsing each one after the first needs no
+    # more memory than the first did, so nothing of the block before is held
+    block = 1 << 15
+    line = f"{START_S},2,3,{'1' * 16}\n"
+    assert block % len(line) == 0  # 32 characters: every block ends a line
+    tx = tmp_path / "tx.csv"
+    tx.write_text(line * (12 * block // len(line)))
+    peaks = []
+    with small_blocks(block):
+        tracemalloc.start()
+        try:
+            for rows, _ in ingest.tx_blocks(tx, CAL):
+                assert len(rows) == block // len(line)
+                del rows  # the caller holds nothing either
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+    assert len(peaks) == 12
+    assert max(peaks[1:]) - peaks[0] < block, peaks

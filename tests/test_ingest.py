@@ -2,6 +2,7 @@ import datetime as dt
 import os
 import re
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,12 +192,10 @@ class TestMatrixFiles:
     def test_20x20_line(self, tmp_path):
         values = " ".join(["0"] * 399 + ["7"])
         p = write(tmp_path, "m.txt", f"2015-01-01 {values}\n")
-        entries = ingest.load_matrix_file(p, dim=20)
-        assert len(entries) == 1
-        day, m = entries[0]
-        assert day == dt.date(2015, 1, 1)
-        assert m.shape == (20, 20)
-        assert m[19, 19] == 7  # last value is the row-major corner
+        dates, m = ingest.load_matrix_file(p, dim=20)
+        assert dates == [dt.date(2015, 1, 1)]
+        assert m.shape == (1, 20, 20) and m.dtype == np.int64
+        assert m[0, 19, 19] == 7  # last value is the row-major corner
 
     def test_wrong_value_count(self, tmp_path):
         values = " ".join(["0"] * 399)
@@ -208,8 +207,8 @@ class TestMatrixFiles:
     def test_all_zero_line_valid(self, tmp_path):
         values = " ".join(["0"] * 400)
         p = write(tmp_path, "m.txt", f"2015-01-01 {values}\n")
-        entries = ingest.load_matrix_file(p, dim=20)
-        assert entries[0][1].sum() == 0
+        dates, m = ingest.load_matrix_file(p, dim=20)
+        assert len(dates) == 1 and m.sum() == 0
 
     def test_negative_value_rejected(self, tmp_path):
         values = " ".join(["-1"] + ["0"] * 399)
@@ -230,16 +229,21 @@ class TestMatrixFiles:
 
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(0)
-        entries = [
-            (dt.date(2015, 1, 1 + i), rng.integers(0, 100, size=(4, 4)))
-            for i in range(3)
-        ]
-        p1 = tmp_path / "a.txt"
-        ingest.write_matrix_file(p1, entries)
-        loaded = ingest.load_matrix_file(p1, dim=4)
-        p2 = tmp_path / "b.txt"
-        ingest.write_matrix_file(p2, loaded)
-        assert p1.read_bytes() == p2.read_bytes()
+        dates = [dt.date(2015, 1, 1 + i) for i in range(5)]
+        values = rng.integers(0, 10**12, size=(5, 4, 4))
+        values[2] = 0
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        with ingest.atomic_files(p1) as (fh,):
+            ingest.write_matrix_file(fh, dates, values)
+        # blocks of 40 and 500 characters hold one and two lines; the load joins them
+        for block in (40, 500, ingest.BLOCK_CHARS):
+            with mock.patch.object(ingest, "BLOCK_CHARS", block):
+                loaded_dates, loaded = ingest.load_matrix_file(p1, dim=4)
+            assert loaded_dates == dates and np.array_equal(loaded, values), block
+            assert loaded.dtype == np.int64 and loaded.flags.c_contiguous
+            with ingest.atomic_files(p2) as (fh,):
+                ingest.write_matrix_file(fh, loaded_dates, loaded)
+            assert p1.read_bytes() == p2.read_bytes(), block
 
 
 def run_events_reader(path):
