@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FitError, ValidationError
 from .garchx import (
@@ -25,6 +26,9 @@ from .garchx import (
 CHI2_CRIT_1DF_95 = 3.841
 CHI2_CRIT_2DF_95 = 5.991
 DM_MIN_OBS = 10  # fewest forecast errors a Diebold-Mariano test accepts
+# most forecast days filtered in one call: a chunk holds a few (days, window)
+# float arrays, about 1 MB each at 512 days of 250
+FORECAST_CHUNK = 512
 
 
 @dataclass
@@ -159,13 +163,46 @@ def backtest_report(n: int, x: int, alpha: float, breaches) -> VarBacktestReport
     )
 
 
-def var_from_forecast(mean_next: float, sigma_next: float,
-                      params: ArmaGarchXParams, spec: ModelSpec,
-                      level: float) -> float:
-    """Positive loss threshold: -(mean + sigma * q_level) of the innovation law."""
+def var_from_forecast(mean_next, sigma_next, params: ArmaGarchXParams, spec: ModelSpec,
+                      level: float):
+    """Positive loss threshold: -(mean + sigma * q_level) of the innovation law.
+
+    mean_next and sigma_next may be arrays of days under the same parameters;
+    the quantile is then computed once for all of them.
+    """
     if not 0 < level < 0.5:
         raise ValidationError(f"VaR tail level must be in (0, 0.5), got {level}")
     return -(mean_next + sigma_next * innovation_quantile(params, spec, level))
+
+
+def _forecast_days(y, x, params: ArmaGarchXParams, spec: ModelSpec, window: int,
+                   t0: int, t1: int, transform_x=None):
+    """One-step (mean, sigma) arrays for the forecast days t0 <= t < t1, each
+    from its trailing window under one parameter set.
+
+    All windows go through one filter_model call over sliding-window views;
+    each day's forecast is forecast_one on its row. transform_x, when given,
+    standardizes the regressors of the whole span at once.
+    """
+    yw = sliding_window_view(y[t0 - window: t1 - 1], window)
+    xw = x_next = None
+    if x is not None:
+        span = x[:, t0 - window: t1]
+        if transform_x is not None:
+            span = transform_x(span)
+        xw = sliding_window_view(span[:, :-1], window, axis=1).transpose(1, 0, 2)
+        # forecast_one's dot product sums in another order for strided
+        # input, so each day's x_next keeps the layout a single day had: a
+        # view of the raw x, or a fresh contiguous column after transform_x
+        x_next = span[:, window:].T
+        if transform_x is not None:
+            x_next = np.ascontiguousarray(x_next)
+    u, sigma2 = filter_model(yw, xw, params, spec)
+    means, sigmas = np.empty(t1 - t0), np.empty(t1 - t0)
+    for i in range(t1 - t0):
+        means[i], sigmas[i] = forecast_one(params, spec, yw[i], u[i], sigma2[i],
+                                           x_next[i] if x is not None else None)
+    return means, sigmas
 
 
 def rolling_backtest(
@@ -186,6 +223,10 @@ def rolling_backtest(
     previous parameter set. With ``fixed_params`` no fitting happens at all
     (true-model evaluation) and the regressors enter unscaled.
     Regressors are contemporaneous: the forecast for day t uses x[:, t].
+
+    The days between two refit attempts, or all days under ``fixed_params``,
+    form a block with one parameter set. Its windows are filtered together,
+    FORECAST_CHUNK days per call, and its VaR quantile is computed once.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
@@ -194,41 +235,39 @@ def rolling_backtest(
     fit_config = fit_config or FitConfig()
     x = np.atleast_2d(np.asarray(x, dtype=float)) if spec.k > 0 else None
 
-    var_values = []
-    sigmas = []
+    n = T - window
+    var_values = np.empty(n)
+    means = np.empty(n)
+    sigmas = np.empty(n)
     refit_failures = []
     current: FitResult | None = None
-
-    for step, t in enumerate(range(window, T)):
-        lo = t - window
-        # x_next keeps its column axis so transform_x applies to it unchanged
-        x_hist, x_next = (x[:, lo:t], x[:, t:t + 1]) if x is not None else (None, None)
+    block = n if fixed_params is not None else refit_every
+    for start in range(0, n, block):
+        t = window + start
+        transform_x = None
         if fixed_params is not None:
             params = fixed_params
         else:
-            if current is None or step % refit_every == 0:
-                try:
-                    current = fit(y[lo:t], x_hist, spec, fit_config)
-                except FitError:
-                    if current is None:
-                        raise
-                    refit_failures.append(t)
-            params = current.params
-            if x is not None:
-                x_hist, x_next = current.transform_x(x_hist), current.transform_x(x_next)
-        u, sigma2 = filter_model(y[lo:t], x_hist, params, spec)
-        mean_next, sigma_next = forecast_one(
-            params, spec, y[lo:t], u, sigma2, x_next[:, 0] if x is not None else None
-        )
-        var_values.append(var_from_forecast(mean_next, sigma_next, params, spec, level))
-        sigmas.append(sigma_next)
+            try:
+                current = fit(y[t - window:t], x[:, t - window:t] if x is not None else None,
+                              spec, fit_config)
+            except FitError:
+                if current is None:
+                    raise
+                refit_failures.append(t)
+            params, transform_x = current.params, current.transform_x
+        stop = min(start + block, n)
+        for lo in range(start, stop, FORECAST_CHUNK):
+            hi = min(lo + FORECAST_CHUNK, stop)
+            means[lo:hi], sigmas[lo:hi] = _forecast_days(
+                y, x, params, spec, window, window + lo, window + hi, transform_x)
+        var_values[start:stop] = var_from_forecast(
+            means[start:stop], sigmas[start:stop], params, spec, level)
 
-    var_values = np.array(var_values)
     realized = y[window:].copy()
     breach = realized < -var_values
     return VarSeries(
-        np.arange(window, T), var_values, realized, breach, level,
-        np.array(sigmas), refit_failures,
+        np.arange(window, T), var_values, realized, breach, level, sigmas, refit_failures,
     )
 
 

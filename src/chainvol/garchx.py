@@ -12,7 +12,7 @@ contemporaneous with sigma_t, so one-step forecasts need x_{t+1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +29,10 @@ MAX_ITER = 500
 GTOL = 1e-6
 FTOL = 1e-10
 MIN_OBS = 50
+# most rows x days in one batched likelihood call. Past this the block's
+# arrays outgrow the CPU caches: on a 2-core x86-64 VM a batch of 4 rows
+# beat 4 one-row calls at 4000 days and lost to them at 10000.
+BATCH_CELLS = 2**14
 
 DISTRIBUTIONS = ("normal", "t", "skewt")
 
@@ -108,6 +112,84 @@ class ArmaGarchXParams:
 
 
 @dataclass
+class ParamRows:
+    """m parameter sets as a struct of arrays, one row per set.
+
+    The fields are those of ArmaGarchXParams: phi, theta and beta_x are
+    (m, length) arrays, the others (m,) arrays.
+    """
+
+    mu: np.ndarray
+    phi: np.ndarray
+    theta: np.ndarray
+    alpha0: np.ndarray
+    alpha1: np.ndarray
+    beta: np.ndarray
+    beta_x: np.ndarray
+    nu: np.ndarray
+    xi: np.ndarray
+
+    @classmethod
+    def of(cls, params: ArmaGarchXParams) -> "ParamRows":
+        """The one-row struct of a single parameter set."""
+        def scalar(v):
+            return np.array([v], dtype=float)
+        return cls(
+            mu=scalar(params.mu), phi=params.phi[None, :], theta=params.theta[None, :],
+            alpha0=scalar(params.alpha0), alpha1=scalar(params.alpha1),
+            beta=scalar(params.beta), beta_x=params.beta_x[None, :],
+            nu=scalar(params.nu), xi=scalar(params.xi),
+        )
+
+    def __len__(self) -> int:
+        return self.mu.size
+
+    def take(self, rows) -> "ParamRows":
+        return ParamRows(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def row(self, i: int) -> ArmaGarchXParams:
+        return ArmaGarchXParams(
+            mu=float(self.mu[i]), phi=self.phi[i].copy(), theta=self.theta[i].copy(),
+            alpha0=float(self.alpha0[i]), alpha1=float(self.alpha1[i]),
+            beta=float(self.beta[i]), beta_x=self.beta_x[i].copy(),
+            nu=float(self.nu[i]), xi=float(self.xi[i]),
+        )
+
+    def is_valid(self) -> np.ndarray:
+        """ArmaGarchXParams.is_valid of every row, as a boolean (m,) array."""
+        ok = ((self.alpha0 > 0) & (self.alpha1 >= 0) & (self.beta >= 0)
+              & (self.alpha1 + self.beta < 1) & (self.nu > 2) & (self.xi > 0)
+              & np.isfinite(self.mu))
+        for coefficients in (self.phi, self.theta, self.beta_x):
+            ok &= np.isfinite(coefficients).all(axis=1)
+        return ok
+
+
+def _groups(keys) -> list:
+    """Groups of rows of the 2-D array keys with the same bits, as (first
+    row, index) pairs: the index is a slice over all rows when every row is
+    the same, else an array of row numbers in increasing order."""
+    if len(keys) > 1:
+        bits = np.ascontiguousarray(keys, dtype=float).view(np.int64)
+        if not (bits == bits[:1]).all():
+            groups: dict = {}
+            for i, key in enumerate(map(tuple, bits.tolist())):
+                groups.setdefault(key, []).append(i)
+            return [(rows[0], np.array(rows)) for rows in groups.values()]
+    return [(0, slice(None))]
+
+
+def _distinct(keys):
+    """(first, inverse): the first row of each group of equal rows of keys,
+    and for every row the position of its group in first."""
+    groups = _groups(keys)
+    inverse = np.empty(len(keys), dtype=int)
+    for j, (_, rows) in enumerate(groups):
+        inverse[rows] = j
+    return np.array([first for first, _ in groups]), inverse
+
+
+@dataclass
 class FitConfig:
     restarts: int = 5
     seed: int = 0
@@ -130,22 +212,49 @@ class FitResult:
 
 
 def _xvar(x, beta_x, T: int) -> np.ndarray:
-    """Exogenous variance contribution beta_x' x_t as a length-T vector."""
+    """Exogenous variance contribution beta_x' x_t as a length-T vector, or
+    as an (m, T) block when x stacks m regressor matrices."""
     if beta_x.size == 0:
         return np.zeros(T)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != T:
-        raise ValidationError(f"regressor matrix has {x.shape[1]} columns, need {T}")
-    if x.shape[0] != beta_x.size:
-        raise ValidationError(f"{x.shape[0]} regressor rows vs {beta_x.size} coefficients")
+    if x.shape[-1] != T:
+        raise ValidationError(f"regressor matrix has {x.shape[-1]} columns, need {T}")
+    if x.shape[-2] != beta_x.size:
+        raise ValidationError(f"{x.shape[-2]} regressor rows vs {beta_x.size} coefficients")
     return beta_x @ x
 
 
-def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec):
+def _lfilter_rows(lags, x, zi=None):
+    """lfilter([1], [1, *lags[r]], x[r]) on every row r of x, starting from
+    state zi[r]: one 2-D lfilter call per distinct denominator."""
+    # imported here: scipy.signal loads scipy.stats, and only the backtest
+    # stage filters
+    from scipy.signal import lfilter
+
+    if lags.shape[1] == 0:
+        # a denominator of [1] leaves x as it is; lfilter would get there
+        # through np.convolve on each row
+        return x
+    groups = _groups(lags)
+    out = np.empty_like(x) if len(groups) > 1 else None
+    for first, rows in groups:
+        a = np.concatenate(([1.0], lags[first]))
+        if zi is None:
+            filtered = lfilter([1.0], a, x[rows])
+        else:
+            filtered = lfilter([1.0], a, x[rows], zi=zi[rows])[0]
+        if out is None:
+            return filtered
+        out[rows] = filtered
+    return out
+
+
+def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     """Return (residuals u, conditional variances sigma2) for an observed path.
 
-    Initialization: pre-sample y and u are zero, pre-sample variance is the
-    sample variance of y.
+    Initialization: pre-sample y and u are zero, pre-sample variance is
+    sigma2_init (a float, or one per window), by default the sample
+    variance of each series.
 
     With the parameters fixed, both recursions are linear filters. The MA
     inversion is u = e / (1 + theta(L)) of the AR residuals
@@ -154,48 +263,114 @@ def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec):
     Only the SIGMA2_MIN floor is nonlinear; it binds when beta_x' x_t is
     negative enough, and the recursion then runs as a loop from the first
     floored day on.
-    """
-    # imported here: scipy.signal would add ~0.15 s to every CLI start
-    from scipy.signal import lfilter
 
+    The filter runs over blocks of rows. params is one ArmaGarchXParams or a
+    ParamRows of m sets; y is one series (T,) or m windows (m, T), and x is
+    (k, T), or (m, k, T) with one regressor window per row of y. A block
+    gives (m, T) arrays whose rows are bit for bit what each row gives alone.
+    Rows that share y and the mean parameters share u, and rows that also
+    share the variance parameters share sigma2; each recursion is one lfilter
+    call per distinct set of coefficients. A state that is not finite is a
+    ValidationError for one parameter set; rows of a ParamRows keep it, for
+    the caller to check.
+    """
+    rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
     y = np.asarray(y, dtype=float)
-    T = y.size
+    ys = np.atleast_2d(y)
+    T = ys.shape[1]
     if T < max(spec.p, spec.q) + 2:
         raise ValidationError(f"series of length {T} too short for ARMA({spec.p},{spec.q})")
-    e = y - params.mu
-    for i, phi_i in enumerate(params.phi[: spec.p]):
-        e[i + 1:] -= phi_i * y[: T - 1 - i]
-    u = lfilter([1.0], np.concatenate(([1.0], params.theta[: spec.q])), e)
+    m = max(len(rows), ys.shape[0])
+    if {len(rows), ys.shape[0]} - {1, m}:
+        raise ValidationError(f"{len(rows)} parameter rows vs {ys.shape[0]} series")
+    if len(rows) < m:
+        rows = rows.take(np.zeros(m, dtype=int))
+    phi, theta, beta_x = rows.phi[:, :spec.p], rows.theta[:, :spec.q], rows.beta_x[:, :spec.k]
+    # maps from rows to distinct rows; None where a map is the identity
+    mean_of = var_of = mean_of_var = None
+    mean_rows = var_rows = slice(None)
+    if ys.shape[0] == 1 and m > 1:
+        mean_rows, mean_of = _distinct(np.column_stack((rows.mu, phi, theta)))
+        var_rows, var_of = _distinct(np.column_stack(
+            (mean_of, rows.alpha0, rows.alpha1, rows.beta, beta_x)))
+        # groups are numbered in order of their first row, so as many groups
+        # as rows make a map the identity
+        if len(var_rows) > len(mean_rows):
+            mean_of_var = mean_of[var_rows]
+        if len(mean_rows) == m:
+            mean_of = None
+        if len(var_rows) == m:
+            var_of = None
 
-    c = params.alpha0 + _xvar(x, params.beta_x[: spec.k], T)
-    c[1:] += params.alpha1 * (u[:-1] * u[:-1])
-    sigma2_init = float(np.var(y))
-    sigma2, _ = lfilter([1.0], [1.0, -params.beta], c, zi=[params.beta * sigma2_init])
-    floored = np.flatnonzero(sigma2 < SIGMA2_MIN)
-    if floored.size:
-        t0 = int(floored[0])
-        s2 = float(sigma2[t0 - 1]) if t0 else sigma2_init
-        beta = params.beta
+    # a shared series broadcasts over the mean rows
+    e = ys - rows.mu[mean_rows, None]
+    for i in range(phi.shape[1]):
+        e[:, i + 1:] -= phi[mean_rows, i, None] * ys[:, : T - 1 - i]
+    u = _lfilter_rows(theta[mean_rows], e)
+
+    u_var = u if mean_of_var is None else u[mean_of_var]
+    bx = beta_x[var_rows]
+    xvar = np.zeros(u_var.shape)
+    if bx.shape[1]:
+        x = np.asarray(x, dtype=float)
+        for first, group in _groups(bx):
+            x_rows = x if x.ndim < 3 or isinstance(group, slice) else x[group]
+            xvar[group] = _xvar(x_rows, bx[first], T)
+    c = rows.alpha0[var_rows, None] + xvar
+    c[:, 1:] += rows.alpha1[var_rows, None] * (u_var[:, :-1] * u_var[:, :-1])
+    s2_init = ys.var(axis=1) if sigma2_init is None else np.asarray(sigma2_init, dtype=float)
+    beta = rows.beta[var_rows]
+    sigma2 = _lfilter_rows(-beta[:, None], c, zi=(beta * s2_init)[:, None])
+    for r in np.flatnonzero((sigma2 < SIGMA2_MIN).any(axis=1)):
+        t0 = int(np.argmax(sigma2[r] < SIGMA2_MIN))
+        s2 = float(sigma2[r, t0 - 1]) if t0 else float(np.broadcast_to(s2_init, beta.shape)[r])
+        b = float(beta[r])
         tail = []
-        for c_t in c[t0:].tolist():
-            s2 = c_t + beta * s2
+        for c_t in c[r, t0:].tolist():
+            s2 = c_t + b * s2
             if s2 < SIGMA2_MIN:
                 s2 = SIGMA2_MIN
             tail.append(s2)
-        sigma2[t0:] = tail
+        sigma2[r, t0:] = tail
 
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(sigma2))):
-        bad = int(np.argmax(~(np.isfinite(u) & np.isfinite(sigma2))))
-        raise ValidationError(f"non-finite filter state at t={bad}")
-    return u, sigma2
+    if mean_of is not None:
+        u = u[mean_of]
+    if var_of is not None:
+        sigma2 = sigma2[var_of]
+    if isinstance(params, ParamRows):
+        return u, sigma2
+    finite = np.isfinite(u) & np.isfinite(sigma2)
+    if not finite.all():
+        raise ValidationError(f"non-finite filter state at t={int(np.argwhere(~finite)[0, 1])}")
+    return (u[0], sigma2[0]) if y.ndim == 1 else (u, sigma2)
 
 
-def innovation_logpdf(z, params: ArmaGarchXParams, spec: ModelSpec):
+def innovation_logpdf(z, params, spec: ModelSpec):
+    """Log-density of the standardized innovations z.
+
+    With a ParamRows, row r of z takes row r's nu and xi; the density runs
+    once per distinct (nu, xi) with scalar parameters, the form whose bits
+    the one-set call gives.
+    """
+    if not isinstance(params, ParamRows):
+        return _logpdf(z, params.nu, params.xi, spec.distribution)
     if spec.distribution == "normal":
         return normal_logpdf(z)
-    if spec.distribution == "t":
-        return student_t_logpdf(z, params.nu)
-    return skewt_logpdf(z, params.nu, params.xi)
+    if len(params) == 1:
+        return _logpdf(z, float(params.nu[0]), float(params.xi[0]), spec.distribution)
+    out = np.empty_like(z)
+    for first, rows in _groups(np.column_stack((params.nu, params.xi))):
+        out[rows] = _logpdf(z[rows], float(params.nu[first]), float(params.xi[first]),
+                            spec.distribution)
+    return out
+
+
+def _logpdf(z, nu: float, xi: float, distribution: str):
+    if distribution == "normal":
+        return normal_logpdf(z)
+    if distribution == "t":
+        return student_t_logpdf(z, nu)
+    return skewt_logpdf(z, nu, xi)
 
 
 def innovation_quantile(params: ArmaGarchXParams, spec: ModelSpec, p):
@@ -207,31 +382,45 @@ def innovation_quantile(params: ArmaGarchXParams, spec: ModelSpec, p):
     return skewt_quantile(p, params.nu, xi)
 
 
-def neg_log_likelihood(y, x, params: ArmaGarchXParams, spec: ModelSpec) -> float:
+def neg_log_likelihood(y, x, params, spec: ModelSpec, sigma2_init=None):
     """-sum_t [ log f(u_t/sigma_t) - log sigma_t ]; large finite penalty for
-    invalid parameters so optimizers never see an exception."""
-    if not params.is_valid():
-        return PENALTY_NLL
-    try:
-        u, sigma2 = filter_model(y, x, params, spec)
-    except ValidationError:
-        return PENALTY_NLL
-    z = u / np.sqrt(sigma2)
-    ll = innovation_logpdf(z, params, spec) - 0.5 * np.log(sigma2)
-    total = float(np.sum(ll))
-    if not np.isfinite(total):
-        return PENALTY_NLL
-    return -total
+    invalid parameters so optimizers never see an exception.
+
+    params is one ArmaGarchXParams, giving a float, or a ParamRows, giving
+    one value per row from one filter_model call over all valid rows. The
+    penalty rules hold row by row: invalid parameters, a filter state that
+    is not finite and a total that is not finite each give PENALTY_NLL.
+    y is one series; sigma2_init is as for filter_model.
+    """
+    if isinstance(params, ParamRows):
+        rows, valid = params, params.is_valid()
+    else:
+        rows, valid = ParamRows.of(params), np.array([params.is_valid()])
+    nll = np.full(len(rows), PENALTY_NLL)
+    ok = np.flatnonzero(valid)
+    if ok.size:
+        if ok.size < len(rows):
+            rows = rows.take(ok)
+        try:
+            u, sigma2 = filter_model(y, x, rows, spec, sigma2_init)
+        except ValidationError:
+            ok = ok[:0]
+        else:
+            finite = np.isfinite(u).all(axis=1) & np.isfinite(sigma2).all(axis=1)
+            if not finite.all():
+                ok, u, sigma2, rows = ok[finite], u[finite], sigma2[finite], rows.take(finite)
+    if ok.size:
+        z = u / np.sqrt(sigma2)
+        ll = innovation_logpdf(z, rows, spec) - 0.5 * np.log(sigma2)
+        total = ll.sum(axis=1)
+        attained = np.isfinite(total)
+        nll[ok[attained]] = -total[attained]
+    return nll if isinstance(params, ParamRows) else float(nll[0])
 
 
 # --- unconstrained reparameterization -------------------------------------
 # layout: mu, phi(p), theta(q), log(alpha0), logit(persistence), logit(split),
 #         beta_x(k), [log(nu-2)], [log(xi)]
-
-def _sigmoid(v):
-    from scipy import special
-    return float(special.expit(v))
-
 
 def _logit(s):
     s = min(max(s, 1e-12), 1 - 1e-12)
@@ -253,27 +442,31 @@ def pack_params(params: ArmaGarchXParams, spec: ModelSpec) -> np.ndarray:
     return np.array(v, dtype=float)
 
 
-def unpack_params(v: np.ndarray, spec: ModelSpec) -> ArmaGarchXParams:
-    v = np.asarray(v, dtype=float)
-    idx = 0
-    mu = v[idx]; idx += 1
-    phi = v[idx: idx + spec.p]; idx += spec.p
-    theta = v[idx: idx + spec.q]; idx += spec.q
-    alpha0 = np.exp(v[idx]); idx += 1
-    persistence = _sigmoid(v[idx]); idx += 1
-    split = _sigmoid(v[idx]); idx += 1
-    beta_x = v[idx: idx + spec.k]; idx += spec.k
-    nu, xi = 8.0, 1.0
+def unpack_rows(v, spec: ModelSpec) -> ParamRows:
+    """unpack_params of every row of v, a stack of packed vectors."""
+    from scipy import special
+
+    # one contiguous array per coordinate: numpy's exp may take another code
+    # path on strided input, and each row must give the bits it gives alone
+    cols = np.ascontiguousarray(np.atleast_2d(np.asarray(v, dtype=float)).T)
+    m = cols.shape[1]
+    i = 1 + spec.p + spec.q
+    persistence, split = special.expit(cols[i + 1]), special.expit(cols[i + 2])
+    nu, xi = np.full(m, 8.0), np.full(m, 1.0)
     if spec.distribution in ("t", "skewt"):
-        nu = 2.0 + np.exp(v[idx]); idx += 1
+        nu = 2.0 + np.exp(cols[i + 3 + spec.k])
     if spec.distribution == "skewt":
-        xi = np.exp(v[idx]); idx += 1
-    return ArmaGarchXParams(
-        mu=float(mu), phi=phi.copy(), theta=theta.copy(),
-        alpha0=float(alpha0), alpha1=float(persistence * split),
-        beta=float(persistence * (1.0 - split)),
-        beta_x=beta_x.copy(), nu=float(nu), xi=float(xi),
+        xi = np.exp(cols[i + 4 + spec.k])
+    return ParamRows(
+        mu=cols[0], phi=cols[1: 1 + spec.p].T, theta=cols[1 + spec.p: i].T,
+        alpha0=np.exp(cols[i]), alpha1=persistence * split,
+        beta=persistence * (1.0 - split), beta_x=cols[i + 3: i + 3 + spec.k].T,
+        nu=nu, xi=xi,
     )
+
+
+def unpack_params(v: np.ndarray, spec: ModelSpec) -> ArmaGarchXParams:
+    return unpack_rows(v, spec).row(0)
 
 
 def default_start(y, spec: ModelSpec) -> ArmaGarchXParams:
@@ -314,13 +507,30 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
     rng = np.random.default_rng(config.seed)
     start = default_start(y, spec)
     v0 = pack_params(start, spec)
-    start_nll = neg_log_likelihood(y, x_fit, start, spec)
+    # the filter's pre-sample variance; y is fixed for the whole fit
+    sigma2_init = float(np.var(y))
+    rows_per_call = max(1, BATCH_CELLS // y.size)
+    start_nll = neg_log_likelihood(y, x_fit, start, spec, sigma2_init)
 
     def objective(v):
         # the optimizer probes far into overflow territory; those points get
         # the penalty value, so their numpy warnings carry no information
         with np.errstate(all="ignore"):
-            return neg_log_likelihood(y, x_fit, unpack_params(v, spec), spec)
+            return neg_log_likelihood(y, x_fit, unpack_params(v, spec), spec, sigma2_init)
+
+    def evaluate_points(fun, points):
+        """map(objective, points) in batched likelihood calls: L-BFGS-B hands
+        the points of each finite-difference gradient to this map-like
+        callable (fun is its wrapper of objective)."""
+        points = np.array(list(points))
+        values = []
+        with np.errstate(all="ignore"):
+            for lo in range(0, len(points), rows_per_call):
+                batch = points[lo: lo + rows_per_call]
+                nll = neg_log_likelihood(y, x_fit, unpack_rows(batch, spec), spec, sigma2_init)
+                # one value per row; broadcast_to also spreads a single value
+                values += np.broadcast_to(nll, len(batch)).tolist()
+        return values
 
     best_v, best_nll, best_res = v0, start_nll, None
     n_iter = 0
@@ -330,7 +540,8 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
         try:
             res = optimize.minimize(
                 objective, v_start, method="L-BFGS-B",
-                options={"maxiter": MAX_ITER, "gtol": GTOL, "ftol": FTOL},
+                options={"maxiter": MAX_ITER, "gtol": GTOL, "ftol": FTOL,
+                         "workers": evaluate_points},
             )
         except (ValueError, FloatingPointError):
             continue

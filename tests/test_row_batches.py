@@ -1,0 +1,268 @@
+"""The row-batched GARCHX likelihood and the fit that uses it.
+
+neg_log_likelihood and filter_model take a ParamRows of m parameter sets;
+each row must give, bit for bit, what that row gives as one parameter set.
+fit hands the points of every finite-difference gradient to L-BFGS-B's
+``workers`` option as one batched call, so its end points are those of one
+call per point.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainvol import cli
+from chainvol import garchx as g
+from chainvol.garchx import ArmaGarchXParams, FitConfig, ModelSpec, ParamRows
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def stack_rows(sets) -> ParamRows:
+    return ParamRows(
+        mu=np.array([s.mu for s in sets]), phi=np.array([s.phi for s in sets]),
+        theta=np.array([s.theta for s in sets]), alpha0=np.array([s.alpha0 for s in sets]),
+        alpha1=np.array([s.alpha1 for s in sets]), beta=np.array([s.beta for s in sets]),
+        beta_x=np.array([s.beta_x for s in sets]), nu=np.array([s.nu for s in sets]),
+        xi=np.array([s.xi for s in sets]),
+    )
+
+
+ROW_KINDS = ("plain", "duplicate", "step", "invalid", "floor", "overflow")
+
+
+@st.composite
+def batch_cases(draw):
+    distribution = draw(st.sampled_from(g.DISTRIBUTIONS))
+    p, q, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    T = draw(st.integers(max(p, q) + 2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.standard_t(5, size=T) * 0.02
+    x = rng.normal(size=(k, T))
+
+    def plain():
+        return ArmaGarchXParams(
+            mu=rng.normal() * 1e-3, phi=rng.uniform(-0.5, 0.5, size=p),
+            theta=rng.uniform(-0.3, 0.3, size=q), alpha0=10 ** rng.uniform(-6, -3),
+            alpha1=rng.uniform(0, 0.3), beta=rng.uniform(0, 0.65),
+            beta_x=rng.normal(size=k) * 1e-5, nu=rng.uniform(2.5, 30), xi=rng.uniform(0.5, 2),
+        )
+
+    sets = []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8)):
+        s = plain() if kind == "plain" or not sets else ArmaGarchXParams(**sets[-1].to_dict())
+        if kind == "step":
+            # a finite-difference neighbour: one field moved by a few ulps
+            field = rng.choice(["mu", "alpha0", "alpha1", "beta", "nu", "xi", "phi", "theta",
+                                "beta_x"])
+            value = getattr(s, field)
+            if np.ndim(value) and value.size:
+                value[rng.integers(value.size)] *= 1 + 1e-8
+            elif not np.ndim(value):
+                setattr(s, field, value * (1 + 1e-8))
+        elif kind == "invalid":
+            field, bad = [("alpha0", -1e-6), ("beta", 0.99), ("nu", 2.0), ("xi", 0.0),
+                          ("mu", np.nan)][rng.integers(5)]
+            setattr(s, field, bad)
+        elif kind == "floor" and k:
+            # beta_x' x_t far below -alpha0 on some days pushes sigma2 to the floor
+            s.beta_x = rng.choice([-1.0, 1.0], size=k) * 10 ** rng.uniform(-3, 0)
+        elif kind == "overflow":
+            s.alpha0 = 1e308
+            s.beta = 0.6
+        sets.append(s)
+    sigma2_init = draw(st.sampled_from([None, float(np.var(y))]))
+    return y, x if k else None, sets, ModelSpec(p, q, k, distribution), sigma2_init
+
+
+class TestBatchedLikelihood:
+    @given(batch_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_one_set_calls(self, case):
+        y, x, sets, spec, sigma2_init = case
+        with np.errstate(all="ignore"):
+            batched = g.neg_log_likelihood(y, x, stack_rows(sets), spec, sigma2_init)
+            one_by_one = [g.neg_log_likelihood(y, x, s, spec, sigma2_init) for s in sets]
+        assert batched.shape == (len(sets),)
+        np.testing.assert_array_equal(bits(batched), bits(one_by_one))
+
+    @given(batch_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_filter_rows_equal_one_set_filters(self, case):
+        y, x, sets, spec, sigma2_init = case
+        with np.errstate(all="ignore"):
+            u, sigma2 = g.filter_model(y, x, stack_rows(sets), spec, sigma2_init)
+            for i, s in enumerate(sets):
+                try:
+                    u_i, sigma2_i = g.filter_model(y, x, s, spec, sigma2_init)
+                except g.ValidationError:
+                    # one set raises where its state is not finite
+                    assert not (np.isfinite(u[i]).all() and np.isfinite(sigma2[i]).all())
+                    continue
+                np.testing.assert_array_equal(bits(u[i]), bits(u_i))
+                np.testing.assert_array_equal(bits(sigma2[i]), bits(sigma2_i))
+
+    def test_floor_rows_are_covered(self):
+        # the floor case of the property above does bind
+        rng = np.random.default_rng(0)
+        y, x = rng.normal(size=100) * 0.02, rng.normal(size=(1, 100))
+        params = ArmaGarchXParams(alpha0=1e-5, alpha1=0.1, beta=0.6, beta_x=[-0.1])
+        _, sigma2 = g.filter_model(y, x, stack_rows([params] * 2), ModelSpec(0, 0, 1, "normal"))
+        assert (sigma2 == g.SIGMA2_MIN).any(axis=1).all()
+
+    def test_penalty_rules_row_by_row(self):
+        y = np.random.default_rng(1).normal(size=80) * 0.02
+        good = ArmaGarchXParams(alpha0=1e-5, alpha1=0.1, beta=0.8)
+        invalid = ArmaGarchXParams(alpha0=1e-5, alpha1=0.5, beta=0.6)
+        overflow = ArmaGarchXParams(alpha0=1e308, alpha1=0.1, beta=0.8)
+        with np.errstate(all="ignore"):
+            nll = g.neg_log_likelihood(y, None, stack_rows([good, invalid, overflow, good]),
+                                       ModelSpec(0, 0, 0, "normal"))
+        assert nll[1] == nll[2] == g.PENALTY_NLL
+        assert nll[0] == nll[3] < g.PENALTY_NLL
+
+    def test_short_series_penalizes_every_row(self):
+        rows = stack_rows([ArmaGarchXParams(phi=[0.1, 0.1])] * 3)
+        nll = g.neg_log_likelihood(np.zeros(3), None, rows, ModelSpec(2, 0, 0, "normal"))
+        assert (nll == g.PENALTY_NLL).all()
+
+    def test_rows_must_match_windows(self):
+        rows = stack_rows([ArmaGarchXParams()] * 2)
+        with pytest.raises(g.ValidationError, match="2 parameter rows vs 3 series"):
+            g.filter_model(np.zeros((3, 60)), None, rows, ModelSpec(0, 0, 0, "normal"))
+
+    def test_unpack_rows_equals_unpack_params(self):
+        rng = np.random.default_rng(2)
+        spec = ModelSpec(2, 1, 3, "skewt")
+        v = rng.normal(size=(50, 12)) * 3
+        rows = g.unpack_rows(v, spec)
+        for i in range(len(v)):
+            assert rows.row(i).to_dict() == g.unpack_params(v[i], spec).to_dict()
+
+
+class TestFitWorkers:
+    def _fit_capturing_minimize(self, monkeypatch, spec, y, x):
+        calls = []
+        real_minimize = scipy.optimize.minimize
+
+        def capture(fun, x0, **kwargs):
+            calls.append((fun, kwargs["options"]["workers"]))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", capture)
+        result = g.fit(y, x, spec, FitConfig(restarts=1, seed=0))
+        return result, calls
+
+    @pytest.mark.parametrize("spec", [ModelSpec(2, 2, 2, "skewt"), ModelSpec(1, 0, 0, "t"),
+                                      ModelSpec(0, 0, 0, "normal")])
+    def test_workers_equal_map_of_objective(self, monkeypatch, spec):
+        rng = np.random.default_rng(3)
+        y, _, _ = g.simulate(ArmaGarchXParams(alpha0=1e-4, alpha1=0.1, beta=0.8, nu=6.0),
+                             ModelSpec(0, 0, 0, spec.distribution), None, 250, seed=3)
+        x = rng.normal(size=(spec.k, 250)) if spec.k else None
+        result, calls = self._fit_capturing_minimize(monkeypatch, spec, y, x)
+        objective, workers = calls[0]
+        v = g.pack_params(result.params, spec)
+        # finite-difference neighbours, far points in the penalty region and
+        # duplicates, as L-BFGS-B might probe them
+        points = [v + 1e-8 * np.eye(v.size)[i] for i in range(v.size)]
+        points += [v + rng.normal(scale=s, size=v.size) for s in (0.1, 5.0, 50.0)] + [v, v]
+        with np.errstate(all="ignore"):
+            want = list(map(objective, points))
+        got = workers(objective, iter(points))
+        assert isinstance(got, list)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_long_series_split_into_batches(self, monkeypatch):
+        # BATCH_CELLS bounds the rows x days of one call; the split changes
+        # nothing of the values
+        monkeypatch.setattr(g, "BATCH_CELLS", 500)
+        spec = ModelSpec(1, 1, 0, "t")
+        y, _, _ = g.simulate(ArmaGarchXParams(alpha0=1e-4, alpha1=0.1, beta=0.8, nu=6.0),
+                             spec, None, 200, seed=4)
+        _, calls = self._fit_capturing_minimize(monkeypatch, spec, y, None)
+        objective, workers = calls[0]
+        v = g.pack_params(g.default_start(y, spec), spec)
+        points = [v + 1e-6 * np.eye(v.size)[i] for i in range(v.size)]
+        np.testing.assert_array_equal(bits(workers(objective, iter(points))),
+                                      bits(list(map(objective, points))))
+
+    def test_fit_raises_no_warning(self):
+        # a scipy without L-BFGS-B's workers option warns "Unknown solver
+        # options: workers" and evaluates the points one by one
+        spec = ModelSpec(2, 2, 2, "skewt")
+        x = np.random.default_rng(5).normal(size=(2, 250))
+        y, _, _ = g.simulate(ArmaGarchXParams(nu=5.0, xi=1.2), ModelSpec(0, 0, 0, "skewt"),
+                             None, 250, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = g.fit(y, x, spec, FitConfig(restarts=2, seed=0))
+        assert np.isfinite(result.loglik)
+
+
+# First refits of `backtest --window 250 --arma-p 2 --arma-q 2 --distribution
+# skewt --restarts 1` on the README dataset, as one call per likelihood point
+# gave them (numpy 2.4, scipy 1.17, x86-64). L-BFGS-B on finite differences
+# moves its end point on a last-bit change of any likelihood value, so these
+# pin the batched evaluation to the one-point one.
+FIRST_REFITS = {
+    "garch": {
+        "params": {
+            "mu": -0.0008294085499791843,
+            "phi": [-0.19885724653833126, 0.06363185579920544],
+            "theta": [0.2896538064588031, -0.06727560168855952],
+            "alpha0": 2.517033056106977e-05, "alpha1": 0.020116731610095914,
+            "beta": 0.9661149621963915, "beta_x": [],
+            "nu": 7.339433681605292, "xi": 1.2094449857115275,
+        },
+        "loglik": 453.8694794064278, "iterations": 185,
+    },
+    "garchx": {
+        "params": {
+            "mu": 0.004726999120448126,
+            "phi": [0.05671498972670479, -0.011396497202332233],
+            "theta": [0.05657520248825049, -0.03300322572034345],
+            "alpha0": 0.00012965397306268888, "alpha1": 0.05155131095478605,
+            "beta": 0.8890825094640156,
+            "beta_x": [-7.403840132596934e-05, -3.224206778896606e-07, 4.314378949189018e-05,
+                       -0.0004512842712817756, -0.00011039696742042771, 0.000487194175854739],
+            "nu": 7.740735419606629, "xi": 1.3378377907849626,
+        },
+        "loglik": 456.79125967645984, "iterations": 127,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def readme_returns(tmp_path_factory):
+    root = tmp_path_factory.mktemp("readme")
+    data = root / "data"
+    assert cli.main(["synth", "--out", str(data), "--days", "330", "--txs-per-day", "80",
+                     "--extreme-prob", "0.2", "--seed", "7"]) == 0
+    assert cli.main(["extract", str(data / "transactions.csv"),
+                     "--out-occurrence", str(root / "occ.txt"),
+                     "--out-amount", str(root / "amo.txt")]) == 0
+    assert cli.main(["features", str(root / "occ.txt"), str(root / "amo.txt"),
+                     str(data / "prices.csv"), "--out", str(root / "features.csv")]) == 0
+    _, X, r, _ = cli._aligned_features_returns(root / "features.csv", data / "prices.csv",
+                                                cli.PipelineConfig())
+    return X, r
+
+
+@pytest.mark.parametrize("model", ["garch", "garchx"])
+def test_first_readme_refit_is_pinned(readme_returns, model):
+    X, r = readme_returns
+    k = X.shape[1] if model == "garchx" else 0
+    # the regressors as the CLI hands them over: a transposed view
+    result = g.fit(r[:250], X.T[:, :250] if k else None, ModelSpec(2, 2, k, "skewt"),
+                   FitConfig(restarts=1, seed=0))
+    want = FIRST_REFITS[model]
+    assert result.params.to_dict() == want["params"]
+    assert result.loglik == want["loglik"]
+    assert result.iterations == want["iterations"]
