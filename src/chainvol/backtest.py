@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FitError, ValidationError
 from .garchx import (
+    BATCH_CELLS,
     ArmaGarchXParams,
     FitConfig,
     FitResult,
@@ -26,9 +27,6 @@ from .garchx import (
 CHI2_CRIT_1DF_95 = 3.841
 CHI2_CRIT_2DF_95 = 5.991
 DM_MIN_OBS = 10  # fewest forecast errors a Diebold-Mariano test accepts
-# most forecast days filtered in one call: a chunk holds a few (days, window)
-# float arrays, about 1 MB each at 512 days of 250
-FORECAST_CHUNK = 512
 
 
 @dataclass
@@ -226,7 +224,8 @@ def rolling_backtest(
 
     The days between two refit attempts, or all days under ``fixed_params``,
     form a block with one parameter set. Its windows are filtered together,
-    FORECAST_CHUNK days per call, and its VaR quantile is computed once.
+    at most BATCH_CELLS days x window per call, and its VaR quantile is
+    computed once.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
@@ -242,6 +241,7 @@ def rolling_backtest(
     refit_failures = []
     current: FitResult | None = None
     block = n if fixed_params is not None else refit_every
+    chunk = max(1, BATCH_CELLS // window)
     for start in range(0, n, block):
         t = window + start
         transform_x = None
@@ -257,8 +257,8 @@ def rolling_backtest(
                 refit_failures.append(t)
             params, transform_x = current.params, current.transform_x
         stop = min(start + block, n)
-        for lo in range(start, stop, FORECAST_CHUNK):
-            hi = min(lo + FORECAST_CHUNK, stop)
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
             means[lo:hi], sigmas[lo:hi] = _forecast_days(
                 y, x, params, spec, window, window + lo, window + hi, transform_x)
         var_values[start:stop] = var_from_forecast(

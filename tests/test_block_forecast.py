@@ -93,13 +93,14 @@ SKEWT_ARMA = ArmaGarchXParams(mu=1e-3, phi=[0.2, -0.1], theta=[0.15, 0.05], alph
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
-@pytest.mark.parametrize("chunk", [5, bt.FORECAST_CHUNK])
-def test_refit_blocks_with_a_failed_refit(monkeypatch, layout, chunk):
+@pytest.mark.parametrize("chunk_days", [5, None])
+def test_refit_blocks_with_a_failed_refit(monkeypatch, layout, chunk_days):
     # ARMA(2,2) skew-t GARCHX on five regressors; the second refit fails and
     # its block keeps the first refit's parameters and regressor scaling
-    monkeypatch.setattr(bt, "FORECAST_CHUNK", chunk)
-    rng = np.random.default_rng(0)
     T, window = 160, 60
+    if chunk_days:
+        monkeypatch.setattr(bt, "BATCH_CELLS", chunk_days * window)
+    rng = np.random.default_rng(0)
     y = rng.standard_t(5, size=T) * 0.02
     # F: the regressors as the CLI passes them, a transposed (days, k) array
     x = rng.normal(2.0, 3.0, size=(5, T)) if layout == "C" else rng.normal(2.0, 3.0, size=(T, 5)).T
@@ -140,9 +141,10 @@ def test_fixed_params_longer_than_one_chunk(monkeypatch):
     spec = ModelSpec(0, 0, 0, "normal")
     true = ArmaGarchXParams(mu=0.0, alpha0=0.05, alpha1=0.10, beta=0.85)
     window = 50
-    y, _, _ = g.simulate(true, spec, None, window + bt.FORECAST_CHUNK + 37, seed=3)
+    chunk_days = bt.BATCH_CELLS // window
+    y, _, _ = g.simulate(true, spec, None, window + chunk_days + 37, seed=3)
     got, want = run_both(monkeypatch, y, None, spec, window, fixed_params=true)
-    assert got.n > bt.FORECAST_CHUNK
+    assert got.n > chunk_days
     assert_same_days(got, want)
 
 
