@@ -45,6 +45,7 @@ class PipelineConfig:
             ("window", self.window >= garchx.MIN_OBS, f">= {garchx.MIN_OBS}"),
             ("refit_every", self.refit_every >= 1, ">= 1"),
             ("restarts", self.restarts >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ChainvolError(f"{key} must be {bound}, got {getattr(self, key)}")

@@ -72,7 +72,9 @@ class ArmaGarchXParams:
 
     def is_valid(self) -> bool:
         # plain float checks: numpy reductions on these tiny arrays cost more
-        # than the comparisons themselves, and this runs on every evaluation
+        # than the comparisons themselves. This runs on fit's start point and
+        # on every single-point line-search evaluation; the points of a
+        # finite-difference gradient go through ParamRows.is_valid
         isfinite = math.isfinite
         return (
             self.alpha0 > 0
@@ -181,16 +183,6 @@ def _groups(keys) -> list:
     return [(0, slice(None))]
 
 
-def _distinct(keys):
-    """(first, inverse): the first row of each group of equal rows of keys,
-    and for every row the position of its group in first."""
-    groups = _groups(keys)
-    inverse = np.empty(len(keys), dtype=int)
-    for j, (_, rows) in enumerate(groups):
-        inverse[rows] = j
-    return np.array([first for first, _ in groups]), inverse
-
-
 @dataclass
 class FitConfig:
     restarts: int = 5
@@ -270,11 +262,10 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     ParamRows of m sets; y is one series (T,) or m windows (m, T), and x is
     (k, T), or (m, k, T) with one regressor window per row of y. A block
     gives (m, T) arrays whose rows are bit for bit what each row gives alone.
-    Rows that share y and the mean parameters share u, and rows that also
-    share the variance parameters share sigma2; each recursion is one lfilter
-    call per distinct set of coefficients. A state that is not finite is a
-    ValidationError for one parameter set; rows of a ParamRows keep it, for
-    the caller to check.
+    Every row runs through both recursions; each recursion is one lfilter
+    call per distinct denominator, and beta_x' x is one product per distinct
+    beta_x. A state that is not finite is a ValidationError for one
+    parameter set; rows of a ParamRows keep it, for the caller to check.
     """
     rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
     y = np.asarray(y, dtype=float)
@@ -287,41 +278,26 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
         raise ValidationError(f"{len(rows)} parameter rows vs {ys.shape[0]} series")
     if len(rows) < m:
         rows = rows.take(np.zeros(m, dtype=int))
-    phi, theta, beta_x = rows.phi[:, :spec.p], rows.theta[:, :spec.q], rows.beta_x[:, :spec.k]
-    # maps from rows to distinct rows; None where a map is the identity
-    mean_of = var_of = mean_of_var = None
-    mean_rows = var_rows = slice(None)
-    if ys.shape[0] == 1 and m > 1:
-        mean_rows, mean_of = _distinct(np.column_stack((rows.mu, phi, theta)))
-        var_rows, var_of = _distinct(np.column_stack(
-            (mean_of, rows.alpha0, rows.alpha1, rows.beta, beta_x)))
-        # groups are numbered in order of their first row, so as many groups
-        # as rows make a map the identity
-        if len(var_rows) > len(mean_rows):
-            mean_of_var = mean_of[var_rows]
-        if len(mean_rows) == m:
-            mean_of = None
-        if len(var_rows) == m:
-            var_of = None
-
-    # a shared series broadcasts over the mean rows
-    e = ys - rows.mu[mean_rows, None]
+    phi, theta = rows.phi[:, :spec.p], rows.theta[:, :spec.q]
+    # matmul sums a strided vector (a row of unpack_rows' transposed beta_x)
+    # in another order than BLAS does, and each row must give its own bits
+    beta_x = np.ascontiguousarray(rows.beta_x[:, :spec.k])
+    # a shared series broadcasts over the rows
+    e = ys - rows.mu[:, None]
     for i in range(phi.shape[1]):
-        e[:, i + 1:] -= phi[mean_rows, i, None] * ys[:, : T - 1 - i]
-    u = _lfilter_rows(theta[mean_rows], e)
+        e[:, i + 1:] -= phi[:, i, None] * ys[:, : T - 1 - i]
+    u = _lfilter_rows(theta, e)
 
-    u_var = u if mean_of_var is None else u[mean_of_var]
-    bx = beta_x[var_rows]
-    xvar = np.zeros(u_var.shape)
-    if bx.shape[1]:
+    xvar = np.zeros(u.shape)
+    if beta_x.shape[1]:
         x = np.asarray(x, dtype=float)
-        for first, group in _groups(bx):
+        for first, group in _groups(beta_x):
             x_rows = x if x.ndim < 3 or isinstance(group, slice) else x[group]
-            xvar[group] = _xvar(x_rows, bx[first], T)
-    c = rows.alpha0[var_rows, None] + xvar
-    c[:, 1:] += rows.alpha1[var_rows, None] * (u_var[:, :-1] * u_var[:, :-1])
+            xvar[group] = _xvar(x_rows, beta_x[first], T)
+    c = rows.alpha0[:, None] + xvar
+    c[:, 1:] += rows.alpha1[:, None] * (u[:, :-1] * u[:, :-1])
     s2_init = ys.var(axis=1) if sigma2_init is None else np.asarray(sigma2_init, dtype=float)
-    beta = rows.beta[var_rows]
+    beta = rows.beta
     sigma2 = _lfilter_rows(-beta[:, None], c, zi=(beta * s2_init)[:, None])
     for r in np.flatnonzero((sigma2 < SIGMA2_MIN).any(axis=1)):
         t0 = int(np.argmax(sigma2[r] < SIGMA2_MIN))
@@ -335,10 +311,6 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
             tail.append(s2)
         sigma2[r, t0:] = tail
 
-    if mean_of is not None:
-        u = u[mean_of]
-    if var_of is not None:
-        sigma2 = sigma2[var_of]
     if isinstance(params, ParamRows):
         return u, sigma2
     finite = np.isfinite(u) & np.isfinite(sigma2)

@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .garchx import ArmaGarchXParams, ModelSpec, simulate
-from .ingest import atomic_write_text
+from .ingest import SECONDS_PER_DAY, atomic_write_text
 
-SECONDS_PER_DAY = 86400
 START = dt.date(2015, 1, 1)  # first day of every synthetic dataset
 START_PRICE = 250.0
 GARCH_PARAMS = ArmaGarchXParams(alpha0=1e-4, alpha1=0.08, beta=0.88, nu=6.0, xi=1.1)
@@ -32,10 +33,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.extreme_prob <= 1.0:
-            raise ValueError(f"extreme_prob must be in [0, 1], got {self.extreme_prob}")
-        if self.days < 1:
-            raise ValueError("need at least one day")
+        for key, ok, bound in (
+            ("days", self.days >= 1, ">= 1"),
+            ("txs_per_day", 0.0 <= self.txs_per_day < math.inf, "finite and >= 0"),
+            ("extreme_prob", 0.0 <= self.extreme_prob <= 1.0, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ValidationError(f"{key} must be {bound}, got {getattr(self, key)}")
 
     def to_dict(self) -> dict:
         return {

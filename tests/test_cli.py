@@ -483,6 +483,30 @@ def test_config_value_out_of_range(tmp_path, capsys, monkeypatch, argv):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("key, argv", [
+    ("seed", ["--seed", "-1", "synth", "--out", "s"]),
+    ("seed", ["synth", "--out", "s", "--seed", "-1"]),
+    ("seed", ["--seed", "-1", "backtest", "f.csv", "p.csv", "--out", "b"]),
+    ("seed", ["--config", "../seed.cfg", "backtest", "f.csv", "p.csv", "--out", "b"]),
+    ("days", ["synth", "--out", "s", "--days", "0"]),
+    ("extreme_prob", ["synth", "--out", "s", "--extreme-prob", "2"]),
+    ("extreme_prob", ["synth", "--out", "s", "--extreme-prob", "nan"]),
+    ("txs_per_day", ["synth", "--out", "s", "--txs-per-day", "-1"]),
+    ("txs_per_day", ["synth", "--out", "s", "--txs-per-day", "inf"]),
+    ("txs_per_day", ["synth", "--out", "s", "--txs-per-day", "nan"]),
+], ids=lambda v: v if isinstance(v, str) else "_".join(v))
+def test_bad_seed_or_synth_value(tmp_path, capsys, monkeypatch, key, argv):
+    # one error line and nothing written, neither --out nor anything in it
+    (tmp_path / "seed.cfg").write_text("seed = -2\n")
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert os.listdir(run) == []
+
+
 class TestTopLevelFlags:
     def test_top_level_seed_reaches_subcommand(self, tmp_path):
         out = tmp_path / "d"

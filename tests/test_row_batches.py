@@ -8,6 +8,7 @@ call per point.
 """
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,14 +25,19 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def stack_rows(sets) -> ParamRows:
-    return ParamRows(
-        mu=np.array([s.mu for s in sets]), phi=np.array([s.phi for s in sets]),
-        theta=np.array([s.theta for s in sets]), alpha0=np.array([s.alpha0 for s in sets]),
-        alpha1=np.array([s.alpha1 for s in sets]), beta=np.array([s.beta for s in sets]),
-        beta_x=np.array([s.beta_x for s in sets]), nu=np.array([s.nu for s in sets]),
-        xi=np.array([s.xi for s in sets]),
-    )
+def stack_rows(sets, order="C") -> ParamRows:
+    """The ParamRows of sets; with order "F" the rows of phi, theta and
+    beta_x are strided, as in the transposed arrays unpack_rows gives."""
+    def stack(name):
+        return np.array([getattr(s, name) for s in sets], order=order)
+    return ParamRows(*(stack(f.name) for f in fields(ParamRows)))
+
+
+def row_inputs(y, x, sigma2_init, i):
+    """The y, x and sigma2_init that row i of a batch sees on its own."""
+    if y.ndim == 1:
+        return y, x, sigma2_init
+    return y[i], None if x is None else x[i], None if sigma2_init is None else sigma2_init[i]
 
 
 ROW_KINDS = ("plain", "duplicate", "step", "invalid", "floor", "overflow")
@@ -81,26 +87,40 @@ def batch_cases(draw):
     return y, x if k else None, sets, ModelSpec(p, q, k, distribution), sigma2_init
 
 
+@st.composite
+def window_cases(draw):
+    """batch_cases with one window of y, one of x and one sigma2_init per
+    parameter row, the shape of a block of trailing backtest windows."""
+    _, _, sets, spec, _ = draw(batch_cases())
+    m, T = len(sets), draw(st.integers(max(spec.p, spec.q) + 2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.standard_t(5, size=(m, T)) * 0.02
+    x = rng.normal(size=(m, spec.k, T)) if spec.k else None
+    sigma2_init = draw(st.sampled_from([None, y.var(axis=1)]))
+    return y, x, sets, spec, sigma2_init
+
+
 class TestBatchedLikelihood:
-    @given(batch_cases())
+    @given(batch_cases(), st.sampled_from("CF"))
     @settings(max_examples=300, deadline=None)
-    def test_rows_equal_one_set_calls(self, case):
+    def test_rows_equal_one_set_calls(self, case, order):
         y, x, sets, spec, sigma2_init = case
         with np.errstate(all="ignore"):
-            batched = g.neg_log_likelihood(y, x, stack_rows(sets), spec, sigma2_init)
+            batched = g.neg_log_likelihood(y, x, stack_rows(sets, order), spec, sigma2_init)
             one_by_one = [g.neg_log_likelihood(y, x, s, spec, sigma2_init) for s in sets]
         assert batched.shape == (len(sets),)
         np.testing.assert_array_equal(bits(batched), bits(one_by_one))
 
-    @given(batch_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_filter_rows_equal_one_set_filters(self, case):
+    @given(st.one_of(batch_cases(), window_cases()), st.sampled_from("CF"))
+    @settings(max_examples=300, deadline=None)
+    def test_filter_rows_equal_one_set_filters(self, case, order):
         y, x, sets, spec, sigma2_init = case
         with np.errstate(all="ignore"):
-            u, sigma2 = g.filter_model(y, x, stack_rows(sets), spec, sigma2_init)
+            u, sigma2 = g.filter_model(y, x, stack_rows(sets, order), spec, sigma2_init)
             for i, s in enumerate(sets):
+                y_i, x_i, sigma2_init_i = row_inputs(y, x, sigma2_init, i)
                 try:
-                    u_i, sigma2_i = g.filter_model(y, x, s, spec, sigma2_init)
+                    u_i, sigma2_i = g.filter_model(y_i, x_i, s, spec, sigma2_init_i)
                 except g.ValidationError:
                     # one set raises where its state is not finite
                     assert not (np.isfinite(u[i]).all() and np.isfinite(sigma2[i]).all())
