@@ -44,7 +44,13 @@ class PipelineConfig:
             ("var_level", 0 < self.var_level < 0.5, "in (0, 0.5)"),
             ("window", self.window >= garchx.MIN_OBS, f">= {garchx.MIN_OBS}"),
             ("refit_every", self.refit_every >= 1, ">= 1"),
+            ("arma_p", self.arma_p >= 0, ">= 0"),
+            ("arma_q", self.arma_q >= 0, ">= 0"),
+            ("distribution", self.distribution in garchx.DISTRIBUTIONS,
+             f"one of {', '.join(garchx.DISTRIBUTIONS)}"),
             ("restarts", self.restarts >= 1, ">= 1"),
+            # a negative lag pairs a return with features published after it
+            ("lag", self.lag >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:

@@ -71,23 +71,8 @@ class ArmaGarchXParams:
         self.beta_x = np.atleast_1d(np.asarray(self.beta_x, dtype=float)) if np.size(self.beta_x) else np.zeros(0)
 
     def is_valid(self) -> bool:
-        # plain float checks: numpy reductions on these tiny arrays cost more
-        # than the comparisons themselves. This runs on fit's start point and
-        # on every single-point line-search evaluation; the points of a
-        # finite-difference gradient go through ParamRows.is_valid
-        isfinite = math.isfinite
-        return (
-            self.alpha0 > 0
-            and self.alpha1 >= 0
-            and self.beta >= 0
-            and self.alpha1 + self.beta < 1
-            and self.nu > 2
-            and self.xi > 0
-            and all(map(isfinite, self.phi.tolist()))
-            and all(map(isfinite, self.theta.tolist()))
-            and all(map(isfinite, self.beta_x.tolist()))
-            and isfinite(self.mu)
-        )
+        """ParamRows.is_valid of this one parameter set."""
+        return bool(ParamRows.of(self).is_valid()[0])
 
     def validate(self) -> None:
         if not self.is_valid():
@@ -160,13 +145,13 @@ class ParamRows:
         )
 
     def is_valid(self) -> np.ndarray:
-        """ArmaGarchXParams.is_valid of every row, as a boolean (m,) array."""
-        ok = ((self.alpha0 > 0) & (self.alpha1 >= 0) & (self.beta >= 0)
-              & (self.alpha1 + self.beta < 1) & (self.nu > 2) & (self.xi > 0)
-              & np.isfinite(self.mu))
-        for coefficients in (self.phi, self.theta, self.beta_x):
-            ok &= np.isfinite(coefficients).all(axis=1)
-        return ok
+        """The parameter invariants of every row, as a boolean (m,) array:
+        alpha0 > 0, alpha1 >= 0, beta >= 0, alpha1 + beta < 1, nu > 2, xi > 0
+        and every mean and regressor coefficient finite."""
+        coefficients = np.column_stack((self.mu, self.phi, self.theta, self.beta_x))
+        return ((self.alpha0 > 0) & (self.alpha1 >= 0) & (self.beta >= 0)
+                & (self.alpha1 + self.beta < 1) & (self.nu > 2) & (self.xi > 0)
+                & np.isfinite(coefficients).all(axis=1))
 
 
 def _groups(keys) -> list:
@@ -322,20 +307,19 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
 def innovation_logpdf(z, params, spec: ModelSpec):
     """Log-density of the standardized innovations z.
 
-    With a ParamRows, row r of z takes row r's nu and xi; the density runs
-    once per distinct (nu, xi) with scalar parameters, the form whose bits
-    the one-set call gives.
+    One ArmaGarchXParams is taken as a one-row ParamRows. Row r of z takes
+    row r's nu and xi: the density runs once per distinct (nu, xi) with
+    numpy scalar parameters, so that an extreme xi gives inf or nan, not a
+    Python ZeroDivisionError or OverflowError. With one distinct pair, as
+    for one row, it runs once on all of z, whatever its shape.
     """
-    if not isinstance(params, ParamRows):
-        return _logpdf(z, params.nu, params.xi, spec.distribution)
-    if spec.distribution == "normal":
-        return normal_logpdf(z)
-    if len(params) == 1:
-        return _logpdf(z, float(params.nu[0]), float(params.xi[0]), spec.distribution)
+    rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
+    groups = _groups(np.column_stack((rows.nu, rows.xi)))
+    if len(groups) == 1:
+        return _logpdf(z, rows.nu[0], rows.xi[0], spec.distribution)
     out = np.empty_like(z)
-    for first, rows in _groups(np.column_stack((params.nu, params.xi))):
-        out[rows] = _logpdf(z[rows], float(params.nu[first]), float(params.xi[first]),
-                            spec.distribution)
+    for first, group in groups:
+        out[group] = _logpdf(z[group], rows.nu[first], rows.xi[first], spec.distribution)
     return out
 
 
@@ -360,18 +344,17 @@ def neg_log_likelihood(y, x, params, spec: ModelSpec, sigma2_init=None):
     """-sum_t [ log f(u_t/sigma_t) - log sigma_t ]; large finite penalty for
     invalid parameters so optimizers never see an exception.
 
-    params is one ArmaGarchXParams, giving a float, or a ParamRows, giving
-    one value per row from one filter_model call over all valid rows. The
-    penalty rules hold row by row: invalid parameters, a filter state that
-    is not finite and a total that is not finite each give PENALTY_NLL.
-    y is one series; sigma2_init is as for filter_model.
+    params is a ParamRows, giving one value per row from one filter_model
+    call over all valid rows, or one ArmaGarchXParams, which is taken as a
+    one-row ParamRows and gives that row's value as a float. The penalty
+    rules hold row by row: a row that fails ParamRows.is_valid, a filter
+    state that is not finite and a total that is not finite each give
+    PENALTY_NLL. y is one series; sigma2_init is as for filter_model.
     """
-    if isinstance(params, ParamRows):
-        rows, valid = params, params.is_valid()
-    else:
-        rows, valid = ParamRows.of(params), np.array([params.is_valid()])
+    one = not isinstance(params, ParamRows)
+    rows = ParamRows.of(params) if one else params
     nll = np.full(len(rows), PENALTY_NLL)
-    ok = np.flatnonzero(valid)
+    ok = np.flatnonzero(rows.is_valid())
     if ok.size:
         if ok.size < len(rows):
             rows = rows.take(ok)
@@ -389,7 +372,7 @@ def neg_log_likelihood(y, x, params, spec: ModelSpec, sigma2_init=None):
         total = ll.sum(axis=1)
         attained = np.isfinite(total)
         nll[ok[attained]] = -total[attained]
-    return nll if isinstance(params, ParamRows) else float(nll[0])
+    return float(nll[0]) if one else nll
 
 
 # --- unconstrained reparameterization -------------------------------------
@@ -479,25 +462,19 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
         x_fit = (x_fit - x_mean[:, None]) / x_std[:, None]
 
     rng = np.random.default_rng(config.seed)
-    start = default_start(y, spec)
-    v0 = pack_params(start, spec)
+    v0 = pack_params(default_start(y, spec), spec)
     # the filter's pre-sample variance; y is fixed for the whole fit
     sigma2_init = float(np.var(y))
     rows_per_call = max(1, BATCH_CELLS // y.size)
-    start_nll = neg_log_likelihood(y, x_fit, start, spec, sigma2_init)
 
-    def objective(v):
+    def evaluate(points) -> list:
+        """The negative log-likelihood of each point of a stack of packed
+        points, in calls of at most rows_per_call unpack_rows rows. Every
+        point of the fit goes through here, one-row stacks included."""
+        points = np.array(points, dtype=float)
+        values = []
         # the optimizer probes far into overflow territory; those points get
         # the penalty value, so their numpy warnings carry no information
-        with np.errstate(all="ignore"):
-            return neg_log_likelihood(y, x_fit, unpack_params(v, spec), spec, sigma2_init)
-
-    def evaluate_points(fun, points):
-        """map(objective, points) in batched likelihood calls: L-BFGS-B hands
-        the points of each finite-difference gradient to this map-like
-        callable (fun is its wrapper of objective)."""
-        points = np.array(list(points))
-        values = []
         with np.errstate(all="ignore"):
             for lo in range(0, len(points), rows_per_call):
                 batch = points[lo: lo + rows_per_call]
@@ -506,6 +483,14 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
                 values += np.broadcast_to(nll, len(batch)).tolist()
         return values
 
+    def objective(v) -> float:
+        return evaluate([v])[0]
+
+    def evaluate_points(fun, points) -> list:
+        # L-BFGS-B's map-like workers, given each finite-difference gradient
+        return evaluate(list(points))
+
+    start_nll = objective(v0)
     best_v, best_nll, best_res = v0, start_nll, None
     n_iter = 0
     any_converged = False

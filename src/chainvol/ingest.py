@@ -119,26 +119,20 @@ def data_lines(path, lines=None, line_no=1):
 def _line_blocks(fh):
     """Yield ``(first_line_no, text)`` blocks of whole lines.
 
-    Each block is about ``BLOCK_CHARS`` characters and ends on a newline;
-    only the last block of a file without a final newline does not. Text
-    mode numbers the lines as ``for line in fh`` does.
+    Each block is ``BLOCK_CHARS`` characters and the rest of the line they
+    end in, if any, so it ends on a newline; only the last block of a file
+    without a final newline does not. Text mode numbers the lines as ``for
+    line in fh`` does.
     """
     line_no = 1
-    tail: list[str] = []
-    while chunk := fh.read(BLOCK_CHARS):
-        cut = chunk.rfind("\n") + 1
-        if not cut:
-            tail.append(chunk)
-            continue
-        text = "".join(tail) + chunk[:cut]
-        tail = [chunk[cut:]]
-        del chunk  # hold no block while the next one is read
+    while text := fh.read(BLOCK_CHARS):
+        if not text.endswith("\n"):
+            # readline also makes the file drop its buffers of the whole
+            # chunk, so the block's text is held once while it is parsed
+            text += fh.readline()
         first, line_no = line_no, line_no + text.count("\n")
         yield first, text
-        del text
-    text = "".join(tail)
-    if text:
-        yield line_no, text
+        del text  # hold no block while the next one is read
 
 
 def _loadtxt_block(text: str, **kwargs) -> np.ndarray | None:
@@ -342,10 +336,12 @@ def load_matrix_file(path, dim: int = 20) -> tuple[list[dt.date], np.ndarray]:
     the date column to a converter, so a row of the wrong width or with a
     bad date fails there. Such a block, or one with a negative value, is
     parsed again by the line parser, which raises the error with its line.
+    Each block's values go straight into the one array, which grows by the
+    block's rows, so no block is held once the next one is read.
     """
     days: list[dt.date] = []
     n2 = dim * dim
-    blocks = [np.empty((0, n2), dtype=np.int64)]
+    table = np.empty(0, dtype=np.int64)
     with _open_text(path) as fh:
         for first_line, text in _line_blocks(fh):
             block_days: list[dt.date] = []
@@ -360,8 +356,13 @@ def load_matrix_file(path, dim: int = 20) -> tuple[list[dt.date], np.ndarray]:
             else:
                 block_days, values = _parse_matrix_lines(text.split("\n"), first_line, path, dim)
             days += block_days
-            blocks.append(values)
-    return days, np.concatenate(blocks).reshape(-1, dim, dim)
+            # in place, as DayCubeBuilder._cover grows its accumulators; no
+            # view of table exists before the return, so no refcheck
+            size = table.size
+            table.resize(size + values.size, refcheck=False)
+            table[size:].reshape(values.shape)[:] = values
+            del text, rows, values
+    return days, table.reshape(-1, dim, dim)
 
 
 def write_matrix_file(fh, dates, values) -> None:

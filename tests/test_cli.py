@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import os
 import subprocess
@@ -494,10 +495,22 @@ def test_config_value_out_of_range(tmp_path, capsys, monkeypatch, argv):
     ("txs_per_day", ["synth", "--out", "s", "--txs-per-day", "-1"]),
     ("txs_per_day", ["synth", "--out", "s", "--txs-per-day", "inf"]),
     ("txs_per_day", ["synth", "--out", "s", "--txs-per-day", "nan"]),
+    ("arma_p", ["backtest", "f.csv", "p.csv", "--out", "b", "--arma-p", "-1"]),
+    ("arma_p", ["--config", "../arma_p.cfg", "backtest", "f.csv", "p.csv", "--out", "b"]),
+    ("arma_q", ["backtest", "f.csv", "p.csv", "--out", "b", "--arma-q", "-1"]),
+    ("arma_q", ["--config", "../arma_q.cfg", "backtest", "f.csv", "p.csv", "--out", "b"]),
+    # the --distribution flag has argparse choices; only a config line gets here
+    ("distribution", ["--config", "../distribution.cfg", "backtest", "f.csv", "p.csv",
+                      "--out", "b"]),
+    ("lag", ["backtest", "f.csv", "p.csv", "--out", "b", "--lag", "-2"]),
+    ("lag", ["analyze", "f.csv", "p.csv", "--out", "a", "--lag", "-1"]),
+    ("lag", ["--config", "../lag.cfg", "analyze", "f.csv", "p.csv", "--out", "a"]),
 ], ids=lambda v: v if isinstance(v, str) else "_".join(v))
 def test_bad_seed_or_synth_value(tmp_path, capsys, monkeypatch, key, argv):
     # one error line and nothing written, neither --out nor anything in it
-    (tmp_path / "seed.cfg").write_text("seed = -2\n")
+    for name, value in (("seed", "-2"), ("arma_p", "-1"), ("arma_q", "-3"),
+                        ("distribution", "cauchy"), ("lag", "-2")):
+        (tmp_path / f"{name}.cfg").write_text(f"{name} = {value}\n")
     run = tmp_path / "run"
     run.mkdir()
     monkeypatch.chdir(run)
@@ -505,6 +518,26 @@ def test_bad_seed_or_synth_value(tmp_path, capsys, monkeypatch, key, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
     assert os.listdir(run) == []
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_lag_pairs_returns_with_earlier_features(dataset, tmp_path, form):
+    features, prices = dataset["features"], dataset["data"] / "prices.csv"
+    cfg = tmp_path / "lag.cfg"
+    cfg.write_text("lag = 1\n")
+    analyze = ["analyze", str(features), str(prices), "--out", str(tmp_path / "a")]
+    argv = [*analyze, "--lag", "1"] if form == "flag" else ["--config", str(cfg), *analyze]
+    config = cli.resolve_config(cli.build_parser().parse_args(argv))
+    assert config.lag == 1
+    dates0, _, r0, _ = cli._aligned_features_returns(features, prices, cli.PipelineConfig())
+    dates1, X1, r1, _ = cli._aligned_features_returns(features, prices, config)
+    # the first return has no features of the day before
+    assert len(dates1) == len(dates0) - 1
+    assert dates1 == dates0[1:]
+    values = {row.date: row.values() for row in read_feature_csv(features)}
+    for day, x, r in zip(dates1, X1, r1):
+        assert tuple(x) == values[day - dt.timedelta(days=1)]
+    np.testing.assert_array_equal(r1, r0[1:])
 
 
 class TestTopLevelFlags:

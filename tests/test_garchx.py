@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -436,3 +437,54 @@ class TestIsValid:
         assert params.is_valid() == self.numpy_reference(params)
         # only an infinite scale, tail or skew parameter passes
         assert params.is_valid() == (bad == math.inf and name in ("alpha0", "nu", "xi"))
+
+    # (rule, field, edge, direction into the valid side, valid at the edge);
+    # alpha1 + beta < 1 moves beta against alpha1 = 0.25, where the sum is
+    # exact below 1 and one step above 0.75 rounds to 1
+    BOUNDS = (
+        ("alpha0 > 0", "alpha0", 0.0, 1.0, False),
+        ("alpha1 >= 0", "alpha1", 0.0, 1.0, True),
+        ("beta >= 0", "beta", 0.0, 1.0, True),
+        ("alpha1 + beta < 1", "beta", 0.75, -1.0, False),
+        ("nu > 2", "nu", 2.0, 1.0, False),
+        ("xi > 0", "xi", 0.0, 1.0, False),
+    )
+    EDGE_CASES = [
+        case
+        for rule, name, edge, inward, at_edge in BOUNDS
+        for case in ((rule, name, edge, at_edge),
+                     (rule, name, float(np.nextafter(edge, edge + inward)), True),
+                     (rule, name, float(np.nextafter(edge, edge - inward)), False))
+    ]
+
+    @staticmethod
+    def edge_params(name, value):
+        params = garch_params(alpha1=0.25, beta=0.5, nu=6.0, xi=1.2)
+        setattr(params, name, value)
+        return params
+
+    @pytest.mark.parametrize("rule, name, value, valid", EDGE_CASES,
+                             ids=lambda v: v if isinstance(v, str) else repr(v))
+    def test_bound_edge(self, rule, name, value, valid):
+        assert self.edge_params(name, value).is_valid() is valid
+
+    def test_edge_rows_in_one_batch(self):
+        # every invalid row gets exactly the penalty and every valid row the
+        # bits it gets alone, whatever the other rows of the batch are
+        spec = ModelSpec(0, 0, 0, "skewt")
+        y, _, _ = g.simulate(garch_params(nu=6.0, xi=1.2), spec, None, 200, seed=2)
+        cases = [(name, value, valid) for _, name, value, valid in self.EDGE_CASES]
+        # valid skews whose square leaves the float range: the density must
+        # give the penalty there, not a ZeroDivisionError or OverflowError
+        cases += [("xi", 1e-200, True), ("xi", 1e200, True)]
+        sets = [self.edge_params(name, value) for name, value, _ in cases]
+        rows = g.ParamRows(*(np.array([getattr(p, f.name) for p in sets])
+                             for f in fields(g.ParamRows)))
+        valid = [case[-1] for case in cases]
+        assert rows.is_valid().tolist() == valid
+        with np.errstate(all="ignore"):
+            nll = g.neg_log_likelihood(y, None, rows, spec)
+            alone = [g.neg_log_likelihood(y, None, p, spec) for p in sets]
+        np.testing.assert_array_equal(nll.view(np.int64), np.array(alone).view(np.int64))
+        assert all(value == g.PENALTY_NLL for value, ok in zip(alone, valid) if not ok)
+        assert alone[-2:] == [g.PENALTY_NLL] * 2

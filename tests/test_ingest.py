@@ -2,6 +2,7 @@ import datetime as dt
 import os
 import re
 import stat
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -244,6 +245,24 @@ class TestMatrixFiles:
             with ingest.atomic_files(p2) as (fh,):
                 ingest.write_matrix_file(fh, loaded_dates, loaded)
             assert p1.read_bytes() == p2.read_bytes(), block
+
+    def test_load_holds_the_values_once(self, tmp_path):
+        # four years of occurrence-like counts: the peak is the returned array
+        # plus about one block's text and rows, not a second copy of the values
+        days = 1460
+        values = np.random.default_rng(1).poisson(0.5, size=(days, 20, 20))
+        dates = [dt.date(2015, 1, 1) + dt.timedelta(days=i) for i in range(days)]
+        p = tmp_path / "occ.txt"
+        with ingest.atomic_files(p) as (fh,):
+            ingest.write_matrix_file(fh, dates, values)
+        tracemalloc.start()
+        try:
+            loaded_dates, loaded = ingest.load_matrix_file(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded_dates == dates and np.array_equal(loaded, values)
+        assert peak < 1.25 * loaded.nbytes, peak / loaded.nbytes
 
 
 def run_events_reader(path):
