@@ -173,36 +173,6 @@ def var_from_forecast(mean_next, sigma_next, params: ArmaGarchXParams, spec: Mod
     return -(mean_next + sigma_next * innovation_quantile(params, spec, level))
 
 
-def _forecast_days(y, x, params: ArmaGarchXParams, spec: ModelSpec, window: int,
-                   t0: int, t1: int, transform_x=None):
-    """One-step (mean, sigma) arrays for the forecast days t0 <= t < t1, each
-    from its trailing window under one parameter set.
-
-    All windows go through one filter_model call over sliding-window views;
-    each day's forecast is forecast_one on its row. transform_x, when given,
-    standardizes the regressors of the whole span at once.
-    """
-    yw = sliding_window_view(y[t0 - window: t1 - 1], window)
-    xw = x_next = None
-    if x is not None:
-        span = x[:, t0 - window: t1]
-        if transform_x is not None:
-            span = transform_x(span)
-        xw = sliding_window_view(span[:, :-1], window, axis=1).transpose(1, 0, 2)
-        # forecast_one's dot product sums in another order for strided
-        # input, so each day's x_next keeps the layout a single day had: a
-        # view of the raw x, or a fresh contiguous column after transform_x
-        x_next = span[:, window:].T
-        if transform_x is not None:
-            x_next = np.ascontiguousarray(x_next)
-    u, sigma2 = filter_model(yw, xw, params, spec)
-    means, sigmas = np.empty(t1 - t0), np.empty(t1 - t0)
-    for i in range(t1 - t0):
-        means[i], sigmas[i] = forecast_one(params, spec, yw[i], u[i], sigma2[i],
-                                           x_next[i] if x is not None else None)
-    return means, sigmas
-
-
 def rolling_backtest(
     y,
     x,
@@ -223,9 +193,11 @@ def rolling_backtest(
     Regressors are contemporaneous: the forecast for day t uses x[:, t].
 
     The days between two refit attempts, or all days under ``fixed_params``,
-    form a block with one parameter set. Its windows are filtered together,
-    at most BATCH_CELLS days x window per call, and its VaR quantile is
-    computed once.
+    form a block with one parameter set. Its trailing windows are
+    sliding-window views, filtered and forecast in chunks of at most
+    BATCH_CELLS days x window: one filter_model and one forecast_one call per
+    chunk, with a refit's regressor standardization applied to the chunk's
+    span at once. The block's VaR quantile is computed once.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
@@ -259,8 +231,17 @@ def rolling_backtest(
         stop = min(start + block, n)
         for lo in range(start, stop, chunk):
             hi = min(lo + chunk, stop)
-            means[lo:hi], sigmas[lo:hi] = _forecast_days(
-                y, x, params, spec, window, window + lo, window + hi, transform_x)
+            # the trailing windows of days window + lo .. window + hi - 1
+            yw = sliding_window_view(y[lo: window + hi - 1], window)
+            xw = x_next = None
+            if x is not None:
+                span = x[:, lo: window + hi]
+                if transform_x is not None:
+                    span = transform_x(span)
+                xw = sliding_window_view(span[:, :-1], window, axis=1).transpose(1, 0, 2)
+                x_next = span[:, window:].T
+            u, sigma2 = filter_model(yw, xw, params, spec)
+            means[lo:hi], sigmas[lo:hi] = forecast_one(params, spec, yw, u, sigma2, x_next)
         var_values[start:stop] = var_from_forecast(
             means[start:stop], sigmas[start:stop], params, spec, level)
 

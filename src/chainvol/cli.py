@@ -38,11 +38,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a fit takes MIN_OBS days, and filter_model max(p, q) + 2
+        min_window = max(garchx.MIN_OBS, self.arma_p + 2, self.arma_q + 2)
         for key, ok, bound in (
             ("threshold", self.threshold >= 2, ">= 2"),
             ("alpha_tail", 0 < self.alpha_tail < 0.5, "in (0, 0.5)"),
             ("var_level", 0 < self.var_level < 0.5, "in (0, 0.5)"),
-            ("window", self.window >= garchx.MIN_OBS, f">= {garchx.MIN_OBS}"),
+            ("window", self.window >= min_window, f">= {min_window}"),
             ("refit_every", self.refit_every >= 1, ">= 1"),
             ("arma_p", self.arma_p >= 0, ">= 0"),
             ("arma_q", self.arma_q >= 0, ">= 0"),

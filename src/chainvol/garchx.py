@@ -74,10 +74,6 @@ class ArmaGarchXParams:
         """ParamRows.is_valid of this one parameter set."""
         return bool(ParamRows.of(self).is_valid()[0])
 
-    def validate(self) -> None:
-        if not self.is_valid():
-            raise ValidationError(f"parameter invariants violated: {self.to_dict()}")
-
     def to_dict(self) -> dict:
         return {
             "mu": float(self.mu),
@@ -90,14 +86,6 @@ class ArmaGarchXParams:
             "nu": float(self.nu),
             "xi": float(self.xi),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArmaGarchXParams":
-        return cls(
-            mu=d["mu"], phi=np.array(d["phi"]), theta=np.array(d["theta"]),
-            alpha0=d["alpha0"], alpha1=d["alpha1"], beta=d["beta"],
-            beta_x=np.array(d["beta_x"]), nu=d["nu"], xi=d["xi"],
-        )
 
 
 @dataclass
@@ -308,13 +296,17 @@ def innovation_logpdf(z, params, spec: ModelSpec):
     """Log-density of the standardized innovations z.
 
     One ArmaGarchXParams is taken as a one-row ParamRows. Row r of z takes
-    row r's nu and xi: the density runs once per distinct (nu, xi) with
-    numpy scalar parameters, so that an extreme xi gives inf or nan, not a
-    Python ZeroDivisionError or OverflowError. With one distinct pair, as
-    for one row, it runs once on all of z, whatever its shape.
+    row r's parameters of the law: none for normal, nu for t and (nu, xi)
+    for skewt. The density runs once per distinct value of them with numpy
+    scalar parameters, so that an extreme xi gives inf or nan, not a Python
+    ZeroDivisionError or OverflowError. With one distinct value, as for one
+    row or the normal law, it runs once on all of z, whatever its shape.
     """
+    if spec.distribution == "normal":
+        return normal_logpdf(z)
     rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
-    groups = _groups(np.column_stack((rows.nu, rows.xi)))
+    keys = (rows.nu,) if spec.distribution == "t" else (rows.nu, rows.xi)
+    groups = _groups(np.column_stack(keys))
     if len(groups) == 1:
         return _logpdf(z, rows.nu[0], rows.xi[0], spec.distribution)
     out = np.empty_like(z)
@@ -324,8 +316,6 @@ def innovation_logpdf(z, params, spec: ModelSpec):
 
 
 def _logpdf(z, nu: float, xi: float, distribution: str):
-    if distribution == "normal":
-        return normal_logpdf(z)
     if distribution == "t":
         return student_t_logpdf(z, nu)
     return skewt_logpdf(z, nu, xi)
@@ -530,7 +520,8 @@ def simulate(params: ArmaGarchXParams, spec: ModelSpec, x, T: int, seed: int):
     Returns (y, u, sigma2). Innovations are drawn by inverse transform from
     the innovation law named in the model specification.
     """
-    params.validate()
+    if not params.is_valid():
+        raise ValidationError(f"parameter invariants violated: {params.to_dict()}")
     rng = np.random.default_rng(seed)
     z = np.asarray(innovation_quantile(params, spec, rng.uniform(size=T)))
     xvar = _xvar(x, params.beta_x[: spec.k], T)
@@ -561,26 +552,33 @@ def simulate(params: ArmaGarchXParams, spec: ModelSpec, x, T: int, seed: int):
 
 
 def forecast_one(params: ArmaGarchXParams, spec: ModelSpec, y, u, sigma2, x_next):
-    """One-step-ahead (mean, sigma) from the end of a filtered history.
+    """One-step-ahead (mean, sigma) from the end of filtered histories.
 
-    x_next holds the k regressor values dated T+1 (already on the same scale
-    as the regressors the filter saw).
+    y, u and sigma2 are one window (T,), giving two floats, or m windows
+    (m, T) under the same parameters, giving two (m,) arrays whose entries
+    are bit for bit what each window gives alone. x_next holds the k
+    regressor values dated T+1, (k,) or one row per window (m, k), already
+    on the same scale as the regressors the filter saw.
     """
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
+    exog = 0.0
     if spec.k > 0:
-        x_next = np.atleast_1d(np.asarray(x_next, dtype=float))
-        if x_next.size != spec.k:
-            raise ValidationError(f"x_next has {x_next.size} entries, need {spec.k}")
-        exog = float(params.beta_x[: spec.k] @ x_next)
-    else:
-        exog = 0.0
-    s2 = params.alpha0 + params.alpha1 * u[-1] ** 2 + params.beta * sigma2[-1] + exog
-    s2 = max(s2, SIGMA2_MIN)
-    mean = params.mu
+        # one contiguous copy: ddot sums a strided vector in another order,
+        # and vecdot runs one ddot per row
+        x_next = np.array(x_next, dtype=float, order="C", ndmin=1)
+        if x_next.shape[-1] != spec.k:
+            raise ValidationError(f"x_next has {x_next.shape[-1]} entries, need {spec.k}")
+        exog = np.vecdot(x_next, params.beta_x[: spec.k])
+    u_T = u[..., -1]
+    s2 = params.alpha0 + params.alpha1 * (u_T * u_T) + params.beta * sigma2[..., -1] + exog
+    s2 = np.maximum(s2, SIGMA2_MIN)
+    mean = np.full(y.shape[:-1], params.mu, dtype=float)
     for i in range(spec.p):
-        mean += params.phi[i] * y[-1 - i]
+        mean += params.phi[i] * y[..., -1 - i]
     for j in range(spec.q):
-        mean += params.theta[j] * u[-1 - j]
-    return float(mean), float(np.sqrt(s2))
+        mean += params.theta[j] * u[..., -1 - j]
+    if y.ndim == 1:
+        return float(mean), float(np.sqrt(s2))
+    return mean, np.sqrt(s2)

@@ -1,9 +1,12 @@
-"""rolling_backtest forecasts each refit block with one filter call over all
-of its windows; every day must come out bit for bit as the per-day loop
-below, which filters each trailing window on its own, gives it."""
+"""rolling_backtest forecasts each refit block with one filter call and one
+forecast_one call over all of its windows; every day must come out bit for
+bit as the per-day loop below, which filters and forecasts each trailing
+window on its own, gives it."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainvol import backtest as bt
 from chainvol import garchx as g
@@ -153,3 +156,77 @@ def test_first_refit_failure_still_raises(monkeypatch):
     y = np.random.default_rng(4).normal(size=80) * 0.02
     with pytest.raises(FitError):
         bt.rolling_backtest(y, None, ModelSpec(0, 0, 0, "normal"), window=60)
+
+
+X_LAYOUTS = ("C", "F", "strided")
+
+
+def x_next_in(layout, x_next, rng):
+    """x_next (m, k) as a C-ordered array, an F-ordered one or a strided
+    view into a wider array, as rolling_backtest's span[:, window:].T is."""
+    if layout == "C":
+        return np.ascontiguousarray(x_next)
+    if layout == "F":
+        return np.asfortranarray(x_next)
+    wide = rng.normal(size=(x_next.shape[1], 2 * x_next.shape[0] + 3))
+    wide[:, 3::2] = x_next.T
+    return wide[:, 3::2].T
+
+
+@st.composite
+def forecast_cases(draw):
+    """m filtered windows under one parameter set and their x_next; with
+    floor, the variance floor binds in the filter and in the forecast."""
+    distribution = draw(st.sampled_from(g.DISTRIBUTIONS))
+    p, q, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    m, T = draw(st.integers(1, 6)), draw(st.integers(max(p, q) + 2, 40))
+    floor = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = ArmaGarchXParams(
+        mu=rng.normal() * 1e-3, phi=rng.uniform(-0.5, 0.5, size=p),
+        theta=rng.uniform(-0.3, 0.3, size=q), alpha0=10 ** rng.uniform(-6, -3),
+        alpha1=rng.uniform(0, 0.3), beta=rng.uniform(0, 0.65),
+        beta_x=rng.normal(size=k) * 1e-5, nu=rng.uniform(2.5, 30), xi=rng.uniform(0.5, 2),
+    )
+    x_next = rng.normal(size=(m, k))
+    if floor:
+        if k:
+            # beta_x' x far below -alpha0 on some days and on some next days
+            params.beta_x = rng.choice([-1.0, 1.0], size=k) * 10 ** rng.uniform(-3, 0, size=k)
+        else:
+            params.alpha0, params.alpha1, params.beta = 1e-14, 0.0, 0.0
+    spec = ModelSpec(p, q, k, distribution)
+    y = rng.standard_t(5, size=(m, T)) * 0.02
+    x = rng.normal(size=(m, k, T)) if k else None
+    u, sigma2 = g.filter_model(y, x, params, spec)
+    layout = draw(st.sampled_from(X_LAYOUTS))
+    return params, spec, y, u, sigma2, x_next_in(layout, x_next, rng) if k else None
+
+
+@given(forecast_cases())
+@settings(max_examples=400, deadline=None)
+def test_block_forecast_equals_one_window_calls(case):
+    params, spec, y, u, sigma2, x_next = case
+    means, sigmas = g.forecast_one(params, spec, y, u, sigma2, x_next)
+    assert means.shape == sigmas.shape == (len(y),)
+    for i in range(len(y)):
+        rows = [None] if x_next is None else [x_next[i], np.array(x_next[i])]
+        for x_i in rows:
+            # a row of any layout, strided or a contiguous copy, gives the same bits
+            mean, sigma = g.forecast_one(params, spec, y[i], u[i], sigma2[i], x_i)
+            assert type(mean) is type(sigma) is float
+            np.testing.assert_array_equal(np.array([means[i], sigmas[i]]).view(np.int64),
+                                          np.array([mean, sigma]).view(np.int64))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_block_forecast_cases_reach_the_floor(k):
+    # the floor case of the property above does bind in the forecast
+    rng = np.random.default_rng(5)
+    params = ArmaGarchXParams(alpha0=1e-14, alpha1=0.0, beta=0.0, beta_x=[-1.0, 0.5][:k])
+    spec = ModelSpec(0, 0, k, "normal")
+    y = rng.normal(size=(8, 30)) * 0.02
+    x = rng.normal(size=(8, k, 30)) if k else None
+    u, sigma2 = g.filter_model(y, x, params, spec)
+    _, sigmas = g.forecast_one(params, spec, y, u, sigma2, rng.normal(size=(8, k)) if k else None)
+    assert (sigmas == np.sqrt(g.SIGMA2_MIN)).any()

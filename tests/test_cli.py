@@ -505,12 +505,17 @@ def test_config_value_out_of_range(tmp_path, capsys, monkeypatch, argv):
     ("lag", ["backtest", "f.csv", "p.csv", "--out", "b", "--lag", "-2"]),
     ("lag", ["analyze", "f.csv", "p.csv", "--out", "a", "--lag", "-1"]),
     ("lag", ["--config", "../lag.cfg", "analyze", "f.csv", "p.csv", "--out", "a"]),
+    # the window must hold max(arma_p, arma_q) + 2 days for filter_model
+    ("window", ["backtest", "f.csv", "p.csv", "--out", "b", "--arma-p", "300",
+                "--window", "250"]),
+    ("window", ["--config", "../arma_order.cfg", "backtest", "f.csv", "p.csv", "--out", "b"]),
 ], ids=lambda v: v if isinstance(v, str) else "_".join(v))
 def test_bad_seed_or_synth_value(tmp_path, capsys, monkeypatch, key, argv):
     # one error line and nothing written, neither --out nor anything in it
     for name, value in (("seed", "-2"), ("arma_p", "-1"), ("arma_q", "-3"),
                         ("distribution", "cauchy"), ("lag", "-2")):
         (tmp_path / f"{name}.cfg").write_text(f"{name} = {value}\n")
+    (tmp_path / "arma_order.cfg").write_text("window = 100\narma_q = 99\n")
     run = tmp_path / "run"
     run.mkdir()
     monkeypatch.chdir(run)

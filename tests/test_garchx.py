@@ -401,7 +401,7 @@ class TestForecast:
 class TestSerialization:
     def test_params_round_trip(self):
         params = garch_params(phi=[0.2, -0.1], theta=[0.05], beta_x=[0.3, -0.2], nu=5.5, xi=0.9)
-        back = ArmaGarchXParams.from_dict(params.to_dict())
+        back = ArmaGarchXParams(**params.to_dict())
         assert back.to_dict() == params.to_dict()
 
     def test_pack_unpack_round_trip(self):

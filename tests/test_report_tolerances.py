@@ -54,7 +54,7 @@ def test_reports_at_recorded_parameters(readme_dataset, monkeypatch):
         assert rec["spec"] == {"p": spec.p, "q": spec.q, "k": spec.k,
                                "distribution": spec.distribution}
         return FitResult(
-            spec=spec, params=ArmaGarchXParams.from_dict(rec["params"]),
+            spec=spec, params=ArmaGarchXParams(**rec["params"]),
             loglik=rec["loglik"], converged=True, iterations=0,
             x_mean=np.array(rec["x_mean"]), x_std=np.array(rec["x_std"]),
         )

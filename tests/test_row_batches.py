@@ -7,6 +7,7 @@ fit hands the points of every finite-difference gradient to L-BFGS-B's
 call per point.
 """
 
+import sys
 import warnings
 from dataclasses import fields
 
@@ -135,6 +136,27 @@ class TestBatchedLikelihood:
         params = ArmaGarchXParams(alpha0=1e-5, alpha1=0.1, beta=0.6, beta_x=[-0.1])
         _, sigma2 = g.filter_model(y, x, stack_rows([params] * 2), ModelSpec(0, 0, 1, "normal"))
         assert (sigma2 == g.SIGMA2_MIN).any(axis=1).all()
+
+    @pytest.mark.parametrize("distribution", ["normal", "t"])
+    def test_logpdf_groups_rows_by_the_laws_parameters(self, monkeypatch, distribution):
+        # the normal law has neither nu nor xi, so innovation_logpdf never
+        # groups its rows, and the t law has no xi, so it groups them by nu
+        groups, keys = g._groups, []
+
+        def spy(rows):
+            if sys._getframe(1).f_code.co_name == "innovation_logpdf":
+                keys.append(rows.shape[1])
+            return groups(rows)
+
+        monkeypatch.setattr(g, "_groups", spy)
+        y = np.random.default_rng(3).normal(size=80) * 0.02
+        sets = [ArmaGarchXParams(alpha0=1e-5, alpha1=0.1, beta=0.8, nu=nu, xi=xi)
+                for nu, xi in ((5.0, 1.0), (8.0, 0.7), (5.0, 1.5))]
+        spec = ModelSpec(0, 0, 0, distribution)
+        nll = g.neg_log_likelihood(y, None, stack_rows(sets), spec)
+        assert keys == ([] if distribution == "normal" else [1])
+        np.testing.assert_array_equal(
+            bits(nll), bits([g.neg_log_likelihood(y, None, s, spec) for s in sets]))
 
     def test_penalty_rules_row_by_row(self):
         y = np.random.default_rng(1).normal(size=80) * 0.02
