@@ -11,6 +11,7 @@ contemporaneous with sigma_t, so one-step forecasts need x_{t+1}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -191,25 +192,58 @@ def _xvar(x, beta_x, T: int) -> np.ndarray:
     return beta_x @ x
 
 
+# the numerator of every filter: the recursions are all-pole
+_B = np.ones(1)
+
+
+@functools.cache
+def _linear_filter():
+    """scipy.signal._sigtools._linear_filter, the C kernel that lfilter calls
+    unchanged for every denominator longer than [1].
+
+    It is loaded from its extension file, so scipy/signal/__init__.py never
+    runs: that would load scipy.stats (through _peak_finding), scipy.spatial
+    and scipy.ndimage, 0.6-0.8 s of every backtest process on a 2-core
+    x86-64 VM. The module goes into sys.modules under its own name, so a
+    later import of scipy.signal uses it.
+    tests/test_row_batches.py::test_kernel_matches_lfilter guards the
+    private name against lfilter.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    import scipy
+
+    name = "scipy.signal._sigtools"
+    if name not in sys.modules:
+        path = os.path.join(os.path.dirname(scipy.__file__), "signal",
+                            "_sigtools" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        spec = importlib.util.spec_from_file_location(name, path)
+        # an ImportError naming path when the file is missing
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]._linear_filter
+
+
 def _lfilter_rows(lags, x, zi=None):
     """lfilter([1], [1, *lags[r]], x[r]) on every row r of x, starting from
-    state zi[r]: one 2-D lfilter call per distinct denominator."""
-    # imported here: scipy.signal loads scipy.stats, and only the backtest
-    # stage filters
-    from scipy.signal import lfilter
-
+    state zi[r]: one 2-D kernel call per distinct denominator."""
     if lags.shape[1] == 0:
         # a denominator of [1] leaves x as it is; lfilter would get there
         # through np.convolve on each row
         return x
+    linear_filter = _linear_filter()
     groups = _groups(lags)
     out = np.empty_like(x) if len(groups) > 1 else None
     for first, rows in groups:
         a = np.concatenate(([1.0], lags[first]))
         if zi is None:
-            filtered = lfilter([1.0], a, x[rows])
+            filtered = linear_filter(_B, a, x[rows], -1)
         else:
-            filtered = lfilter([1.0], a, x[rows], zi=zi[rows])[0]
+            filtered = linear_filter(_B, a, x[rows], -1, zi[rows])[0]
         if out is None:
             return filtered
         out[rows] = filtered
@@ -235,10 +269,11 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     ParamRows of m sets; y is one series (T,) or m windows (m, T), and x is
     (k, T), or (m, k, T) with one regressor window per row of y. A block
     gives (m, T) arrays whose rows are bit for bit what each row gives alone.
-    Every row runs through both recursions; each recursion is one lfilter
-    call per distinct denominator, and beta_x' x is one product per distinct
-    beta_x. A state that is not finite is a ValidationError for one
-    parameter set; rows of a ParamRows keep it, for the caller to check.
+    Every row runs through both recursions; each recursion is one call of
+    lfilter's C kernel per distinct denominator, and beta_x' x is one
+    product per distinct beta_x. A state that is not finite is a
+    ValidationError for one parameter set; rows of a ParamRows keep it, for
+    the caller to check.
     """
     rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
     y = np.asarray(y, dtype=float)

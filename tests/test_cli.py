@@ -565,27 +565,35 @@ class TestTopLevelFlags:
 
 
 def test_import_does_not_load_scipy_signal(dataset, tmp_path):
-    # the filter imports scipy.signal, the fit scipy.optimize and every caller
-    # of scipy.special that module where it runs, and scipy.stats is not used
-    # at all; so importing chainvol.cli, extract and features load no scipy
+    # the filter loads lfilter's C kernel from its extension file, the fit
+    # imports scipy.optimize and every caller of scipy.special that module
+    # where it runs, and scipy.stats is not used at all; so importing
+    # chainvol.cli, extract and features load no scipy, and backtest loads
+    # neither the scipy.signal package nor scipy.stats
     code = textwrap.dedent("""
         import sys, chainvol.cli
         def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
         print(scipy())
-        tx, occ, amo, prices, out = sys.argv[1:]
+        tx, occ, amo, prices, out, bt = sys.argv[1:]
         main = chainvol.cli.main
         assert main(['extract', tx, '--out-occurrence', occ, '--out-amount', amo]) == 0
         assert main(['features', occ, amo, prices, '--out', out]) == 0
         print(scipy())
+        assert main(['backtest', out, prices, '--out', bt, '--window', '60',
+                     '--refit-every', '20', '--restarts', '1']) == 0
+        print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])
     """)
     data = dataset["data"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", code, str(data / "transactions.csv"), str(tmp_path / "occ.txt"),
-         str(tmp_path / "amo.txt"), str(data / "prices.csv"), str(tmp_path / "f.csv")],
+         str(tmp_path / "amo.txt"), str(data / "prices.csv"), str(tmp_path / "f.csv"),
+         str(tmp_path / "bt")],
         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.splitlines()[0] == "[]" and out.stdout.splitlines()[-1] == "[]"
+    # the three module lists, between the stages' own messages
+    assert [line for line in out.stdout.splitlines() if line.startswith("[")] == ["[]"] * 3
     assert (tmp_path / "f.csv").read_bytes() == dataset["features"].read_bytes()
+    assert (tmp_path / "bt" / "backtest_report.json").exists()
 
 
 def test_extract_runs_under_cprofile(dataset, tmp_path):

@@ -188,6 +188,32 @@ class TestBatchedLikelihood:
             assert rows.row(i).to_dict() == g.unpack_params(v[i], spec).to_dict()
 
 
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 80),
+       st.sampled_from(("C", "F", "strided")), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_lfilter(order, m, T, layout, with_zi, seed):
+    # garchx calls scipy.signal._sigtools._linear_filter, lfilter's private
+    # C kernel; a scipy that moves or changes it must fail here. The kernel
+    # is loaded first, as in a backtest process, so lfilter runs on the
+    # module the loader registered
+    g._linear_filter()
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(seed)
+    a = np.concatenate(([1.0], rng.uniform(-0.6, 0.6, size=order)))
+    base = rng.normal(size=(m, 2 * T))
+    x = {"C": np.ascontiguousarray(base[:, :T]), "F": np.asfortranarray(base[:, :T]),
+         "strided": base[:, ::2]}[layout]
+    # every row has the same denominator, so x goes to the kernel as it is
+    lags = np.tile(a[1:], (m, 1))
+    if with_zi:
+        zi = rng.normal(size=(m, order))
+        got, want = g._lfilter_rows(lags, x, zi), lfilter([1.0], a, x, zi=zi)[0]
+    else:
+        got, want = g._lfilter_rows(lags, x), lfilter([1.0], a, x)
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
 class TestFitWorkers:
     def _fit_capturing_minimize(self, monkeypatch, spec, y, x):
         calls = []
