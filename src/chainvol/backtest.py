@@ -15,7 +15,6 @@ from .garchx import (
     FitConfig,
     FitResult,
     ModelSpec,
-    filter_model,
     fit,
     forecast_one,
     innovation_quantile,
@@ -194,10 +193,10 @@ def rolling_backtest(
 
     The days between two refit attempts, or all days under ``fixed_params``,
     form a block with one parameter set. Its trailing windows are
-    sliding-window views, filtered and forecast in chunks of at most
-    BATCH_CELLS days x window: one filter_model and one forecast_one call per
-    chunk, with a refit's regressor standardization applied to the chunk's
-    span at once. The block's VaR quantile is computed once.
+    sliding-window views, forecast in chunks of at most BATCH_CELLS
+    days x window: one forecast_one call per chunk, which runs the filter one
+    day past each window, with a refit's regressor standardization applied
+    to the chunk's span at once. The block's VaR quantile is computed once.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
@@ -233,15 +232,14 @@ def rolling_backtest(
             hi = min(lo + chunk, stop)
             # the trailing windows of days window + lo .. window + hi - 1
             yw = sliding_window_view(y[lo: window + hi - 1], window)
-            xw = x_next = None
+            xw = None
             if x is not None:
                 span = x[:, lo: window + hi]
                 if transform_x is not None:
                     span = transform_x(span)
-                xw = sliding_window_view(span[:, :-1], window, axis=1).transpose(1, 0, 2)
-                x_next = span[:, window:].T
-            u, sigma2 = filter_model(yw, xw, params, spec)
-            means[lo:hi], sigmas[lo:hi] = forecast_one(params, spec, yw, u, sigma2, x_next)
+                # each window's regressors and those of its forecast day
+                xw = sliding_window_view(span, window + 1, axis=1).transpose(1, 0, 2)
+            means[lo:hi], sigmas[lo:hi] = forecast_one(params, spec, yw, xw)
         var_values[start:stop] = var_from_forecast(
             means[start:stop], sigmas[start:stop], params, spec, level)
 

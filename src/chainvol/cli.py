@@ -24,7 +24,7 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class PipelineConfig:
-    threshold: int = 20
+    threshold: int = chainlets.DEFAULT_THRESHOLD
     alpha_tail: float = 0.05
     var_level: float = 0.01
     window: int = 250
@@ -142,6 +142,8 @@ def cmd_extract(args, config: PipelineConfig) -> int:
 
 
 def cmd_features(args, config: PipelineConfig) -> int:
+    if args.events and not args.plot_data:
+        raise ChainvolError("--events needs --plot-data: the events are labels in the plot data")
     cube = chainlets.combine_matrices(
         ingest.load_matrix_file(args.occurrence, dim=config.threshold),
         ingest.load_matrix_file(args.amount, dim=config.threshold),
@@ -156,7 +158,7 @@ def cmd_features(args, config: PipelineConfig) -> int:
     prices = ingest.load_prices(args.prices, calendar)
     rows = chainlets.feature_series(cube, prices)
     events = {}
-    if args.plot_data and args.events:
+    if args.events:
         for line_no, line in ingest.data_lines(args.events):
             if line.startswith("date,"):
                 continue

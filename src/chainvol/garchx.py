@@ -268,7 +268,8 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     The filter runs over blocks of rows. params is one ArmaGarchXParams or a
     ParamRows of m sets; y is one series (T,) or m windows (m, T), and x is
     (k, T), or (m, k, T) with one regressor window per row of y. A block
-    gives (m, T) arrays whose rows are bit for bit what each row gives alone.
+    gives (m, T) arrays whose rows are bit for bit what each row gives alone,
+    its regressors in the same memory layout.
     Every row runs through both recursions; each recursion is one call of
     lfilter's C kernel per distinct denominator, and beta_x' x is one
     product per distinct beta_x. A state that is not finite is a
@@ -586,34 +587,19 @@ def simulate(params: ArmaGarchXParams, spec: ModelSpec, x, T: int, seed: int):
     return np.array(y), np.array(u), np.array(sigma2)
 
 
-def forecast_one(params: ArmaGarchXParams, spec: ModelSpec, y, u, sigma2, x_next):
-    """One-step-ahead (mean, sigma) from the end of filtered histories.
-
-    y, u and sigma2 are one window (T,), giving two floats, or m windows
-    (m, T) under the same parameters, giving two (m,) arrays whose entries
-    are bit for bit what each window gives alone. x_next holds the k
-    regressor values dated T+1, (k,) or one row per window (m, k), already
-    on the same scale as the regressors the filter saw.
+def forecast_one(params: ArmaGarchXParams, spec: ModelSpec, y, x):
+    """One-step-ahead (means, sigmas) of m windows y (m, T) under one
+    parameter set: the filter run one day past each window with 0 for the
+    unknown return, so that day's residual is minus the conditional mean and
+    its variance is the forecast. x is None or (m, k, T + 1), each window's
+    regressors and its forecast day's, on the scale the model was fit on.
+    Each window's own sample variance is its pre-sample variance, as in
+    filter_model on the window alone, so each entry is bit for bit what its
+    window gives alone.
     """
     y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    exog = 0.0
-    if spec.k > 0:
-        # one contiguous copy: ddot sums a strided vector in another order,
-        # and vecdot runs one ddot per row
-        x_next = np.array(x_next, dtype=float, order="C", ndmin=1)
-        if x_next.shape[-1] != spec.k:
-            raise ValidationError(f"x_next has {x_next.shape[-1]} entries, need {spec.k}")
-        exog = np.vecdot(x_next, params.beta_x[: spec.k])
-    u_T = u[..., -1]
-    s2 = params.alpha0 + params.alpha1 * (u_T * u_T) + params.beta * sigma2[..., -1] + exog
-    s2 = np.maximum(s2, SIGMA2_MIN)
-    mean = np.full(y.shape[:-1], params.mu, dtype=float)
-    for i in range(spec.p):
-        mean += params.phi[i] * y[..., -1 - i]
-    for j in range(spec.q):
-        mean += params.theta[j] * u[..., -1 - j]
-    if y.ndim == 1:
-        return float(mean), float(np.sqrt(s2))
-    return mean, np.sqrt(s2)
+    m, T = y.shape
+    ahead = np.zeros((m, T + 1))
+    ahead[:, :T] = y
+    u, sigma2 = filter_model(ahead, x, params, spec, sigma2_init=y.var(axis=1))
+    return -u[:, -1], np.sqrt(sigma2[:, -1])

@@ -11,6 +11,7 @@ import errno
 import io
 import math
 import os
+import re
 import warnings
 from array import array
 from contextlib import contextmanager
@@ -82,9 +83,20 @@ class TxLoadResult:
     n_lines: int = 0
 
 
+# from Python 3.11 on date.fromisoformat also takes 20150102 and the week
+# date 2015-W01-1 (2014-12-29); input dates are YYYY-MM-DD only
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _iso_date(token: str) -> dt.date:
+    if not _ISO_DATE.fullmatch(token):
+        raise ValueError("expected YYYY-MM-DD")
+    return dt.date.fromisoformat(token)
+
+
 def parse_date(token: str, path, line_no) -> dt.date:
     try:
-        return dt.date.fromisoformat(token)
+        return _iso_date(token)
     except ValueError as exc:
         raise ParseError(f"bad date {token!r}: {exc}", path, line_no) from None
 
@@ -325,7 +337,7 @@ def _parse_matrix_lines(lines, line_no, path, dim: int) -> tuple[list[dt.date], 
     return days, np.frombuffer(table, dtype=np.int64).reshape(-1, n2)
 
 
-def load_matrix_file(path, dim: int = 20) -> tuple[list[dt.date], np.ndarray]:
+def load_matrix_file(path, dim: int) -> tuple[list[dt.date], np.ndarray]:
     """Read a matrix file: per line a date then dim*dim row-major values.
 
     Row index is the input class i (1..dim), column the output class j.
@@ -347,7 +359,7 @@ def load_matrix_file(path, dim: int = 20) -> tuple[list[dt.date], np.ndarray]:
             block_days: list[dt.date] = []
 
             def date_column(token: str) -> int:
-                block_days.append(dt.date.fromisoformat(token))
+                block_days.append(_iso_date(token))
                 return 0
 
             rows = _loadtxt_block(text, converters={0: date_column})

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chainlets import DEFAULT_THRESHOLD
 from .errors import ValidationError
 from .garchx import ArmaGarchXParams, ModelSpec, simulate
 from .ingest import SECONDS_PER_DAY, atomic_write_text
@@ -29,7 +30,7 @@ class SynthConfig:
     days: int = 60
     txs_per_day: float = 50.0
     extreme_prob: float = 0.05
-    threshold: int = 20
+    threshold: int = DEFAULT_THRESHOLD
     seed: int = 0
 
     def __post_init__(self):

@@ -1,12 +1,13 @@
-"""rolling_backtest forecasts each refit block with one filter call and one
+"""rolling_backtest forecasts each chunk of a refit block with one
 forecast_one call over all of its windows; every day must come out bit for
-bit as the per-day loop below, which filters and forecasts each trailing
-window on its own, gives it."""
+bit as the per-day loop below, which forecasts each trailing window on its
+own, gives it. No day's forecast may change when later days change."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chainvol import backtest as bt
 from chainvol import garchx as g
@@ -15,7 +16,7 @@ from chainvol.garchx import ArmaGarchXParams, FitConfig, FitResult, ModelSpec
 
 
 def per_day_backtest(y, x, spec, window, refit_every, level, fit_config, fixed_params, fit):
-    """The rolling backtest as one filter and one forecast per day."""
+    """The rolling backtest as one forecast per day."""
     y = np.asarray(y, dtype=float)
     T = y.size
     x = np.atleast_2d(np.asarray(x, dtype=float)) if spec.k > 0 else None
@@ -23,23 +24,24 @@ def per_day_backtest(y, x, spec, window, refit_every, level, fit_config, fixed_p
     current = None
     for step, t in enumerate(range(window, T)):
         lo = t - window
-        x_hist, x_next = (x[:, lo:t], x[:, t:t + 1]) if x is not None else (None, None)
+        # the window's regressors and those of its forecast day
+        x_ahead = x[:, lo:t + 1] if x is not None else None
         if fixed_params is not None:
             params = fixed_params
         else:
             if current is None or step % refit_every == 0:
                 try:
-                    current = fit(y[lo:t], x_hist, spec, fit_config)
+                    current = fit(y[lo:t], x[:, lo:t] if x is not None else None, spec,
+                                  fit_config)
                 except FitError:
                     if current is None:
                         raise
                     refit_failures.append(t)
             params = current.params
             if x is not None:
-                x_hist, x_next = current.transform_x(x_hist), current.transform_x(x_next)
-        u, sigma2 = g.filter_model(y[lo:t], x_hist, params, spec)
-        mean_next, sigma_next = g.forecast_one(
-            params, spec, y[lo:t], u, sigma2, x_next[:, 0] if x is not None else None
+                x_ahead = current.transform_x(x_ahead)
+        (mean_next,), (sigma_next,) = g.forecast_one(
+            params, spec, y[None, lo:t], x_ahead[None] if x is not None else None
         )
         var_values.append(bt.var_from_forecast(mean_next, sigma_next, params, spec, level))
         sigmas.append(sigma_next)
@@ -161,22 +163,21 @@ def test_first_refit_failure_still_raises(monkeypatch):
 X_LAYOUTS = ("C", "F", "strided")
 
 
-def x_next_in(layout, x_next, rng):
-    """x_next (m, k) as a C-ordered array, an F-ordered one or a strided
-    view into a wider array, as rolling_backtest's span[:, window:].T is."""
-    if layout == "C":
-        return np.ascontiguousarray(x_next)
-    if layout == "F":
-        return np.asfortranarray(x_next)
-    wide = rng.normal(size=(x_next.shape[1], 2 * x_next.shape[0] + 3))
-    wide[:, 3::2] = x_next.T
-    return wide[:, 3::2].T
+def x_in(layout, m, k, T, rng):
+    """Regressors (m, k, T + 1) as a C-ordered array, an F-ordered one or
+    the strided sliding-window view of one (k, T + m) span, as
+    rolling_backtest passes them."""
+    if layout == "strided":
+        span = rng.normal(size=(k, T + m))
+        return sliding_window_view(span, T + 1, axis=1).transpose(1, 0, 2)
+    x = rng.normal(size=(m, k, T + 1))
+    return x if layout == "C" else np.asfortranarray(x)
 
 
 @st.composite
 def forecast_cases(draw):
-    """m filtered windows under one parameter set and their x_next; with
-    floor, the variance floor binds in the filter and in the forecast."""
+    """m windows under one parameter set and their regressors; with floor,
+    the variance floor binds within the windows and on the forecast days."""
     distribution = draw(st.sampled_from(g.DISTRIBUTIONS))
     p, q, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
     m, T = draw(st.integers(1, 6)), draw(st.integers(max(p, q) + 2, 40))
@@ -188,45 +189,78 @@ def forecast_cases(draw):
         alpha1=rng.uniform(0, 0.3), beta=rng.uniform(0, 0.65),
         beta_x=rng.normal(size=k) * 1e-5, nu=rng.uniform(2.5, 30), xi=rng.uniform(0.5, 2),
     )
-    x_next = rng.normal(size=(m, k))
     if floor:
         if k:
-            # beta_x' x far below -alpha0 on some days and on some next days
+            # beta_x' x far below -alpha0 on some days and on some forecast days
             params.beta_x = rng.choice([-1.0, 1.0], size=k) * 10 ** rng.uniform(-3, 0, size=k)
         else:
             params.alpha0, params.alpha1, params.beta = 1e-14, 0.0, 0.0
     spec = ModelSpec(p, q, k, distribution)
     y = rng.standard_t(5, size=(m, T)) * 0.02
-    x = rng.normal(size=(m, k, T)) if k else None
-    u, sigma2 = g.filter_model(y, x, params, spec)
     layout = draw(st.sampled_from(X_LAYOUTS))
-    return params, spec, y, u, sigma2, x_next_in(layout, x_next, rng) if k else None
+    return params, spec, y, x_in(layout, m, k, T, rng) if k else None
 
 
 @given(forecast_cases())
 @settings(max_examples=400, deadline=None)
 def test_block_forecast_equals_one_window_calls(case):
-    params, spec, y, u, sigma2, x_next = case
-    means, sigmas = g.forecast_one(params, spec, y, u, sigma2, x_next)
+    params, spec, y, x = case
+    means, sigmas = g.forecast_one(params, spec, y, x)
     assert means.shape == sigmas.shape == (len(y),)
     for i in range(len(y)):
-        rows = [None] if x_next is None else [x_next[i], np.array(x_next[i])]
-        for x_i in rows:
-            # a row of any layout, strided or a contiguous copy, gives the same bits
-            mean, sigma = g.forecast_one(params, spec, y[i], u[i], sigma2[i], x_i)
-            assert type(mean) is type(sigma) is float
-            np.testing.assert_array_equal(np.array([means[i], sigmas[i]]).view(np.int64),
-                                          np.array([mean, sigma]).view(np.int64))
+        # the window keeps the block's memory layout: matmul may sum beta_x' x
+        # in another order for another layout, such as a contiguous copy of an
+        # F-ordered window
+        x_i = x[i:i + 1] if x is not None else None
+        mean, sigma = g.forecast_one(params, spec, y[i:i + 1], x_i)
+        np.testing.assert_array_equal(np.array([means[i], sigmas[i]]).view(np.int64),
+                                      np.concatenate((mean, sigma)).view(np.int64))
 
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_block_forecast_cases_reach_the_floor(k):
-    # the floor case of the property above does bind in the forecast
+    # the floor case of the property above does bind on the forecast day
     rng = np.random.default_rng(5)
     params = ArmaGarchXParams(alpha0=1e-14, alpha1=0.0, beta=0.0, beta_x=[-1.0, 0.5][:k])
     spec = ModelSpec(0, 0, k, "normal")
     y = rng.normal(size=(8, 30)) * 0.02
-    x = rng.normal(size=(8, k, 30)) if k else None
-    u, sigma2 = g.filter_model(y, x, params, spec)
-    _, sigmas = g.forecast_one(params, spec, y, u, sigma2, rng.normal(size=(8, k)) if k else None)
+    _, sigmas = g.forecast_one(params, spec, y, rng.normal(size=(8, k, 31)) if k else None)
     assert (sigmas == np.sqrt(g.SIGMA2_MIN)).any()
+
+
+@pytest.mark.parametrize("fixed", [True, False])
+def test_no_look_ahead(monkeypatch, fixed):
+    # the forecast of day t sees y before t and x up to t: other values from
+    # day t0 on leave every earlier day's VaR and sigma bit for bit as they were
+    T, window = 150, 60
+    monkeypatch.setattr(bt, "BATCH_CELLS", 5 * window)
+    rng = np.random.default_rng(6)
+    y = rng.standard_t(5, size=T) * 0.02
+    x = rng.normal(2.0, 3.0, size=(5, T))
+    spec = ModelSpec(2, 2, 5, "skewt")
+    # alpha0 far above beta_x' x, so no floor hides a change of x
+    params = ArmaGarchXParams(**{**SKEWT_ARMA.to_dict(), "alpha0": 1e-2})
+
+    def run(y, x):
+        # a second refit that fails, so one block keeps the first refit's parameters
+        monkeypatch.setattr(bt, "fit", window_fit(params, failing_calls=(2,)))
+        return bt.rolling_backtest(y, x, spec, window=window, refit_every=7,
+                                   fixed_params=params if fixed else None)
+
+    def assert_first_days_equal(got, want, days):
+        for name in ("var_value", "sigma_forecast"):
+            np.testing.assert_array_equal(getattr(got, name)[:days].view(np.int64),
+                                          getattr(want, name)[:days].view(np.int64))
+
+    base = run(y, x)
+    for t0 in (window, window + 1, window + 7, window + 33, T - 1):
+        d = t0 - window
+        y_other, x_other = y.copy(), x.copy()
+        y_other[t0:] = rng.standard_t(5, size=T - t0) * 0.02
+        # other returns from day t0 on leave day t0's forecast too
+        assert_first_days_equal(run(y_other, x), base, d + 1)
+        x_other[:, t0:] = rng.normal(2.0, 3.0, size=(5, T - t0))
+        other = run(y_other, x_other)
+        assert_first_days_equal(other, base, d)
+        # day t0's forecast takes x[:, t0], so the comparison can see a change
+        assert other.sigma_forecast[d] != base.sigma_forecast[d]

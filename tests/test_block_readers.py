@@ -8,6 +8,7 @@ error with its message and line, must be that of the reference below.
 """
 
 import datetime as dt
+import re
 import warnings
 from unittest import mock
 
@@ -83,6 +84,8 @@ def reference_matrices(path, dim):
             raise ParseError(f"expected date + {dim * dim} values, got {len(tokens) - 1} values",
                              path, line_no)
         try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", tokens[0]):
+                raise ValueError("expected YYYY-MM-DD")
             day = dt.date.fromisoformat(tokens[0])
         except ValueError as exc:
             raise ParseError(f"bad date {tokens[0]!r}: {exc}", path, line_no) from None
@@ -190,7 +193,7 @@ def tx_line(draw):
 
 
 DIM = 2
-MATRIX_DAYS = ["2015-01-01", "2015-01-02", "2016-02-29", "20150103"]
+MATRIX_DAYS = ["2015-01-01", "2015-01-02", "2016-02-29"]
 
 
 @st.composite
@@ -221,7 +224,8 @@ def matrix_line(draw):
     elif kind == "negative":
         values[draw(st.integers(0, DIM * DIM - 1))] = draw(st.sampled_from(["-1", "-0", str(-2**63)]))
     elif kind == "date":
-        day = draw(st.sampled_from(["2015-02-30", "2015/01/01", "x", "0", "2015-01-01T00"]))
+        day = draw(st.sampled_from(["2015-02-30", "2015/01/01", "x", "0", "2015-01-01T00",
+                                    "20150103", "2015-W01-1"]))
     elif kind == "separators":
         sep = draw(st.sampled_from(["\t", "  ", " \x0b", "\x1c"]))
     return sep.join([day] + values)

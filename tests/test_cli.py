@@ -196,6 +196,16 @@ class TestFeatures:
         plot_lines = [l for l in plot.read_text().splitlines() if l and not l.startswith("day_")]
         assert len(plot_lines) == len(rows)
 
+    def test_events_without_plot_data_fail_before_any_work(self, dataset, tmp_path, capsys):
+        # the events only label plot-data rows; without --plot-data they would be ignored
+        events = tmp_path / "events.csv"
+        events.write_text("date,label\n2015-01-05,ok\n")
+        assert cli.main(["features", str(dataset["occ"]), str(dataset["amo"]),
+                         str(dataset["data"] / "prices.csv"), "--out", str(tmp_path / "f.csv"),
+                         "--events", str(events)]) == 1
+        assert "--events needs --plot-data" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["events.csv"]
+
     def test_missing_price_day_fails_with_date(self, dataset, tmp_path, capsys):
         prices = (dataset["data"] / "prices.csv").read_text().splitlines()
         clipped = tmp_path / "prices.csv"

@@ -359,22 +359,21 @@ class TestFit:
 class TestForecast:
     def test_constant_variance(self):
         params = garch_params(alpha0=0.09, alpha1=0.0, beta=0.0)
-        mean, sigma = g.forecast_one(
-            params, ModelSpec(0, 0, 0, "normal"), np.zeros(5), np.zeros(5), np.ones(5), None
-        )
+        (mean,), (sigma,) = g.forecast_one(params, ModelSpec(0, 0, 0, "normal"),
+                                           np.zeros((1, 5)), None)
         assert sigma == pytest.approx(0.3, abs=1e-12)
         assert mean == 0.0
 
     def test_recursion_consistency_with_filter(self):
+        # the filter over the window and the forecast day, from the window's
+        # pre-sample variance, ends on the forecast
         rng = np.random.default_rng(10)
         y = rng.normal(size=200)
         x = rng.normal(size=(1, 200))
         params = garch_params(mu=0.02, phi=[0.3], theta=[0.1], beta_x=[0.01])
         spec = ModelSpec(1, 1, 1, "normal")
-        u, sigma2 = g.filter_model(y, x, params, spec)
-        mean, sigma = g.forecast_one(
-            params, spec, y[:-1], u[:-1], sigma2[:-1], x[:, -1]
-        )
+        u, sigma2 = g.filter_model(y, x, params, spec, sigma2_init=np.var(y[:-1]))
+        (mean,), (sigma,) = g.forecast_one(params, spec, y[None, :-1], x[None])
         assert sigma**2 == pytest.approx(sigma2[-1], abs=1e-12)
         assert mean == pytest.approx(y[-1] - u[-1], abs=1e-12)
 
@@ -383,19 +382,18 @@ class TestForecast:
         params = garch_params(mu=0.01, phi=[0.5], theta=[0.3], alpha0=0.02, alpha1=0.1, beta=0.8)
         spec = ModelSpec(1, 1, 0, "normal")
         u, sigma2 = g.filter_model(y, None, params, spec)
-        mean, sigma = g.forecast_one(params, spec, y, u, sigma2, None)
+        (mean,), (sigma,) = g.forecast_one(params, spec, y[None], None)
         assert mean == pytest.approx(0.01 + 0.5 * y[-1] + 0.3 * u[-1], abs=1e-14)
         assert sigma**2 == pytest.approx(
             0.02 + 0.1 * u[-1] ** 2 + 0.8 * sigma2[-1], abs=1e-14
         )
 
     def test_missing_regressors_rejected(self):
+        # five days of regressors for a five-day window: the forecast day's are missing
         params = garch_params(beta_x=[0.1])
-        with pytest.raises(ValidationError):
-            g.forecast_one(
-                params, ModelSpec(0, 0, 1, "normal"), np.zeros(5), np.zeros(5), np.ones(5),
-                np.zeros(3),
-            )
+        with pytest.raises(ValidationError, match="need 6"):
+            g.forecast_one(params, ModelSpec(0, 0, 1, "normal"), np.zeros((1, 5)),
+                           np.zeros((1, 1, 5)))
 
 
 class TestSerialization:

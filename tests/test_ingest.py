@@ -257,7 +257,7 @@ class TestMatrixFiles:
             ingest.write_matrix_file(fh, dates, values)
         tracemalloc.start()
         try:
-            loaded_dates, loaded = ingest.load_matrix_file(p)
+            loaded_dates, loaded = ingest.load_matrix_file(p, dim=20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -289,6 +289,29 @@ def test_undecodable_bytes_name_line_in_other_readers(tmp_path, read, text):
     p = tmp_path / "input.txt"
     p.write_bytes(text)
     with pytest.raises(ChainvolError, match="^" + re.escape(f"{p}:2: bytes that are not valid UTF-8")):
+        read(p)
+
+
+def read_prices(path):
+    return ingest.load_prices(path, DailyCalendar(dt.date(2015, 1, 1), dt.date(2015, 1, 2)))
+
+
+def read_matrices(path):
+    return ingest.load_matrix_file(path, dim=1)
+
+
+@pytest.mark.parametrize("read,line", [
+    (read_prices, "{day},2.0"),
+    (chainlets.read_feature_csv, "{day},0.5,0.25,0.125,1,2,0.5"),
+    (read_matrices, "{day} 7"),
+], ids=["prices", "feature-csv", "matrix"])
+@pytest.mark.parametrize("day", ["20150102", "2015-W01-1", "2015W011", "2015-1-02"])
+def test_date_other_than_yyyy_mm_dd_names_line(tmp_path, read, line, day):
+    # Python 3.11's date.fromisoformat takes the first three (the week dates
+    # are 2014-12-29), and Python 3.10's does not; the readers take none
+    p = write(tmp_path, "input.txt", f"{line.format(day='2015-01-01')}\n{line.format(day=day)}\n")
+    message = f"{p}:2: bad date {day!r}: expected YYYY-MM-DD"
+    with pytest.raises(ParseError, match="^" + re.escape(message)):
         read(p)
 
 
