@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,37 +156,12 @@ class DayCubeBuilder:
         )
 
 
-@dataclass
-class ChainletMatrix:
+class ChainletMatrix(NamedTuple):
     """One day's N x N occurrence counts and satoshi amount sums."""
 
     date: dt.date
-    dim: int
     occurrence: np.ndarray  # int64, [i-1, j-1]
     amount: np.ndarray  # int64 satoshis
-
-    def __post_init__(self):
-        self.occurrence = np.asarray(self.occurrence, dtype=np.int64)
-        self.amount = np.asarray(self.amount, dtype=np.int64)
-        expected = (self.dim, self.dim)
-        if self.occurrence.shape != expected or self.amount.shape != expected:
-            raise ValidationError(
-                f"{self.date}: matrix shapes {self.occurrence.shape}/{self.amount.shape} "
-                f"!= {expected}"
-            )
-        self.cube()  # the checks of its entries
-
-    def cube(self) -> DayCube:
-        return DayCube([self.date], self.occurrence[None], self.amount[None])
-
-    @property
-    def total_occurrences(self) -> int:
-        return int(self.occurrence.sum())
-
-    @property
-    def total_amount(self) -> int:
-        # Python ints: a day's total may pass int64 even when every cell fits
-        return sum(self.amount.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -200,12 +176,11 @@ class ExtremeFeatureRow:
     O_r: int
     O_x: float
 
-    FIELDS = ("A_l", "A_r", "A_x", "O_l", "O_r", "O_x")
-
     def values(self) -> tuple:
         return (self.A_l, self.A_r, self.A_x, self.O_l, self.O_r, self.O_x)
 
 
+# the one caller is pipebench/test_checks.py; extract goes through DayCubeBuilder
 def build_matrix(day: dt.date, rows, threshold: int = DEFAULT_THRESHOLD) -> ChainletMatrix:
     """Aggregate one day's ``n_inputs, n_outputs, amount`` rows through ``DayCubeBuilder``."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
@@ -213,10 +188,7 @@ def build_matrix(day: dt.date, rows, threshold: int = DEFAULT_THRESHOLD) -> Chai
     seconds = np.full((len(rows), 1), (day - EPOCH).days * SECONDS_PER_DAY)
     builder.add(np.hstack([seconds, rows]))
     cube = builder.cube()
-    if not cube.dates:  # no rows: a zero day
-        zeros = np.zeros((threshold, threshold), dtype=np.int64)
-        return ChainletMatrix(day, threshold, zeros, zeros)
-    return ChainletMatrix(day, threshold, cube.occurrence[0], cube.amount[0])
+    return ChainletMatrix(day, cube.occurrence[0], cube.amount[0])
 
 
 def _extreme_sums(a: np.ndarray, wide) -> list[list]:
@@ -264,11 +236,6 @@ def cube_features(cube: DayCube, prices) -> list[ExtremeFeatureRow]:
             day, sat_l[k] * usd[k], sat_r[k] * usd[k], a_x, o_l[k], o_r[k], o_x,
         ))
     return rows
-
-
-def extreme_features(m: ChainletMatrix, price: float) -> ExtremeFeatureRow:
-    """The six extreme-activity features of one day's matrix; see ``cube_features``."""
-    return cube_features(m.cube(), [price])[0]
 
 
 def feature_series(cube: DayCube, prices: PriceSeries) -> list[ExtremeFeatureRow]:

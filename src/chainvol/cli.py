@@ -144,6 +144,8 @@ def cmd_extract(args, config: PipelineConfig) -> int:
 def cmd_features(args, config: PipelineConfig) -> int:
     if args.events and not args.plot_data:
         raise ChainvolError("--events needs --plot-data: the events are labels in the plot data")
+    if os.path.realpath(args.occurrence) == os.path.realpath(args.amount):
+        raise ChainvolError("named for both the occurrence and the amount input", args.amount)
     cube = chainlets.combine_matrices(
         ingest.load_matrix_file(args.occurrence, dim=config.threshold),
         ingest.load_matrix_file(args.amount, dim=config.threshold),
@@ -271,18 +273,23 @@ def _var_series_csv(path, dates, series) -> None:
 
 
 def cmd_backtest(args, config: PipelineConfig) -> int:
+    if args.horizon is not None and not args.compare:
+        raise ChainvolError("--horizon needs --compare: it is the span of the DM test")
+    if args.model is not None and args.compare:
+        raise ChainvolError("--model and --compare exclude each other: --compare runs both models")
+    horizon = 30 if args.horizon is None else args.horizon
     dates, X, r, _ = _aligned_features_returns(args.features, args.prices, config)
     if len(dates) <= config.window + 10:
         raise ChainvolError(
             f"need > {config.window + 10} aligned days for window {config.window}, got {len(dates)}"
         )
     n_forecast = len(dates) - config.window
-    if args.compare and not bt.DM_MIN_OBS <= args.horizon <= n_forecast:
+    if args.compare and not bt.DM_MIN_OBS <= horizon <= n_forecast:
         raise ChainvolError(
-            f"horizon must be in [{bt.DM_MIN_OBS}, {n_forecast}] forecast days, got {args.horizon}"
+            f"horizon must be in [{bt.DM_MIN_OBS}, {n_forecast}] forecast days, got {horizon}"
         )
     os.makedirs(args.out, exist_ok=True)
-    models = ["garch", "garchx"] if args.compare else [args.model]
+    models = ["garch", "garchx"] if args.compare else [args.model or "garchx"]
     payload = {"models": {}}
     series_by_model = {}
     for model in models:
@@ -295,13 +302,12 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
         }
         _var_series_csv(os.path.join(args.out, f"var_series_{model}.csv"), dates, series)
     if args.compare:
-        h = args.horizon
         e = {}
         for model, series in series_by_model.items():
             # squared-return proxy error of the variance forecast over the
             # final out-of-sample span
-            r2 = series.realized_return[-h:] ** 2
-            e[model] = r2 - series.sigma_forecast[-h:] ** 2
+            r2 = series.realized_return[-horizon:] ** 2
+            e[model] = r2 - series.sigma_forecast[-horizon:] ** 2
         dm = bt.diebold_mariano(e["garch"], e["garchx"])
         payload["diebold_mariano"] = dm.to_dict()
     _write_json(os.path.join(args.out, "backtest_report.json"), payload, config)
@@ -370,9 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features")
     p.add_argument("prices")
     p.add_argument("--out", required=True)
-    p.add_argument("--model", choices=["garch", "garchx"], default="garchx")
+    p.add_argument("--model", choices=["garch", "garchx"], default=None,
+                   help="the one model to run (default garchx); not with --compare")
     p.add_argument("--compare", action="store_true", help="run both models plus a DM test")
-    p.add_argument("--horizon", type=int, default=30, help="DM comparison span (days)")
+    p.add_argument("--horizon", type=int, default=None,
+                   help="DM comparison span in days (default 30); needs --compare")
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--refit-every", dest="refit_every", type=int, default=None)
     p.add_argument("--var-level", dest="var_level", type=float, default=None)

@@ -143,6 +143,16 @@ class ParamRows:
                 & np.isfinite(coefficients).all(axis=1))
 
 
+def _check_orders(params, spec: ModelSpec) -> None:
+    """A ValidationError when the length of phi, theta or beta_x of params, an
+    ArmaGarchXParams or a ParamRows, is not its order in spec."""
+    for name, order, value in (("phi", "p", spec.p), ("theta", "q", spec.q),
+                               ("beta_x", "k", spec.k)):
+        length = getattr(params, name).shape[-1]
+        if length != value:
+            raise ValidationError(f"{name} has length {length}, but the spec has {order}={value}")
+
+
 def _groups(keys) -> list:
     """Groups of rows of the 2-D array keys with the same bits, as (first
     row, index) pairs: the index is a slice over all rows when every row is
@@ -277,6 +287,7 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     the caller to check.
     """
     rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
+    _check_orders(rows, spec)
     y = np.asarray(y, dtype=float)
     ys = np.atleast_2d(y)
     T = ys.shape[1]
@@ -287,10 +298,10 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
         raise ValidationError(f"{len(rows)} parameter rows vs {ys.shape[0]} series")
     if len(rows) < m:
         rows = rows.take(np.zeros(m, dtype=int))
-    phi, theta = rows.phi[:, :spec.p], rows.theta[:, :spec.q]
+    phi, theta = rows.phi, rows.theta
     # matmul sums a strided vector (a row of unpack_rows' transposed beta_x)
     # in another order than BLAS does, and each row must give its own bits
-    beta_x = np.ascontiguousarray(rows.beta_x[:, :spec.k])
+    beta_x = np.ascontiguousarray(rows.beta_x)
     # a shared series broadcasts over the rows
     e = ys - rows.mu[:, None]
     for i in range(phi.shape[1]):
@@ -376,9 +387,11 @@ def neg_log_likelihood(y, x, params, spec: ModelSpec, sigma2_init=None):
     rules hold row by row: a row that fails ParamRows.is_valid, a filter
     state that is not finite and a total that is not finite each give
     PENALTY_NLL. y is one series; sigma2_init is as for filter_model.
+    Parameter lengths that are not the spec's orders are a ValidationError.
     """
     one = not isinstance(params, ParamRows)
     rows = ParamRows.of(params) if one else params
+    _check_orders(rows, spec)  # before the filter, whose ValidationError is a penalty
     nll = np.full(len(rows), PENALTY_NLL)
     ok = np.flatnonzero(rows.is_valid())
     if ok.size:
@@ -411,13 +424,14 @@ def _logit(s):
 
 
 def pack_params(params: ArmaGarchXParams, spec: ModelSpec) -> np.ndarray:
+    _check_orders(params, spec)
     persistence = params.alpha1 + params.beta
     split = params.alpha1 / persistence if persistence > 0 else 0.5
     v = [params.mu]
-    v += list(params.phi[: spec.p])
-    v += list(params.theta[: spec.q])
+    v += list(params.phi)
+    v += list(params.theta)
     v += [np.log(params.alpha0), _logit(persistence), _logit(split)]
-    v += list(params.beta_x[: spec.k])
+    v += list(params.beta_x)
     if spec.distribution in ("t", "skewt"):
         v.append(np.log(params.nu - 2.0))
     if spec.distribution == "skewt":
@@ -426,7 +440,7 @@ def pack_params(params: ArmaGarchXParams, spec: ModelSpec) -> np.ndarray:
 
 
 def unpack_rows(v, spec: ModelSpec) -> ParamRows:
-    """unpack_params of every row of v, a stack of packed vectors."""
+    """The parameter sets of the rows of v, a stack of pack_params vectors."""
     from scipy import special
 
     # one contiguous array per coordinate: numpy's exp may take another code
@@ -446,10 +460,6 @@ def unpack_rows(v, spec: ModelSpec) -> ParamRows:
         beta=persistence * (1.0 - split), beta_x=cols[i + 3: i + 3 + spec.k].T,
         nu=nu, xi=xi,
     )
-
-
-def unpack_params(v: np.ndarray, spec: ModelSpec) -> ArmaGarchXParams:
-    return unpack_rows(v, spec).row(0)
 
 
 def default_start(y, spec: ModelSpec) -> ArmaGarchXParams:
@@ -545,7 +555,7 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
                        f"(nll {start_nll})", best_result=best_res)
 
     return FitResult(
-        spec=spec, params=unpack_params(best_v, spec), loglik=-best_nll,
+        spec=spec, params=unpack_rows(best_v, spec).row(0), loglik=-best_nll,
         converged=any_converged, iterations=n_iter, x_mean=x_mean, x_std=x_std,
     )
 
@@ -556,18 +566,19 @@ def simulate(params: ArmaGarchXParams, spec: ModelSpec, x, T: int, seed: int):
     Returns (y, u, sigma2). Innovations are drawn by inverse transform from
     the innovation law named in the model specification.
     """
+    _check_orders(params, spec)
     if not params.is_valid():
         raise ValidationError(f"parameter invariants violated: {params.to_dict()}")
     rng = np.random.default_rng(seed)
     z = np.asarray(innovation_quantile(params, spec, rng.uniform(size=T)))
-    xvar = _xvar(x, params.beta_x[: spec.k], T)
+    xvar = _xvar(x, params.beta_x, T)
     persistence = params.alpha1 + params.beta
     s2 = params.alpha0 / (1.0 - persistence) if persistence < 1 else params.alpha0
     # sigma_t enters the mean through u_t, so this recursion is not a linear
     # filter; it runs once per path, off the likelihood's hot path
     alpha0, alpha1, beta, mu = params.alpha0, params.alpha1, params.beta, params.mu
-    phi = params.phi[: spec.p].tolist()
-    theta = params.theta[: spec.q].tolist()
+    phi = params.phi.tolist()
+    theta = params.theta.tolist()
     y, u, sigma2 = [], [], []
     for t, (z_t, xvar_t) in enumerate(zip(z.tolist(), xvar.tolist())):
         if t == 0:

@@ -80,7 +80,6 @@ class TxLoadResult:
 
     days: list[tuple[dt.date, np.ndarray]]
     skipped_coinbase: int = 0
-    n_lines: int = 0
 
 
 # from Python 3.11 on date.fromisoformat also takes 20150102 and the week
@@ -251,6 +250,7 @@ def tx_blocks(path, calendar: DailyCalendar):
             del text
 
 
+# the one caller is pipebench/test_checks.py; extract goes through tx_blocks
 def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
     """Read a transaction CSV through ``tx_blocks`` and group its rows by UTC day."""
     blocks, skipped_coinbase = [np.empty((0, 4), dtype=np.int64)], 0
@@ -265,7 +265,7 @@ def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
         (EPOCH + dt.timedelta(days=int(d)), rows)
         for d, rows in zip(day_index, np.split(table[order, 1:], starts[1:]))
     ]
-    return TxLoadResult(days, skipped_coinbase, len(table) + skipped_coinbase)
+    return TxLoadResult(days, skipped_coinbase)
 
 
 def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
@@ -399,7 +399,12 @@ def atomic_files(*paths):
     its path; when it fails, or a path is a directory, every temp file is
     removed and no path changes. The temp files are created with mode 0o666,
     so the umask decides the final mode as it does for any plainly created file.
+    Two paths that name one file are an error before any temp file exists.
     """
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(paths):
+        if real[i] in real[:i]:
+            raise ValidationError("named for two outputs", path)
     tmps, handles = [], []
     try:
         for path in paths:

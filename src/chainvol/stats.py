@@ -17,7 +17,7 @@ from .ingest import PriceSeries
 
 @dataclass
 class ReturnSeries:
-    """Daily log returns r, losses L = -r and squared returns.
+    """Daily log returns r and squared returns.
 
     dates[t] labels the day of P_t; r[t] = ln(P_{t+1}/P_t), so the series is
     one shorter than the price series.
@@ -25,7 +25,6 @@ class ReturnSeries:
 
     dates: list[dt.date]
     r: np.ndarray
-    loss: np.ndarray
     r_sq: np.ndarray
 
 
@@ -38,7 +37,6 @@ class OlsReport:
     p_value: np.ndarray
     n: int
     k: int
-    residuals: np.ndarray
 
     def stars(self, idx: int) -> str:
         p = self.p_value[idx]
@@ -94,12 +92,12 @@ class Tail(Enum):
 
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:
-    """r[t] = ln(P[t+1]/P[t]); loss is the negated return."""
+    """r[t] = ln(P[t+1]/P[t])."""
     if len(prices) < 2:
         raise DegenerateSeriesError("need at least 2 prices for returns")
     p = np.asarray(prices.close, dtype=float)
     r = np.log(p[1:] / p[:-1])
-    return ReturnSeries(list(prices.dates[:-1]), r, -r, r**2)
+    return ReturnSeries(list(prices.dates[:-1]), r, r**2)
 
 
 def standardize(x) -> tuple[np.ndarray, float, float]:
@@ -123,9 +121,7 @@ def ols_fit(y, X, names=None) -> OlsReport:
     """
     from scipy import special
     y = np.asarray(y, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] != y.shape[0]:
-        X = X.T
+    X = np.asarray(X, dtype=float)
     n, k = X.shape
     if names is None:
         names = [f"x{i + 1}" for i in range(k)]
@@ -151,7 +147,7 @@ def ols_fit(y, X, names=None) -> OlsReport:
     with np.errstate(divide="ignore", invalid="ignore"):  # se == 0 on perfect fits
         t_value = coef / se
     p_value = 2.0 * special.stdtr(dof, -np.abs(t_value))
-    return OlsReport(names, coef, se, t_value, p_value, n, k, resid)
+    return OlsReport(names, coef, se, t_value, p_value, n, k)
 
 
 def empirical_quantile(x, q: float) -> float:

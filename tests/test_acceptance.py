@@ -18,7 +18,7 @@ from scipy import integrate, stats as sps
 
 from chainvol import backtest as bt
 from chainvol import chainlets, garchx, skewt, stats
-from chainvol.chainlets import ChainletMatrix, build_matrix
+from chainvol.chainlets import DayCube, DayCubeBuilder
 from chainvol.garchx import ArmaGarchXParams, FitConfig, ModelSpec
 
 
@@ -60,8 +60,8 @@ def test_criterion_03_amount_ratio_worked_example():
     amo = np.zeros((20, 20), dtype=np.int64)
     occ[0, 0], amo[0, 0] = 5, 1_800_000
     occ[19, 2], amo[19, 2] = 1, 200_000
-    m = ChainletMatrix(dt.date(2015, 1, 1), 20, occ, amo)
-    row = chainlets.extreme_features(m, price=100.0)
+    cube = DayCube([dt.date(2015, 1, 1)], occ[None], amo[None])
+    row = chainlets.cube_features(cube, [100.0])[0]
     ok = row.A_x == 0.1
     report(3, "200K of 2M extreme satoshis gives amount ratio exactly 0.1", ok,
            f"A_x={row.A_x}")
@@ -69,11 +69,12 @@ def test_criterion_03_amount_ratio_worked_example():
 
 def test_criterion_04_chainlet_taxonomy():
     # three input addresses, one output address: C_{3->1} is cell [3-1, 1-1]
-    m = build_matrix(dt.date(2015, 1, 1), [(3, 1, 1000)], 20)
-    cells = [tuple(int(v) for v in c) for c in np.argwhere(m.occurrence)]
+    builder = DayCubeBuilder(20)
+    builder.add(np.array([[1420070400, 3, 1, 1000]]))  # 2015-01-01T00:00:00Z
+    cells = [tuple(int(v) for v in c) for c in np.argwhere(builder.cube().occurrence[0])]
     # with one chainlet in every class, the counts are the extreme set sizes
-    ones = np.ones((20, 20), dtype=np.int64)
-    row = chainlets.extreme_features(ChainletMatrix(dt.date(2015, 1, 1), 20, ones, ones), 1.0)
+    ones = np.ones((1, 20, 20), dtype=np.int64)
+    row = chainlets.cube_features(DayCube([dt.date(2015, 1, 1)], ones, ones), [1.0])[0]
     ok = cells == [(2, 0)] and row.O_l == 20 and row.O_r == 19
     report(4, "3-in/1-out classifies as C_{3->1}; extreme set sizes 20 and 19", ok,
            f"cells={cells}, |left|={row.O_l}, |right|={row.O_r}")
@@ -194,7 +195,7 @@ def test_criterion_10_likelihood_self_consistency():
     y, _, _ = garchx.simulate(true, spec, None, 2000, seed=0)
 
     def f(v):
-        return garchx.neg_log_likelihood(y, None, garchx.unpack_params(v, spec), spec)
+        return garchx.neg_log_likelihood(y, None, garchx.unpack_rows(v, spec).row(0), spec)
 
     def fd(v, h):
         out = np.zeros_like(v)

@@ -1,6 +1,6 @@
 """The block readers of ingest against a plain line parser kept here.
 
-``load_transactions`` and ``load_matrix_file`` parse blocks of lines with
+``tx_blocks`` and ``load_matrix_file`` parse blocks of lines with
 ``np.loadtxt`` and hand a block to their line parser when loadtxt cannot
 vouch for it. With blocks of a few dozen characters, lines straddle block
 edges and a bad line can land in any block; either way the result, or the
@@ -24,7 +24,6 @@ from chainvol.ingest import MAX_MONEY, DailyCalendar
 CAL = DailyCalendar(dt.date(2015, 1, 1), dt.date(2015, 12, 31))
 START_S = 1420070400  # 2015-01-01T00:00:00Z
 END_S = 1451606400  # 2016-01-01T00:00:00Z
-EPOCH = dt.date(1970, 1, 1)
 
 
 # --- reference line parsers ------------------------------------------------
@@ -40,14 +39,13 @@ def _utf8(raw, path, line_no):
 
 
 def reference_transactions(path):
-    """([(day, rows in file order)], coinbase rows, parsed rows), line by line."""
-    by_day, coinbase, n_lines = {}, 0, 0
+    """(kept rows in file order, coinbase rows), line by line."""
+    rows, coinbase = [], 0
     for line_no, raw in _lines(path):
         _utf8(raw, path, line_no)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        n_lines += 1
         parts = line.split(",")
         if len(parts) != 4:
             raise ParseError(f"expected 4 fields, got {len(parts)}", path, line_no)
@@ -67,9 +65,8 @@ def reference_transactions(path):
                              path, line_no)
         if max(n_in, n_out) > 2**63 - 1:
             raise ParseError(f"count out of int64 range in {line!r}", path, line_no)
-        day = EPOCH + dt.timedelta(days=ts // 86400)
-        by_day.setdefault(day, []).append([n_in, n_out, amount])
-    return sorted(by_day.items()), coinbase, n_lines
+        rows.append([ts, n_in, n_out, amount])
+    return rows, coinbase
 
 
 def reference_matrices(path, dim):
@@ -113,15 +110,19 @@ def small_blocks(size):
     return mock.patch.object(ingest, "BLOCK_CHARS", size)
 
 
-def assert_same_transactions(path, block):
-    def load():
-        result = ingest.load_transactions(path, CAL)
-        assert all(rows.dtype == np.int64 for _, rows in result.days)
-        days = [(day, rows.tolist()) for day, rows in result.days]
-        return days, result.skipped_coinbase, result.n_lines
+def read_tx(path):
+    """(kept rows in file order, coinbase rows) as ``ingest.tx_blocks`` yields them."""
+    rows, coinbase = [], 0
+    for block, skipped in ingest.tx_blocks(path, CAL):
+        assert block.dtype == np.int64 and block.shape[1:] == (4,)
+        rows += block.tolist()
+        coinbase += skipped
+    return rows, coinbase
 
+
+def assert_same_transactions(path, block):
     with small_blocks(block):
-        got = outcome(load)
+        got = outcome(lambda: read_tx(path))
     assert got == outcome(lambda: reference_transactions(path))
 
 
@@ -308,7 +309,7 @@ def test_crlf_split_across_block_edge_keeps_line_numbers(tmp_path):
     p.write_bytes((row + b"\r\n") * 7 + b"1420070400,1,1\r\n" + row + b"\r\n")
     for block in range(len(row) + 1, 3 * len(row)):  # every edge position around \r\n
         with small_blocks(block), pytest.raises(ParseError) as exc:
-            ingest.load_transactions(p, CAL)
+            read_tx(p)
         assert exc.value.line_no == 8, block
 
 
@@ -318,9 +319,9 @@ def test_empty_inputs_give_nothing_without_warnings(tmp_path, text):
     tx.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = ingest.load_transactions(tx, CAL)
+        transactions = read_tx(tx)
         matrices = ingest.load_matrix_file(tx, dim=DIM)
-    assert (result.days, result.skipped_coinbase, result.n_lines) == ([], 0, 0)
+    assert transactions == ([], 0)
     dates, values = matrices
     assert dates == [] and values.shape == (0, DIM, DIM) and values.dtype == np.int64
 
@@ -334,10 +335,10 @@ def test_fast_path_serves_clean_blocks(tmp_path):
     with small_blocks(64), \
             mock.patch.object(ingest, "_parse_tx_lines", side_effect=AssertionError), \
             mock.patch.object(ingest, "_parse_matrix_lines", side_effect=AssertionError):
-        result = ingest.load_transactions(tx, CAL)
+        rows, coinbase = read_tx(tx)
         matrices = ingest.load_matrix_file(m, dim=DIM)
-    assert (result.n_lines, result.skipped_coinbase) == (100, 50)
-    assert result.days[0][1].tolist() == [[2, 3, 100]] * 50
+    assert (len(rows) + coinbase, coinbase) == (100, 50)
+    assert rows == [[1420070400, 2, 3, 100]] * 50
     dates, values = matrices
     assert dates == [dt.date(2015, 1, d) for d in range(1, 29)]
     assert values.tolist() == [[[1, 2], [3, 4]]] * 28

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chainvol import chainlets, ingest
 from chainvol.chainlets import (
-    ChainletMatrix, DayCube, build_matrix, combine_matrices, extreme_features, feature_series,
+    DayCube, DayCubeBuilder, combine_matrices, cube_features, feature_series,
 )
 from chainvol.errors import AlignmentError, ParseError, ValidationError
 from chainvol.ingest import MAX_MONEY, PriceSeries
@@ -17,14 +17,34 @@ DAY = dt.date(2015, 6, 1)
 
 
 def tx(n_in, n_out, amount=1000):
-    """One ``n_inputs, n_outputs, amount`` row, the form ``build_matrix`` takes."""
+    """One ``n_inputs, n_outputs, amount`` row."""
     return (n_in, n_out, amount)
+
+
+def cube_of(txs, n=20, n_days=1):
+    """The cube that ``DayCubeBuilder`` makes of the rows ``txs`` on each of
+    ``n_days`` days from DAY."""
+    builder = DayCubeBuilder(n)
+    first = (DAY - ingest.EPOCH).days
+    for day in range(first, first + n_days):
+        seconds = day * ingest.SECONDS_PER_DAY
+        builder.add(np.array([(seconds, *t) for t in txs], dtype=np.int64).reshape(-1, 4))
+    return builder.cube()
+
+
+def total(a) -> int:
+    """The sum of an int64 array in Python ints, exact past int64."""
+    return sum(a.ravel().tolist())
+
+
+def features(occ, amo, price):
+    """The feature row of DAY with the matrices ``occ`` and ``amo``."""
+    return cube_features(DayCube([DAY], occ[None], amo[None]), [price])[0]
 
 
 def cell_of(row, n=20):
     """The one matrix cell that a single-row day fills."""
-    m = build_matrix(DAY, [row], n)
-    (i,), (j,) = np.nonzero(m.occurrence)
+    (i,), (j,) = np.nonzero(cube_of([row], n).occurrence[0])
     return int(i), int(j)
 
 
@@ -50,11 +70,11 @@ class TestClassify:
 
     def test_zero_inputs_rejected(self):
         with pytest.raises(ValidationError, match="coinbase must be filtered upstream"):
-            build_matrix(DAY, [tx(2, 2), tx(0, 1, 10)], 20)
+            cube_of([tx(2, 2), tx(0, 1, 10)])
 
     def test_zero_outputs_rejected(self):
         with pytest.raises(ValidationError, match=">= 1 output"):
-            build_matrix(DAY, [tx(1, 0, 10), tx(2, 2)], 20)
+            cube_of([tx(1, 0, 10), tx(2, 2)])
 
     @given(t=tx_strategy)
     def test_clamping_monotonicity(self, t):
@@ -67,7 +87,7 @@ def single_cell_features(n, i, j):
     """Features of a day whose one transaction sits in cell [i-1, j-1]."""
     occ = np.zeros((n, n), dtype=np.int64)
     occ[i - 1, j - 1] = 1
-    return extreme_features(ChainletMatrix(DAY, n, occ, occ), price=1.0)
+    return features(occ, occ, price=1.0)
 
 
 class TestExtremeSets:
@@ -75,7 +95,7 @@ class TestExtremeSets:
 
     def test_cardinalities_n20(self):
         ones = np.ones((20, 20), dtype=np.int64)
-        row = extreme_features(ChainletMatrix(DAY, 20, ones, ones), price=1.0)
+        row = features(ones, ones, price=1.0)
         assert (row.O_l, row.O_r) == (20, 19)
 
     def test_smallest_case(self):
@@ -90,7 +110,7 @@ class TestExtremeSets:
     @given(n=st.integers(min_value=2, max_value=40))
     def test_partition(self, n):
         ones = np.ones((n, n), dtype=np.int64)
-        row = extreme_features(ChainletMatrix(DAY, n, ones, ones), price=1.0)
+        row = features(ones, ones, price=1.0)
         assert row.O_l + row.O_r == 2 * n - 1
         # every cell falls in exactly one of {left, right, non-extreme}
         for i in range(1, n + 1):
@@ -105,15 +125,17 @@ class TestExtremeSets:
 
 
 class TestBuildMatrix:
+    """One day's rows through ``DayCubeBuilder``, as extract adds them."""
+
     def test_empty(self):
-        m = build_matrix(DAY, [], 20)
-        assert m.total_occurrences == 0
-        assert m.total_amount == 0
+        cube = cube_of([])
+        assert cube.dates == []
+        assert cube.occurrence.shape == cube.amount.shape == (0, 20, 20)
 
     def test_single_transaction(self):
-        m = build_matrix(DAY, [tx(3, 1, 150000)], 20)
-        assert m.occurrence[2, 0] == 1
-        assert m.amount[2, 0] == 150000
+        m = cube_of([tx(3, 1, 150000)])
+        assert m.occurrence[0, 2, 0] == 1
+        assert m.amount[0, 2, 0] == 150000
         assert m.occurrence.sum() == 1
 
     def test_random_txs_match_brute_force_tally(self):
@@ -122,7 +144,7 @@ class TestBuildMatrix:
             tx(int(rng.integers(1, 40)), int(rng.integers(1, 40)), int(rng.integers(0, 10**9)))
             for _ in range(100)
         ]
-        m = build_matrix(DAY, np.array(txs, dtype=np.int64), 20)
+        m = cube_of(txs)
         # oracle: independent per-transaction tally
         occ = np.zeros((20, 20), dtype=np.int64)
         amo = np.zeros((20, 20), dtype=np.int64)
@@ -131,36 +153,37 @@ class TestBuildMatrix:
             j = min(n_out, 20) - 1
             occ[i, j] += 1
             amo[i, j] += amount
-        assert np.array_equal(m.occurrence, occ)
-        assert np.array_equal(m.amount, amo)
+        assert m.dates == [DAY]
+        assert np.array_equal(m.occurrence[0], occ)
+        assert np.array_equal(m.amount[0], amo)
 
     @given(txs=st.lists(tx_strategy, max_size=50))
     @settings(max_examples=50)
     def test_conservation(self, txs):
-        m = build_matrix(DAY, txs, 20)
-        assert m.total_occurrences == len(txs)
-        assert m.total_amount == sum(t[2] for t in txs)
+        m = cube_of(txs)
+        assert total(m.occurrence) == len(txs)
+        assert total(m.amount) == sum(t[2] for t in txs)
 
     def test_max_money_day_sums_exactly(self):
         # the total, 2.1e18 satoshi, is far above 2**53, where float sums lose units
         rows = [tx(1, 1, MAX_MONEY)] * 999 + [tx(1, 1, MAX_MONEY - 1)]
-        m = build_matrix(DAY, rows, 20)
-        assert m.total_amount > 2**53
-        assert int(m.amount[0, 0]) == 1000 * MAX_MONEY - 1
+        m = cube_of(rows)
+        assert total(m.amount) > 2**53
+        assert int(m.amount[0, 0, 0]) == 1000 * MAX_MONEY - 1
 
     def test_cell_past_int64_names_day(self):
         # 9223372036854775807 // MAX_MONEY is 4392, so one row more passes int64
-        fits = build_matrix(DAY, [tx(1, 1, MAX_MONEY)] * 4392, 20)
-        assert int(fits.amount[0, 0]) == 4392 * MAX_MONEY
+        fits = cube_of([tx(1, 1, MAX_MONEY)] * 4392)
+        assert int(fits.amount[0, 0, 0]) == 4392 * MAX_MONEY
         with pytest.raises(ValidationError, match=r"^2015-06-01: .*C_\{1->1\} exceeds int64"):
-            build_matrix(DAY, [tx(2, 2)] + [tx(1, 1, MAX_MONEY)] * 4393, 20)
+            cube_of([tx(2, 2)] + [tx(1, 1, MAX_MONEY)] * 4393)
 
     def test_day_total_past_int64_stays_exact(self):
         # each cell fits in int64, the day's total does not
         rows = [tx(1, 1, MAX_MONEY)] * 4392 + [tx(20, 1, MAX_MONEY)] * 4392
-        m = build_matrix(DAY, rows, 20)
-        assert m.total_amount == 8784 * MAX_MONEY
-        row = extreme_features(m, price=1.0)
+        m = cube_of(rows)
+        assert total(m.amount) == 8784 * MAX_MONEY
+        row = cube_features(m, [1.0])[0]
         assert row.A_x == 0.5
         assert row.A_l == 4392 * MAX_MONEY / 10**8
 
@@ -174,8 +197,7 @@ class TestExtremeFeatures:
         amo[0, 0] = 1_800_000
         occ[19, 0] = 1
         amo[19, 0] = 200_000
-        m = ChainletMatrix(DAY, 20, occ, amo)
-        row = extreme_features(m, price=100.0)
+        row = features(occ, amo, price=100.0)
         assert row.A_x == pytest.approx(0.1, abs=0)
 
     def test_no_extreme_mass(self):
@@ -183,13 +205,13 @@ class TestExtremeFeatures:
         amo = np.zeros((5, 5), dtype=np.int64)
         occ[1, 1] = 3
         amo[1, 1] = 900
-        m = ChainletMatrix(DAY, 5, occ, amo)
-        row = extreme_features(m, price=50.0)
+        row = features(occ, amo, price=50.0)
         assert (row.A_x, row.O_x, row.A_l, row.A_r) == (0.0, 0.0, 0.0, 0.0)
 
     def test_degenerate_day_yields_zeros(self):
-        m = build_matrix(DAY, [], 20)
-        row = extreme_features(m, price=100.0)
+        # a day without transactions: extract writes zero matrices for it
+        zeros = np.zeros((20, 20), dtype=np.int64)
+        row = features(zeros, zeros, price=100.0)
         assert row.values() == (0.0, 0.0, 0.0, 0, 0, 0.0)
 
     def test_random_matrix_matches_double_loop_oracle(self):
@@ -197,9 +219,8 @@ class TestExtremeFeatures:
         n = 5
         occ = rng.integers(0, 10, size=(n, n))
         amo = occ * rng.integers(1, 1000, size=(n, n))
-        m = ChainletMatrix(DAY, n, occ, amo)
         price = 250.0
-        row = extreme_features(m, price)
+        row = features(occ, amo, price)
         # oracle: direct double loop over the definitional index sets
         o_l = o_r = sat_l = sat_r = 0
         for i in range(1, n + 1):
@@ -222,8 +243,7 @@ class TestExtremeFeatures:
     )
     @settings(max_examples=50)
     def test_ratio_bounds(self, txs, price):
-        m = build_matrix(DAY, txs, 20)
-        row = extreme_features(m, price)
+        row = cube_features(cube_of(txs), [price])[0]
         assert 0.0 <= row.A_x <= 1.0
         assert 0.0 <= row.O_x <= 1.0
         assert row.A_l >= 0 and row.A_r >= 0
@@ -233,8 +253,8 @@ class TestExtremeFeatures:
         txs = [tx(25, 1, 100), tx(2, 2, 300), tx(1, 30, 600)]
         k = 7
         scaled = [tx(n_in, n_out, amount * k) for n_in, n_out, amount in txs]
-        r1 = extreme_features(build_matrix(DAY, txs, 20), 100.0)
-        r2 = extreme_features(build_matrix(DAY, scaled, 20), 100.0)
+        r1 = cube_features(cube_of(txs), [100.0])[0]
+        r2 = cube_features(cube_of(scaled), [100.0])[0]
         assert r2.A_x == pytest.approx(r1.A_x, rel=1e-12)
         assert r2.O_x == r1.O_x
         assert r2.A_l == pytest.approx(k * r1.A_l, rel=1e-12)
@@ -248,7 +268,7 @@ class TestExtremeFeatures:
             for _ in range(1000)
         ]
         price = 420.0
-        row = extreme_features(build_matrix(DAY, txs, n), price)
+        row = cube_features(cube_of(txs, n), [price])[0]
         # oracle: one pass over raw transactions, no matrix
         o_l = o_r = sat_l = sat_r = tot_o = tot_a = 0
         for n_in, n_out, amount in txs:
@@ -267,18 +287,11 @@ class TestExtremeFeatures:
         assert row.A_l == pytest.approx(sat_l * price / 1e8, rel=1e-12)
 
 
-def cube_of(matrices):
-    """The cube of a list of one-day matrices."""
-    return DayCube([m.date for m in matrices], np.stack([m.occurrence for m in matrices]),
-                   np.stack([m.amount for m in matrices]))
-
-
 class TestFeatureSeries:
     def make_inputs(self, n_days=3):
-        days = [DAY + dt.timedelta(days=i) for i in range(n_days)]
-        matrices = [build_matrix(d, [tx(25, 1, 500), tx(1, 1, 500)], 20) for d in days]
-        prices = PriceSeries(days, np.full(n_days, 100.0))
-        return cube_of(matrices), prices
+        cube = cube_of([tx(25, 1, 500), tx(1, 1, 500)], n_days=n_days)
+        prices = PriceSeries(cube.dates, np.full(n_days, 100.0))
+        return cube, prices
 
     def test_dates_preserved(self):
         cube, prices = self.make_inputs()
@@ -300,8 +313,8 @@ class TestFeatureSeries:
 
 class TestHelpers:
     def test_feature_csv_round_trip(self, tmp_path):
-        matrices = [build_matrix(DAY, [tx(25, 1, 500), tx(1, 2, 700)], 20)]
-        rows = feature_series(cube_of(matrices), PriceSeries([DAY], np.array([100.0])))
+        cube = cube_of([tx(25, 1, 500), tx(1, 2, 700)])
+        rows = feature_series(cube, PriceSeries([DAY], np.array([100.0])))
         path = tmp_path / "f.csv"
         chainlets.write_feature_csv(path, rows)
         back = chainlets.read_feature_csv(path)
@@ -312,15 +325,14 @@ class TestHelpers:
         amo = np.zeros((3, 3), dtype=np.int64)
         amo[0, 0] = 5
         with pytest.raises(ValidationError):
-            ChainletMatrix(DAY, 3, occ, amo)
+            DayCube([DAY], occ[None], amo[None])
 
     @pytest.mark.parametrize("make,message", [
-        (lambda occ, amo: ChainletMatrix(DAY, 2, occ, amo - 10), "negative matrix entry"),
-        (lambda occ, amo: ChainletMatrix(DAY, 2, 0 * occ, amo), "amount recorded in a cell"),
-        (lambda occ, amo: ChainletMatrix(DAY, 3, occ, amo), "matrix shapes (2, 2)/(2, 2)"),
-    ], ids=["negative", "amount-without-occurrence", "shape"])
+        (lambda occ, amo: DayCube([DAY], occ, amo - 10), "negative matrix entry"),
+        (lambda occ, amo: DayCube([DAY], 0 * occ, amo), "amount recorded in a cell"),
+    ], ids=["negative", "amount-without-occurrence"])
     def test_matrix_errors_name_day(self, make, message):
-        occ = np.ones((2, 2), dtype=np.int64)
+        occ = np.ones((1, 2, 2), dtype=np.int64)
         with pytest.raises(ValidationError, match="^" + re.escape(f"{DAY}: {message}")):
             make(occ, 5 * occ)
 

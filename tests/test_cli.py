@@ -184,6 +184,22 @@ class TestExtract:
             ["tx.csv", "occ.txt", "amo.txt"] + (["adir"] if bad == "directory" else []))
 
 
+    @pytest.mark.parametrize("second", ["m.txt", "./m.txt", "sub/../m.txt"])
+    def test_one_file_for_both_outputs_fails_before_any_write(self, tmp_path, capsys,
+                                                              monkeypatch, second):
+        # the amount file would replace the occurrence file, exit 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "tx.csv").write_text("1420070400,1,1,10\n")
+        (tmp_path / "m.txt").write_text("old\n")
+        assert cli.main([
+            "extract", "tx.csv", "--out-occurrence", "m.txt", "--out-amount", second,
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {second}: named for two outputs\n"
+        assert (tmp_path / "m.txt").read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "sub", "tx.csv"]
+
+
 class TestFeatures:
     def test_plot_data_one_point_per_day(self, dataset, tmp_path):
         plot = tmp_path / "plot.csv"
@@ -205,6 +221,15 @@ class TestFeatures:
                          "--events", str(events)]) == 1
         assert "--events needs --plot-data" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["events.csv"]
+
+    def test_one_file_for_occurrence_and_amount_fails(self, dataset, tmp_path, capsys):
+        # the amounts read as counts would give silently wrong features
+        occ = str(dataset["occ"])
+        assert cli.main(["features", occ, occ, str(dataset["data"] / "prices.csv"),
+                         "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {occ}: named for both the occurrence and the amount input\n")
+        assert os.listdir(tmp_path) == []
 
     def test_missing_price_day_fails_with_date(self, dataset, tmp_path, capsys):
         prices = (dataset["data"] / "prices.csv").read_text().splitlines()
@@ -322,6 +347,26 @@ class TestBacktest:
             "--out", str(tmp_path / "bt"), "--compare", "--horizon", horizon,
         ]) == 1
         assert "horizon must be in [10, " in capsys.readouterr().err
+        assert not (tmp_path / "bt").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--horizon", "30"], "--horizon needs --compare"),
+        (["--compare", "--model", "garch"], "--model and --compare exclude each other"),
+        (["--compare", "--model", "garchx"], "--model and --compare exclude each other"),
+    ], ids=["horizon-without-compare", "model-garch-with-compare", "model-garchx-with-compare"])
+    def test_ignored_flag_fails_before_any_fit(self, dataset, tmp_path, capsys, monkeypatch,
+                                               flags, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(garchx, "fit", no_fit)
+        monkeypatch.setattr(backtest, "fit", no_fit)
+        assert cli.main([
+            "backtest", str(dataset["features"]), str(dataset["data"] / "prices.csv"),
+            "--out", str(tmp_path / "bt"), *flags,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "bt").exists()
 
     def test_window_too_large_fails(self, dataset, tmp_path, capsys):

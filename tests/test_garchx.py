@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import fields
 
@@ -201,7 +202,7 @@ class TestNegLogLikelihood:
         y, _, _ = g.simulate(true, spec, None, 2000, 11)
 
         def f(v):
-            return g.neg_log_likelihood(y, None, g.unpack_params(v, spec), spec)
+            return g.neg_log_likelihood(y, None, g.unpack_rows(v, spec).row(0), spec)
 
         rng = np.random.default_rng(5)
         v0 = g.pack_params(true, spec)
@@ -307,8 +308,7 @@ class TestFit:
         spec = ModelSpec(0, 0, 1, "normal")
         rng = np.random.default_rng(9)
         x = np.abs(rng.normal(5.0, 2.0, size=(1, 2000)))
-        true = garch_params(beta_x=[0.0])
-        y, _, _ = g.simulate(true, ModelSpec(0, 0, 0, "normal"), None, 2000, seed=4)
+        y, _, _ = g.simulate(garch_params(), ModelSpec(0, 0, 0, "normal"), None, 2000, seed=4)
         result = g.fit(y, x, spec, FitConfig(restarts=1, seed=0))
         assert result.x_mean.shape == (1,)
         z = result.transform_x(x)
@@ -396,6 +396,58 @@ class TestForecast:
                            np.zeros((1, 1, 5)))
 
 
+class TestOrders:
+    """Lengths of phi, theta and beta_x that are not the spec's orders are an
+    error naming the field and both lengths, never a silently other model."""
+
+    Y = np.random.default_rng(8).normal(scale=0.1, size=60)
+
+    CASES = [
+        (garch_params(phi=[0.5]), ModelSpec(0, 0, 0, "skewt"),
+         "phi has length 1, but the spec has p=0"),
+        (garch_params(phi=[0.5]), ModelSpec(2, 1, 0, "skewt"),
+         "phi has length 1, but the spec has p=2"),
+        (garch_params(theta=[0.1, 0.1]), ModelSpec(0, 1, 0, "t"),
+         "theta has length 2, but the spec has q=1"),
+        (garch_params(beta_x=[0.0]), ModelSpec(0, 0, 0, "normal"),
+         "beta_x has length 1, but the spec has k=0"),
+        (garch_params(), ModelSpec(0, 0, 2, "normal"),
+         "beta_x has length 0, but the spec has k=2"),
+    ]
+    IDS = ["extra-phi", "short-phi", "long-theta", "extra-beta_x", "short-beta_x"]
+
+    def x(self, spec, T):
+        return np.ones((spec.k, T)) if spec.k else None
+
+    @pytest.mark.parametrize("params,spec,message", CASES, ids=IDS)
+    def test_filter_model(self, params, spec, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            g.filter_model(self.Y, self.x(spec, 60), params, spec)
+
+    @pytest.mark.parametrize("params,spec,message", CASES, ids=IDS)
+    def test_forecast_one(self, params, spec, message):
+        x = None if spec.k == 0 else np.ones((2, spec.k, 61))
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            g.forecast_one(params, spec, np.stack([self.Y, self.Y]), x)
+
+    @pytest.mark.parametrize("params,spec,message", CASES, ids=IDS)
+    def test_simulate(self, params, spec, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            g.simulate(params, spec, self.x(spec, 60), 60, seed=0)
+
+    @pytest.mark.parametrize("params,spec,message", CASES, ids=IDS)
+    def test_pack_params(self, params, spec, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            g.pack_params(params, spec)
+
+    @pytest.mark.parametrize("params,spec,message", CASES, ids=IDS)
+    def test_neg_log_likelihood_raises_not_penalizes(self, params, spec, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            g.neg_log_likelihood(self.Y, self.x(spec, 60), params, spec)
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            g.neg_log_likelihood(self.Y, self.x(spec, 60), g.ParamRows.of(params), spec)
+
+
 class TestSerialization:
     def test_params_round_trip(self):
         params = garch_params(phi=[0.2, -0.1], theta=[0.05], beta_x=[0.3, -0.2], nu=5.5, xi=0.9)
@@ -405,7 +457,7 @@ class TestSerialization:
     def test_pack_unpack_round_trip(self):
         spec = ModelSpec(2, 1, 2, "skewt")
         params = garch_params(phi=[0.2, -0.1], theta=[0.05], beta_x=[0.3, -0.2], nu=5.5, xi=0.9)
-        back = g.unpack_params(g.pack_params(params, spec), spec)
+        back = g.unpack_rows(g.pack_params(params, spec), spec).row(0)
         for key, value in params.to_dict().items():
             assert np.allclose(value, back.to_dict()[key], atol=1e-9), key
 

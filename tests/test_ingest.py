@@ -22,22 +22,28 @@ def write(tmp_path, name, text):
     return path
 
 
+def read_tx(path, calendar=CAL):
+    """The kept rows of a transaction file in file order, and its coinbase
+    count, as ``ingest.tx_blocks`` yields them."""
+    blocks = list(ingest.tx_blocks(path, calendar))
+    rows = np.concatenate([np.empty((0, 4), dtype=np.int64)] + [rows for rows, _ in blocks])
+    return rows, sum(coinbase for _, coinbase in blocks)
+
+
 class TestLoadTransactions:
     def test_direct_field_mapping(self, tmp_path):
         # 1420070400 = 2015-01-01T00:00:00Z
         p = write(tmp_path, "tx.csv", "1420070400,3,1,150000\n")
-        result = ingest.load_transactions(p, CAL)
-        assert len(result.days) == 1
-        day, rows = result.days[0]
-        assert day == dt.date(2015, 1, 1)
+        rows, coinbase = read_tx(p)
         assert rows.dtype == np.int64
-        assert rows.tolist() == [[3, 1, 150000]]
+        assert rows.tolist() == [[1420070400, 3, 1, 150000]]
+        assert coinbase == 0
 
     def test_coinbase_skipped_and_tallied(self, tmp_path):
         p = write(tmp_path, "tx.csv", "1420070400,0,5,5000000000\n")
-        result = ingest.load_transactions(p, CAL)
-        assert result.days == []
-        assert result.skipped_coinbase == 1
+        rows, coinbase = read_tx(p)
+        assert rows.tolist() == []
+        assert coinbase == 1
 
     def test_day_grouping_matches_brute_force(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -50,16 +56,24 @@ class TestLoadTransactions:
         lines += [f"{start + 86399},1,1,10", f"{start + 86400},2,2,20"]  # either side of midnight
         rng.shuffle(lines)
         p = write(tmp_path, "tx.csv", "\n".join(lines) + "\n")
-        result = ingest.load_transactions(p, CAL)
+        rows, _ = read_tx(p)
+        builder = chainlets.DayCubeBuilder(30)  # above every count: no clamping
+        builder.add(rows)
+        cube = builder.cube()
         # oracle: group the same lines by epoch-day arithmetic, in file order
+        kept = [r for r in (list(map(int, line.split(","))) for line in lines) if r[1] > 0]
+        assert rows.tolist() == kept
         by_day = {}
-        for line in lines:
-            ts, n_in, n_out, amount = map(int, line.split(","))
-            if n_in > 0:
-                by_day.setdefault(dt.date(1970, 1, 1) + dt.timedelta(days=ts // 86400), []).append(
-                    [n_in, n_out, amount])
-        assert [day for day, _ in result.days] == sorted(by_day)
-        assert {day: rows.tolist() for day, rows in result.days} == by_day
+        for ts, n_in, n_out, amount in kept:
+            by_day.setdefault(dt.date(1970, 1, 1) + dt.timedelta(days=ts // 86400), []).append(
+                [n_in, n_out, amount])
+        assert [day for day, occ in zip(cube.dates, cube.occurrence) if occ.any()] == sorted(by_day)
+        for day, occ, amo in zip(cube.dates, cube.occurrence, cube.amount):
+            want_occ, want_amo = np.zeros((2, 30, 30), dtype=np.int64)
+            for n_in, n_out, amount in by_day.get(day, []):
+                want_occ[n_in - 1, n_out - 1] += 1
+                want_amo[n_in - 1, n_out - 1] += amount
+            assert np.array_equal(occ, want_occ) and np.array_equal(amo, want_amo), day
 
     @pytest.mark.parametrize("ts,inside", [
         (1420070400 - 1, False),  # 2014-12-31T23:59:59Z
@@ -70,68 +84,68 @@ class TestLoadTransactions:
     def test_calendar_edges(self, tmp_path, ts, inside):
         p = write(tmp_path, "tx.csv", f"1420156800,1,1,10\n{ts},1,1,10\n")
         if inside:
-            days = ingest.load_transactions(p, CAL).days
-            assert sum(len(rows) for _, rows in days) == 2
+            rows, _ = read_tx(p)
+            assert len(rows) == 2
         else:
             with pytest.raises(ParseError, match="outside calendar") as exc:
-                ingest.load_transactions(p, CAL)
+                read_tx(p)
             assert exc.value.line_no == 2
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = write(tmp_path, "tx.csv", "1420070400,1,1,10\nnot,a,line\n")
         with pytest.raises(ParseError) as exc:
-            ingest.load_transactions(p, CAL)
+            read_tx(p)
         assert exc.value.line_no == 2
 
     def test_out_of_range_rejected(self, tmp_path):
         p = write(tmp_path, "tx.csv", "1420070400,1,1,10\n100,1,1,10\n")  # 1970, outside calendar
         with pytest.raises(ParseError) as exc:
-            ingest.load_transactions(p, CAL)
+            read_tx(p)
         assert exc.value.line_no == 2
 
     def test_negative_input_count_names_line(self, tmp_path):
         p = write(tmp_path, "tx.csv", "1420070400,1,1,10\n1420070400,-1,1,10\n")
         with pytest.raises(ParseError) as exc:
-            ingest.load_transactions(p, CAL)
+            read_tx(p)
         assert str(exc.value).startswith(f"{p}:2: ")
 
     @pytest.mark.parametrize("amount", [str(MAX_MONEY + 1), "99999999999999999999"])
     def test_amount_above_max_money_names_line(self, tmp_path, amount):
         p = write(tmp_path, "tx.csv", f"1420070400,1,1,{MAX_MONEY}\n1420070400,1,1,{amount}\n")
         with pytest.raises(ParseError, match="^" + re.escape(f"{p}:2: amount {amount} above")):
-            ingest.load_transactions(p, CAL)
+            read_tx(p)
 
     def test_amounts_that_would_wrap_int64_are_rejected(self, tmp_path):
         # two of these sum past 2**63 - 1 in one cell
         p = write(tmp_path, "tx.csv", "1420070400,1,1,9223372036854775000\n" * 2)
         with pytest.raises(ParseError) as exc:
-            ingest.load_transactions(p, CAL)
+            read_tx(p)
         assert exc.value.line_no == 1
 
     def test_count_beyond_int64_names_line(self, tmp_path):
         p = write(tmp_path, "tx.csv", f"1420070400,1,1,10\n1420070400,{2**63},1,10\n")
         with pytest.raises(ParseError, match="^" + re.escape(f"{p}:2: count out of int64 range")):
-            ingest.load_transactions(p, CAL)
+            read_tx(p)
 
     def test_header_and_blank_lines_ignored(self, tmp_path):
         p = write(tmp_path, "tx.csv", "# header\n\n1420070400,1,1,10\n")
-        result = ingest.load_transactions(p, CAL)
-        assert result.n_lines == 1
+        rows, coinbase = read_tx(p)
+        assert (len(rows), coinbase) == (1, 0)
 
     def test_line_count_accounting(self, tmp_path):
+        # every data line is a kept row or a counted coinbase row
         p = write(
             tmp_path, "tx.csv",
             "1420070400,1,1,10\n1420070400,0,1,5\n1420070400,2,1,7\n",
         )
-        result = ingest.load_transactions(p, CAL)
-        kept = sum(len(rows) for _, rows in result.days)
-        assert kept == result.n_lines - result.skipped_coinbase
+        rows, coinbase = read_tx(p)
+        assert (len(rows), coinbase) == (2, 1)
 
     def test_undecodable_bytes_name_line(self, tmp_path):
         p = tmp_path / "tx.csv"
         p.write_bytes(b"1420070400,1,1,10\n# caf\xe9\n1420070400,1,1,10\n")
         with pytest.raises(ParseError, match="^" + re.escape(f"{p}:2: bytes that are not valid UTF-8")):
-            ingest.load_transactions(p, CAL)
+            read_tx(p)
 
 
 class TestLoadPrices:

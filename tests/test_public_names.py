@@ -1,0 +1,92 @@
+"""Every public name of the package has a caller outside the tests.
+
+A public top-level name of ``src/chainvol`` (function, class or constant)
+and a public member of one of its classes (method, property, class constant
+or dataclass field) must be referenced on another line of ``src/chainvol``
+or in ``pipebench/*.py``. A member is referenced by an attribute or a
+keyword argument. A top-level name is referenced by those, by an identifier,
+an imported name or a string constant that spells a dotted name, as the
+benchmark's tracer names the functions it wraps; a member's name may be a
+local variable's or a report key, so those do not count for a member. A
+name that only tests reach is code kept alive for no caller.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "chainvol").glob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "pipebench").glob("*.py"))
+
+# cli.main is the entry point; skewt_pdf and skewt_cdf are the density API
+# that the tests integrate and invert against
+EXEMPT = {("cli", "main"), ("skewt", "skewt_pdf"), ("skewt", "skewt_cdf")}
+
+DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def targets(node) -> list:
+    """The names an assignment statement binds."""
+    if isinstance(node, ast.AnnAssign):
+        return [node.target] if isinstance(node.target, ast.Name) else []
+    if isinstance(node, ast.Assign):
+        return [t for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def definitions(path: pathlib.Path):
+    """(name, qualified name, line) of each public top-level name and class member."""
+    tree = ast.parse(path.read_text())
+    for node in tree.body:
+        named = [(node.name, node.lineno)] if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef)) else [(t.id, t.lineno) for t in targets(node)]
+        for name, line in named:
+            if public(name):
+                yield name, name, line
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                named = [(member.name, member.lineno)] if isinstance(
+                    member, ast.FunctionDef) else [(t.id, t.lineno) for t in targets(member)]
+                for name, line in named:
+                    if public(name):
+                        yield name, f"{node.name}.{name}", line
+
+
+def references(path: pathlib.Path):
+    """(name, line, whether it references a member) of each reference in the file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno, True
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.lineno, True
+        elif isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno, False
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                for part in node.value.split("."):
+                    yield part, node.lineno, False
+
+
+def test_every_public_name_has_a_caller():
+    seen: dict[str, set] = {}  # name -> {(path, line, whether it references a member)}
+    for path in CALLERS:
+        for name, line, of_member in references(path):
+            seen.setdefault(name, set()).add((path, line, of_member))
+    unused = []
+    for path in PACKAGE:
+        for name, qualified, line in definitions(path):
+            if (path.stem, qualified) in EXEMPT:
+                continue
+            member = "." in qualified
+            if not {(p, n) for p, n, of_member in seen.get(name, ())
+                    if of_member or not member} - {(path, line)}:
+                unused.append(f"{path.stem}.{qualified} (line {line})")
+    assert not unused, "no caller outside the tests: " + ", ".join(unused)

@@ -179,13 +179,13 @@ class TestBatchedLikelihood:
         with pytest.raises(g.ValidationError, match="2 parameter rows vs 3 series"):
             g.filter_model(np.zeros((3, 60)), None, rows, ModelSpec(0, 0, 0, "normal"))
 
-    def test_unpack_rows_equals_unpack_params(self):
+    def test_unpack_rows_equals_one_row_unpacking(self):
         rng = np.random.default_rng(2)
         spec = ModelSpec(2, 1, 3, "skewt")
         v = rng.normal(size=(50, 12)) * 3
         rows = g.unpack_rows(v, spec)
         for i in range(len(v)):
-            assert rows.row(i).to_dict() == g.unpack_params(v[i], spec).to_dict()
+            assert rows.row(i).to_dict() == g.unpack_rows(v[i], spec).row(0).to_dict()
 
 
 @given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 80),
@@ -253,7 +253,7 @@ class TestFitWorkers:
         monkeypatch.setattr(g, "BATCH_CELLS", 500)
         spec = ModelSpec(1, 1, 0, "t")
         y, _, _ = g.simulate(ArmaGarchXParams(alpha0=1e-4, alpha1=0.1, beta=0.8, nu=6.0),
-                             spec, None, 200, seed=4)
+                             ModelSpec(0, 0, 0, "t"), None, 200, seed=4)
         _, calls = self._fit_capturing_minimize(monkeypatch, spec, y, None)
         objective, workers = calls[0]
         v = g.pack_params(g.default_start(y, spec), spec)

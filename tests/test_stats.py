@@ -22,16 +22,16 @@ class TestLogReturns:
     def test_flat_prices(self):
         rs = stats.log_returns(make_prices([100, 100]))
         assert rs.r[0] == 0.0
-        assert rs.loss[0] == 0.0
+        assert -rs.r[0] == 0.0
 
     def test_gain(self):
         rs = stats.log_returns(make_prices([100, 110]))
         assert rs.r[0] == pytest.approx(0.0953101798, abs=1e-9)
-        assert rs.loss[0] == pytest.approx(-0.0953101798, abs=1e-9)
+        assert -rs.r[0] == pytest.approx(-0.0953101798, abs=1e-9)
 
     def test_halving_is_a_loss(self):
         rs = stats.log_returns(make_prices([100, 50]))
-        assert rs.loss[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert -rs.r[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_too_short(self):
         with pytest.raises(DegenerateSeriesError):
@@ -45,8 +45,7 @@ class TestLogReturns:
         closes = [float(c) for c in closes]
         rs = stats.log_returns(make_prices(closes))
         for t in range(len(closes) - 1):
-            assert (rs.loss[t] > 0) == (closes[t + 1] < closes[t])
-            assert rs.loss[t] == -rs.r[t]
+            assert (-rs.r[t] > 0) == (closes[t + 1] < closes[t])
             assert rs.r_sq[t] == rs.r[t] * rs.r[t]
 
 
@@ -71,6 +70,11 @@ class TestStandardize:
         assert abs(np.std(z, ddof=1) - 1) < 1e-10
 
 
+def residuals(report, y, X):
+    """y - [1, X] @ coef: the residuals of the fit with its intercept."""
+    return y - np.column_stack([np.ones(len(y)), X]) @ report.coef
+
+
 class TestOls:
     def test_identity_fit(self):
         rng = np.random.default_rng(0)
@@ -78,7 +82,7 @@ class TestOls:
         report = stats.ols_fit(x, x[:, None])
         assert report.coef[0] == pytest.approx(0.0, abs=1e-12)
         assert report.coef[1] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(report.residuals)) < 1e-12
+        assert np.max(np.abs(residuals(report, x, x[:, None]))) < 1e-12
 
     def test_exact_linear_data(self):
         rng = np.random.default_rng(1)
@@ -111,7 +115,7 @@ class TestOls:
         y = rng.normal(size=60)
         report = stats.ols_fit(y, X)
         for j in range(4):
-            assert abs(report.residuals @ X[:, j]) < 1e-8
+            assert abs(residuals(report, y, X) @ X[:, j]) < 1e-8
 
     def test_rank_deficiency_names_column(self):
         rng = np.random.default_rng(4)
