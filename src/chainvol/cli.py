@@ -109,12 +109,14 @@ def _wide_calendar() -> ingest.DailyCalendar:
 def cmd_extract(args, config: PipelineConfig) -> int:
     builder = chainlets.DayCubeBuilder(config.threshold)
     skipped_coinbase = 0
-    for rows, coinbase in ingest.tx_blocks(args.transactions, _wide_calendar()):
-        builder.add(rows)
-        skipped_coinbase += coinbase
-    cube = builder.cube()
-    # both files or neither: a failed write leaves the old pair as it was
+    # both files or neither: a failed write leaves the old pair as it was.
+    # The temp files are made before the parse, so an unwritable output
+    # fails before any work
     with ingest.atomic_files(args.out_occurrence, args.out_amount) as (occ, amo):
+        for rows, coinbase in ingest.tx_blocks(args.transactions, _wide_calendar()):
+            builder.add(rows)
+            skipped_coinbase += coinbase
+        cube = builder.cube()
         ingest.write_matrix_file(occ, cube.dates, cube.occurrence)
         ingest.write_matrix_file(amo, cube.dates, cube.amount)
     if not cube.dates:

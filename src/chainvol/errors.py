@@ -43,7 +43,3 @@ class DegenerateSeriesError(ChainvolError):
 
 class FitError(ChainvolError):
     """Model estimation failed across all restarts."""
-
-    def __init__(self, message, best_result=None):
-        self.best_result = best_result
-        super().__init__(message)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,9 +121,6 @@ class ParamRows:
 
     def __len__(self) -> int:
         return self.mu.size
-
-    def take(self, rows) -> "ParamRows":
-        return ParamRows(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def row(self, i: int) -> ArmaGarchXParams:
         return ArmaGarchXParams(
@@ -275,16 +272,16 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     negative enough, and the recursion then runs as a loop from the first
     floored day on.
 
-    The filter runs over blocks of rows. params is one ArmaGarchXParams or a
-    ParamRows of m sets; y is one series (T,) or m windows (m, T), and x is
-    (k, T), or (m, k, T) with one regressor window per row of y. A block
-    gives (m, T) arrays whose rows are bit for bit what each row gives alone,
-    its regressors in the same memory layout.
+    The filter runs over blocks of rows, in one of two shapes: m parameter
+    sets over one series, params a ParamRows and y (T,) with x (k, T), or one
+    parameter set over m windows, y (m, T) with x (m, k, T). A block gives
+    (m, T) arrays whose rows are bit for bit what each row gives alone, its
+    regressors in the same memory layout.
     Every row runs through both recursions; each recursion is one call of
     lfilter's C kernel per distinct denominator, and beta_x' x is one
     product per distinct beta_x. A state that is not finite is a
-    ValidationError for one parameter set; rows of a ParamRows keep it, for
-    the caller to check.
+    ValidationError for one ArmaGarchXParams; rows of a ParamRows keep it,
+    for the caller to check.
     """
     rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
     _check_orders(rows, spec)
@@ -293,16 +290,14 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     T = ys.shape[1]
     if T < max(spec.p, spec.q) + 2:
         raise ValidationError(f"series of length {T} too short for ARMA({spec.p},{spec.q})")
-    m = max(len(rows), ys.shape[0])
-    if {len(rows), ys.shape[0]} - {1, m}:
+    if len(rows) > 1 and ys.shape[0] > 1:
         raise ValidationError(f"{len(rows)} parameter rows vs {ys.shape[0]} series")
-    if len(rows) < m:
-        rows = rows.take(np.zeros(m, dtype=int))
+    m = max(len(rows), ys.shape[0])
     phi, theta = rows.phi, rows.theta
     # matmul sums a strided vector (a row of unpack_rows' transposed beta_x)
     # in another order than BLAS does, and each row must give its own bits
     beta_x = np.ascontiguousarray(rows.beta_x)
-    # a shared series broadcasts over the rows
+    # a shared series broadcasts over the rows, a single row over the windows
     e = ys - rows.mu[:, None]
     for i in range(phi.shape[1]):
         e[:, i + 1:] -= phi[:, i, None] * ys[:, : T - 1 - i]
@@ -312,16 +307,16 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     if beta_x.shape[1]:
         x = np.asarray(x, dtype=float)
         for first, group in _groups(beta_x):
-            x_rows = x if x.ndim < 3 or isinstance(group, slice) else x[group]
-            xvar[group] = _xvar(x_rows, beta_x[first], T)
+            xvar[group] = _xvar(x, beta_x[first], T)
     c = rows.alpha0[:, None] + xvar
     c[:, 1:] += rows.alpha1[:, None] * (u[:, :-1] * u[:, :-1])
     s2_init = ys.var(axis=1) if sigma2_init is None else np.asarray(sigma2_init, dtype=float)
     beta = rows.beta
     sigma2 = _lfilter_rows(-beta[:, None], c, zi=(beta * s2_init)[:, None])
+    beta = np.broadcast_to(beta, m)
     for r in np.flatnonzero((sigma2 < SIGMA2_MIN).any(axis=1)):
         t0 = int(np.argmax(sigma2[r] < SIGMA2_MIN))
-        s2 = float(sigma2[r, t0 - 1]) if t0 else float(np.broadcast_to(s2_init, beta.shape)[r])
+        s2 = float(sigma2[r, t0 - 1]) if t0 else float(np.broadcast_to(s2_init, m)[r])
         b = float(beta[r])
         tail = []
         for c_t in c[r, t0:].tolist():
@@ -344,26 +339,20 @@ def innovation_logpdf(z, params, spec: ModelSpec):
 
     One ArmaGarchXParams is taken as a one-row ParamRows. Row r of z takes
     row r's parameters of the law: none for normal, nu for t and (nu, xi)
-    for skewt. The density runs once per distinct value of them with numpy
-    scalar parameters, so that an extreme xi gives inf or nan, not a Python
-    ZeroDivisionError or OverflowError. With one distinct value, as for one
-    row or the normal law, it runs once on all of z, whatever its shape.
+    for skewt. The density runs once on all of z. One row passes them as
+    numpy scalars, and z may then have any shape; m rows pass them as (m, 1)
+    columns over the (m, T) block. Each row gives, bit for bit, what it gives
+    alone, and an extreme nu or xi gives inf or nan, not a Python
+    ZeroDivisionError or OverflowError.
     """
     if spec.distribution == "normal":
         return normal_logpdf(z)
     rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
-    keys = (rows.nu,) if spec.distribution == "t" else (rows.nu, rows.xi)
-    groups = _groups(np.column_stack(keys))
-    if len(groups) == 1:
-        return _logpdf(z, rows.nu[0], rows.xi[0], spec.distribution)
-    out = np.empty_like(z)
-    for first, group in groups:
-        out[group] = _logpdf(z[group], rows.nu[first], rows.xi[first], spec.distribution)
-    return out
-
-
-def _logpdf(z, nu: float, xi: float, distribution: str):
-    if distribution == "t":
+    if len(rows) == 1:
+        nu, xi = rows.nu[0], rows.xi[0]
+    else:
+        nu, xi = rows.nu[:, None], rows.xi[:, None]
+    if spec.distribution == "t":
         return student_t_logpdf(z, nu)
     return skewt_logpdf(z, nu, xi)
 
@@ -381,37 +370,24 @@ def neg_log_likelihood(y, x, params, spec: ModelSpec, sigma2_init=None):
     """-sum_t [ log f(u_t/sigma_t) - log sigma_t ]; large finite penalty for
     invalid parameters so optimizers never see an exception.
 
-    params is a ParamRows, giving one value per row from one filter_model
-    call over all valid rows, or one ArmaGarchXParams, which is taken as a
-    one-row ParamRows and gives that row's value as a float. The penalty
-    rules hold row by row: a row that fails ParamRows.is_valid, a filter
-    state that is not finite and a total that is not finite each give
-    PENALTY_NLL. y is one series; sigma2_init is as for filter_model.
-    Parameter lengths that are not the spec's orders are a ValidationError.
+    params is a ParamRows, giving one value per row, or one ArmaGarchXParams,
+    which is taken as a one-row ParamRows and gives that row's value as a
+    float. Every row runs through one filter_model call and one density
+    call; a row that fails ParamRows.is_valid or whose total is not finite
+    then gets PENALTY_NLL. A filter state that is not finite always gives
+    a total that is not finite. y is one series; sigma2_init is as for
+    filter_model, and the filter's ValidationError on the orders or the
+    shapes of y and x reaches the caller.
     """
-    one = not isinstance(params, ParamRows)
-    rows = ParamRows.of(params) if one else params
-    _check_orders(rows, spec)  # before the filter, whose ValidationError is a penalty
-    nll = np.full(len(rows), PENALTY_NLL)
-    ok = np.flatnonzero(rows.is_valid())
-    if ok.size:
-        if ok.size < len(rows):
-            rows = rows.take(ok)
-        try:
-            u, sigma2 = filter_model(y, x, rows, spec, sigma2_init)
-        except ValidationError:
-            ok = ok[:0]
-        else:
-            finite = np.isfinite(u).all(axis=1) & np.isfinite(sigma2).all(axis=1)
-            if not finite.all():
-                ok, u, sigma2, rows = ok[finite], u[finite], sigma2[finite], rows.take(finite)
-    if ok.size:
+    rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
+    # rows in overflow territory or outside the invariants get the penalty,
+    # so their numpy warnings carry no information
+    with np.errstate(all="ignore"):
+        u, sigma2 = filter_model(y, x, rows, spec, sigma2_init)
         z = u / np.sqrt(sigma2)
-        ll = innovation_logpdf(z, rows, spec) - 0.5 * np.log(sigma2)
-        total = ll.sum(axis=1)
-        attained = np.isfinite(total)
-        nll[ok[attained]] = -total[attained]
-    return float(nll[0]) if one else nll
+        total = (innovation_logpdf(z, rows, spec) - 0.5 * np.log(sigma2)).sum(axis=1)
+    nll = np.where(rows.is_valid() & np.isfinite(total), -total, PENALTY_NLL)
+    return nll if isinstance(params, ParamRows) else float(nll[0])
 
 
 # --- unconstrained reparameterization -------------------------------------
@@ -505,12 +481,14 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
 
     def evaluate(points) -> list:
         """The negative log-likelihood of each point of a stack of packed
-        points, in calls of at most rows_per_call unpack_rows rows. Every
-        point of the fit goes through here, one-row stacks included."""
+        points: one neg_log_likelihood call per rows_per_call unpack_rows
+        rows at most. Every point of the fit goes through here, one-row
+        stacks included."""
         points = np.array(points, dtype=float)
         values = []
-        # the optimizer probes far into overflow territory; those points get
-        # the penalty value, so their numpy warnings carry no information
+        # the optimizer probes far into overflow territory, where unpack_rows
+        # overflows; those points get the penalty value, so their numpy
+        # warnings carry no information
         with np.errstate(all="ignore"):
             for lo in range(0, len(points), rows_per_call):
                 batch = points[lo: lo + rows_per_call]
@@ -527,7 +505,7 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
         return evaluate(list(points))
 
     start_nll = objective(v0)
-    best_v, best_nll, best_res = v0, start_nll, None
+    best_v, best_nll = v0, start_nll
     n_iter = 0
     any_converged = False
     for r in range(max(1, config.restarts)):
@@ -545,14 +523,14 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
         # than res.x, so compare restarts on what res.x attains
         nll = objective(res.x)
         if nll < best_nll:
-            best_v, best_nll, best_res = res.x, nll, res
+            best_v, best_nll = res.x, nll
         if res.success:
             any_converged = True
     if best_nll >= PENALTY_NLL:
-        raise FitError("all restarts ended in the penalty region", best_result=best_res)
+        raise FitError("all restarts ended in the penalty region")
     if not best_nll <= start_nll:
         raise FitError(f"best fit (nll {best_nll}) is worse than the start point "
-                       f"(nll {start_nll})", best_result=best_res)
+                       f"(nll {start_nll})")
 
     return FitResult(
         spec=spec, params=unpack_rows(best_v, spec).row(0), loglik=-best_nll,

@@ -394,12 +394,14 @@ def atomic_write_text(path, text: str) -> None:
 def atomic_files(*paths):
     """Yield a text file open for writing for each path: all or none are written.
 
-    Each file is a temp file in its path's directory, and all of them are
-    created before the block runs. When the block ends, each is renamed onto
-    its path; when it fails, or a path is a directory, every temp file is
-    removed and no path changes. The temp files are created with mode 0o666,
-    so the umask decides the final mode as it does for any plainly created file.
-    Two paths that name one file are an error before any temp file exists.
+    Each file is a temp file in the directory of its path's real path, and
+    all of them are created before the block runs. When the block ends, each
+    is renamed onto that real path, so a symlinked path stays a link and its
+    target gets the new bytes; when the block fails, or a path is a
+    directory, every temp file is removed and no path changes. The temp
+    files are created with mode 0o666, so the umask decides the final mode
+    as it does for any plainly created file. Two paths that name one file
+    are an error before any temp file exists.
     """
     real = [os.path.realpath(path) for path in paths]
     for i, path in enumerate(paths):
@@ -407,9 +409,8 @@ def atomic_files(*paths):
             raise ValidationError("named for two outputs", path)
     tmps, handles = [], []
     try:
-        for path in paths:
-            directory = os.path.dirname(os.path.abspath(path)) or "."
-            tmp = os.path.join(directory, f".tmp-chainvol-{os.urandom(8).hex()}")
+        for path, target in zip(paths, real):
+            tmp = os.path.join(os.path.dirname(target), f".tmp-chainvol-{os.urandom(8).hex()}")
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except OSError as exc:  # name the file asked for, not the temp file
@@ -419,11 +420,12 @@ def atomic_files(*paths):
         yield handles
         for fh in handles:
             fh.close()
-        for path in paths:  # the one rename failure to expect; checked before any rename
-            if os.path.isdir(path):
+        # the one rename failure to expect; checked before any rename
+        for path, target in zip(paths, real):
+            if os.path.isdir(target):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+        for tmp, target in zip(tmps, real):
+            os.replace(tmp, target)
     except BaseException:
         for fh in handles:
             fh.close()

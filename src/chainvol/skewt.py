@@ -38,7 +38,19 @@ def _std_t_logpdf(a, nu: float):
             - 0.5 * (nu + 1.0) * np.log1p(a * a / (nu - 2.0)))
 
 
-def _fs_constants(nu: float, xi: float):
+def _square(v):
+    """v ** 2 of a scalar, or of each entry of an array as the scalar gives it.
+
+    On a scalar ** calls the C library's pow; on an array numpy rounds the
+    exact square. About one value in a thousand differs in the last bit, and
+    a row of a block must give the bits the row gives alone.
+    """
+    if np.ndim(v) == 0:
+        return v ** 2
+    return np.array([a ** 2 for a in v.flat]).reshape(v.shape)
+
+
+def _fs_constants(nu, xi):
     """Mean and std of the unstandardized Fernandez-Steel variable.
 
     m1 is the absolute first moment of the unit-variance Student-t.
@@ -46,12 +58,15 @@ def _fs_constants(nu: float, xi: float):
     from scipy import special
     m1 = 2.0 * np.sqrt(nu - 2.0) / (nu - 1.0) / special.beta(nu / 2.0, 0.5)
     mean = m1 * (xi - 1.0 / xi)
-    var = (1.0 - m1**2) * (xi**2 + 1.0 / xi**2) + 2.0 * m1**2 - 1.0
+    m1_2, xi_2 = _square(m1), _square(xi)
+    var = (1.0 - m1_2) * (xi_2 + 1.0 / xi_2) + 2.0 * m1_2 - 1.0
     return mean, np.sqrt(var)
 
 
-def skewt_logpdf(z, nu: float, xi: float):
-    _check_params(nu, xi)
+def skewt_logpdf(z, nu, xi):
+    """Log-density at z. nu and xi are scalars, or arrays that broadcast
+    against z, such as (m, 1) columns over an (m, T) block. They are not
+    checked: numpy values outside nu > 2, xi > 0 give nan or inf."""
     z = np.asarray(z, dtype=float)
     mean, sd = _fs_constants(nu, xi)
     w = sd * z + mean  # unstandardized coordinate
@@ -62,6 +77,7 @@ def skewt_logpdf(z, nu: float, xi: float):
 
 
 def skewt_pdf(z, nu: float, xi: float):
+    _check_params(nu, xi)
     return np.exp(skewt_logpdf(z, nu, xi))
 
 
@@ -95,8 +111,9 @@ def skewt_quantile(p, nu: float, xi: float):
     return out if out.ndim else float(out)
 
 
-def student_t_logpdf(z, nu: float):
-    """Unit-variance Student-t log-density (the xi = 1 special case)."""
+def student_t_logpdf(z, nu):
+    """Unit-variance Student-t log-density (the xi = 1 special case); nu
+    broadcasts as in skewt_logpdf."""
     return _std_t_logpdf(np.asarray(z, dtype=float), nu)
 
 

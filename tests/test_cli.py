@@ -162,6 +162,22 @@ class TestExtract:
         assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
         assert os.listdir(tmp_path) == ["tx.csv"]
 
+    def test_missing_output_directory_fails_before_the_parse(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("tx_blocks called")
+
+        monkeypatch.setattr(cli.ingest, "tx_blocks", no_parse)
+        tx = tmp_path / "tx.csv"
+        tx.write_text("1420070400,1,1,10\n")
+        out = tmp_path / "missing" / "o.txt"
+        assert cli.main([
+            "extract", str(tx), "--out-occurrence", str(out),
+            "--out-amount", str(tmp_path / "a.txt"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+        assert os.listdir(tmp_path) == ["tx.csv"]
+
     @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
     def test_failed_amount_write_keeps_old_pair(self, tmp_path, capsys, bad):
         tx = tmp_path / "tx.csv"

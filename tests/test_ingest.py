@@ -358,6 +358,19 @@ def test_atomic_write_honours_umask(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+@pytest.mark.parametrize("target_dir", [".", "elsewhere"])
+def test_atomic_files_write_through_a_symlink(tmp_path, target_dir):
+    (tmp_path / target_dir).mkdir(exist_ok=True)
+    target, link = tmp_path / target_dir / "target.txt", tmp_path / "link.txt"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    with ingest.atomic_files(link) as (fh,):
+        fh.write("new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "new\n"
+    assert not list(tmp_path.rglob(".tmp-chainvol-*"))
+
+
 def test_atomic_files_write_all_or_none(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     a.write_text("old a\n")

@@ -7,7 +7,6 @@ fit hands the points of every finite-difference gradient to L-BFGS-B's
 call per point.
 """
 
-import sys
 import warnings
 from dataclasses import fields
 
@@ -40,6 +39,12 @@ def row_inputs(y, x, sigma2_init, i):
         return y, x, sigma2_init
     return y[i], None if x is None else x[i], None if sigma2_init is None else sigma2_init[i]
 
+
+# (nu, xi) whose skew-t scale differs in the last bit when the squares in
+# it are taken by ** on an array, which rounds the exact square, rather
+# than by ** on a numpy scalar, which calls the C library's pow
+HARD_LAWS = ((3.636268285804339, 0.15319601287255144), (61.653623243036606, 6.397056176401208),
+             (44.28355039663103, 1.376524998334548), (5.862802708705108, 0.34559040606596303))
 
 ROW_KINDS = ("plain", "duplicate", "step", "invalid", "floor", "overflow")
 
@@ -90,15 +95,15 @@ def batch_cases(draw):
 
 @st.composite
 def window_cases(draw):
-    """batch_cases with one window of y, one of x and one sigma2_init per
-    parameter row, the shape of a block of trailing backtest windows."""
+    """One parameter set of batch_cases over m windows of y, each with its
+    own window of x and sigma2_init: the shape forecast_one passes."""
     _, _, sets, spec, _ = draw(batch_cases())
-    m, T = len(sets), draw(st.integers(max(spec.p, spec.q) + 2, 120))
+    m, T = draw(st.integers(1, 8)), draw(st.integers(max(spec.p, spec.q) + 2, 120))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = rng.standard_t(5, size=(m, T)) * 0.02
     x = rng.normal(size=(m, spec.k, T)) if spec.k else None
     sigma2_init = draw(st.sampled_from([None, y.var(axis=1)]))
-    return y, x, sets, spec, sigma2_init
+    return y, x, sets[-1:], spec, sigma2_init
 
 
 class TestBatchedLikelihood:
@@ -118,7 +123,9 @@ class TestBatchedLikelihood:
         y, x, sets, spec, sigma2_init = case
         with np.errstate(all="ignore"):
             u, sigma2 = g.filter_model(y, x, stack_rows(sets, order), spec, sigma2_init)
-            for i, s in enumerate(sets):
+            assert u.shape == sigma2.shape == (max(len(sets), len(np.atleast_2d(y))), y.shape[-1])
+            for i in range(len(u)):
+                s = sets[0] if len(sets) == 1 else sets[i]
                 y_i, x_i, sigma2_init_i = row_inputs(y, x, sigma2_init, i)
                 try:
                     u_i, sigma2_i = g.filter_model(y_i, x_i, s, spec, sigma2_init_i)
@@ -137,26 +144,34 @@ class TestBatchedLikelihood:
         _, sigma2 = g.filter_model(y, x, stack_rows([params] * 2), ModelSpec(0, 0, 1, "normal"))
         assert (sigma2 == g.SIGMA2_MIN).any(axis=1).all()
 
-    @pytest.mark.parametrize("distribution", ["normal", "t"])
-    def test_logpdf_groups_rows_by_the_laws_parameters(self, monkeypatch, distribution):
-        # the normal law has neither nu nor xi, so innovation_logpdf never
-        # groups its rows, and the t law has no xi, so it groups them by nu
-        groups, keys = g._groups, []
-
-        def spy(rows):
-            if sys._getframe(1).f_code.co_name == "innovation_logpdf":
-                keys.append(rows.shape[1])
-            return groups(rows)
-
-        monkeypatch.setattr(g, "_groups", spy)
-        y = np.random.default_rng(3).normal(size=80) * 0.02
-        sets = [ArmaGarchXParams(alpha0=1e-5, alpha1=0.1, beta=0.8, nu=nu, xi=xi)
-                for nu, xi in ((5.0, 1.0), (8.0, 0.7), (5.0, 1.5))]
+    @given(st.sampled_from(("t", "skewt")),
+           st.lists(st.sampled_from(("distinct", "duplicate", "ulp", "hard")),
+                    min_size=2, max_size=32),
+           st.integers(1, 120), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_density_rows_equal_one_set_calls(self, distribution, kinds, T, seed):
+        # the block passes nu and xi as (m, 1) columns, one set as numpy
+        # scalars: the path of pipebench's reference check
+        rng = np.random.default_rng(seed)
+        laws = []
+        for kind in kinds:
+            if kind == "hard":
+                laws.append(HARD_LAWS[rng.integers(len(HARD_LAWS))])
+            elif kind == "distinct" or not laws:
+                laws.append((2.0 + 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-1, 1)))
+            elif kind == "duplicate":
+                laws.append(laws[-1])
+            else:
+                nu, xi = laws[-1]
+                laws.append((np.nextafter(nu, np.inf), xi) if rng.integers(2)
+                            else (nu, np.nextafter(xi, 0.0)))
+        sets = [ArmaGarchXParams(nu=float(nu), xi=float(xi)) for nu, xi in laws]
+        z = rng.standard_t(3, size=(len(sets), T)) * 10 ** rng.uniform(-1, 1)
         spec = ModelSpec(0, 0, 0, distribution)
-        nll = g.neg_log_likelihood(y, None, stack_rows(sets), spec)
-        assert keys == ([] if distribution == "normal" else [1])
-        np.testing.assert_array_equal(
-            bits(nll), bits([g.neg_log_likelihood(y, None, s, spec) for s in sets]))
+        block = g.innovation_logpdf(z, stack_rows(sets), spec)
+        assert block.shape == z.shape
+        for z_i, s, row in zip(z, sets, block):
+            np.testing.assert_array_equal(bits(row), bits(g.innovation_logpdf(z_i, s, spec)))
 
     def test_penalty_rules_row_by_row(self):
         y = np.random.default_rng(1).normal(size=80) * 0.02
@@ -169,15 +184,28 @@ class TestBatchedLikelihood:
         assert nll[1] == nll[2] == g.PENALTY_NLL
         assert nll[0] == nll[3] < g.PENALTY_NLL
 
-    def test_short_series_penalizes_every_row(self):
+    def test_short_series_is_an_error(self):
+        # a caller's error, not a point of the parameter space
         rows = stack_rows([ArmaGarchXParams(phi=[0.1, 0.1])] * 3)
-        nll = g.neg_log_likelihood(np.zeros(3), None, rows, ModelSpec(2, 0, 0, "normal"))
-        assert (nll == g.PENALTY_NLL).all()
+        with pytest.raises(g.ValidationError, match=r"series of length 3 too short for ARMA\(2,0\)"):
+            g.neg_log_likelihood(np.zeros(3), None, rows, ModelSpec(2, 0, 0, "normal"))
+
+    def test_regressor_shape_is_an_error(self):
+        y = np.random.default_rng(4).normal(size=120) * 0.02
+        params = ArmaGarchXParams(alpha0=1e-5, alpha1=0.1, beta=0.8, beta_x=[0.0, 0.0])
+        with pytest.raises(g.ValidationError, match="regressor matrix has 119 columns, need 120"):
+            g.neg_log_likelihood(y, np.zeros((2, 119)), params, ModelSpec(0, 0, 2, "normal"))
 
     def test_rows_must_match_windows(self):
         rows = stack_rows([ArmaGarchXParams()] * 2)
         with pytest.raises(g.ValidationError, match="2 parameter rows vs 3 series"):
             g.filter_model(np.zeros((3, 60)), None, rows, ModelSpec(0, 0, 0, "normal"))
+
+    def test_rows_over_as_many_windows_is_an_error(self):
+        # m sets over one series, or one set over m windows; no caller pairs them
+        rows = stack_rows([ArmaGarchXParams()] * 2)
+        with pytest.raises(g.ValidationError, match="2 parameter rows vs 2 series"):
+            g.filter_model(np.zeros((2, 60)), None, rows, ModelSpec(0, 0, 0, "normal"))
 
     def test_unpack_rows_equals_one_row_unpacking(self):
         rng = np.random.default_rng(2)
