@@ -12,7 +12,6 @@ from .errors import FitError, ValidationError
 from .garchx import (
     BATCH_CELLS,
     ArmaGarchXParams,
-    FitConfig,
     FitResult,
     ModelSpec,
     fit,
@@ -40,7 +39,6 @@ class VarSeries:
     var_value: np.ndarray
     realized_return: np.ndarray
     breach: np.ndarray
-    var_level: float
     sigma_forecast: np.ndarray
     refit_failures: list[int] = field(default_factory=list)
 
@@ -179,30 +177,28 @@ def rolling_backtest(
     window: int = 250,
     refit_every: int = 7,
     level: float = 0.01,
-    fit_config: FitConfig | None = None,
-    fixed_params: ArmaGarchXParams | None = None,
+    restarts: int = 5,
+    seed: int = 0,
 ) -> VarSeries:
     """Roll one-step VaR forecasts over the series with periodic refitting.
 
     For each forecast day t (window <= t < T) the model estimated on the
     trailing ``window`` days is used to forecast day t's VaR; refits happen
     every ``refit_every`` forecast days and a failed refit falls back to the
-    previous parameter set. With ``fixed_params`` no fitting happens at all
-    (true-model evaluation) and the regressors enter unscaled.
+    previous parameter set. ``restarts`` and ``seed`` go to every fit.
     Regressors are contemporaneous: the forecast for day t uses x[:, t].
 
-    The days between two refit attempts, or all days under ``fixed_params``,
-    form a block with one parameter set. Its trailing windows are
-    sliding-window views, forecast in chunks of at most BATCH_CELLS
-    days x window: one forecast_one call per chunk, which runs the filter one
-    day past each window, with a refit's regressor standardization applied
-    to the chunk's span at once. The block's VaR quantile is computed once.
+    The days between two refit attempts form a block with one parameter
+    set. Its trailing windows are sliding-window views, forecast in chunks
+    of at most BATCH_CELLS days x window: one forecast_one call per chunk,
+    which runs the filter one day past each window, with the refit's
+    regressor standardization applied to the chunk's span at once. The
+    block's VaR quantile is computed once.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
     if T < window + 2:
         raise ValidationError(f"series of length {T} too short for window {window}")
-    fit_config = fit_config or FitConfig()
     x = np.atleast_2d(np.asarray(x, dtype=float)) if spec.k > 0 else None
 
     n = T - window
@@ -211,32 +207,25 @@ def rolling_backtest(
     sigmas = np.empty(n)
     refit_failures = []
     current: FitResult | None = None
-    block = n if fixed_params is not None else refit_every
     chunk = max(1, BATCH_CELLS // window)
-    for start in range(0, n, block):
+    for start in range(0, n, refit_every):
         t = window + start
-        transform_x = None
-        if fixed_params is not None:
-            params = fixed_params
-        else:
-            try:
-                current = fit(y[t - window:t], x[:, t - window:t] if x is not None else None,
-                              spec, fit_config)
-            except FitError:
-                if current is None:
-                    raise
-                refit_failures.append(t)
-            params, transform_x = current.params, current.transform_x
-        stop = min(start + block, n)
+        try:
+            current = fit(y[t - window:t], x[:, t - window:t] if x is not None else None,
+                          spec, restarts, seed)
+        except FitError:
+            if current is None:
+                raise
+            refit_failures.append(t)
+        params = current.params
+        stop = min(start + refit_every, n)
         for lo in range(start, stop, chunk):
             hi = min(lo + chunk, stop)
             # the trailing windows of days window + lo .. window + hi - 1
             yw = sliding_window_view(y[lo: window + hi - 1], window)
             xw = None
             if x is not None:
-                span = x[:, lo: window + hi]
-                if transform_x is not None:
-                    span = transform_x(span)
+                span = current.transform_x(x[:, lo: window + hi])
                 # each window's regressors and those of its forecast day
                 xw = sliding_window_view(span, window + 1, axis=1).transpose(1, 0, 2)
             means[lo:hi], sigmas[lo:hi] = forecast_one(params, spec, yw, xw)
@@ -246,7 +235,7 @@ def rolling_backtest(
     realized = y[window:].copy()
     breach = realized < -var_values
     return VarSeries(
-        np.arange(window, T), var_values, realized, breach, level, sigmas, refit_failures,
+        np.arange(window, T), var_values, realized, breach, sigmas, refit_failures,
     )
 
 

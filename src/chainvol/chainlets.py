@@ -247,11 +247,12 @@ def feature_series(cube: DayCube, prices: PriceSeries) -> list[ExtremeFeatureRow
     return cube_features(cube, [price_by_day[d] for d in cube.dates])
 
 
-def combine_matrices(occ, amo) -> DayCube:
+def combine_matrices(occ, amo, occ_path, amo_path) -> DayCube:
     """Pair the ``(dates, values)`` of an occurrence file and of an amount file
     into a cube on the same arrays.
 
-    Both files must hold the same days, in strictly increasing order.
+    Both files must hold the same days, in strictly increasing order; a day
+    that one file lacks is an AlignmentError naming that file's path.
     """
     (dates, occ_values), (amo_dates, amo_values) = occ, amo
     for name, days in (("occurrence", dates), ("amount", amo_dates)):
@@ -262,9 +263,10 @@ def combine_matrices(occ, amo) -> DayCube:
         amo_days, occ_days = set(amo_dates), set(dates)
         missing = [d for d in dates if d not in amo_days]
         if missing:
-            raise AlignmentError("amount file does not cover all occurrence days", missing)
-        extra = next(d for d in amo_dates if d not in occ_days)
-        raise ValidationError(f"{extra}: day in the amount file but not in the occurrence file")
+            raise AlignmentError("amount file does not cover all occurrence days", missing,
+                                 amo_path)
+        missing = [d for d in amo_dates if d not in occ_days]
+        raise AlignmentError("occurrence file does not cover all amount days", missing, occ_path)
     return DayCube(dates, occ_values, amo_values)
 
 

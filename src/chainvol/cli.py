@@ -22,6 +22,14 @@ from .errors import ChainvolError
 SCHEMA_VERSION = 1
 
 
+class ConfigValueError(ChainvolError):
+    """A config value out of its range; key names the value."""
+
+    def __init__(self, key, message):
+        self.key = key
+        super().__init__(message)
+
+
 @dataclass
 class PipelineConfig:
     threshold: int = chainlets.DEFAULT_THRESHOLD
@@ -56,14 +64,15 @@ class PipelineConfig:
             ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
-                raise ChainvolError(f"{key} must be {bound}, got {getattr(self, key)}")
+                raise ConfigValueError(key, f"{key} must be {bound}, got {getattr(self, key)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file; blank lines and # comments ignored. Maps each
+    key to its value and its line number."""
     out = {}
     valid = {f.name: f.type for f in fields(PipelineConfig)}
     casts = {"int": int, "float": float, "str": str}
@@ -76,7 +85,7 @@ def load_config_file(path) -> dict:
             raise ChainvolError(f"unknown config key {key!r}", path, line_no)
         value = value.strip()
         try:
-            out[key] = casts[valid[key]](value)
+            out[key] = casts[valid[key]](value), line_no
             if key == "gap_policy":
                 ingest.GapPolicy(value)
         except ValueError:
@@ -85,14 +94,23 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(args) -> PipelineConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
+    path = getattr(args, "config", None)
+    values, lines = {}, {}
+    if path:
+        for key, (value, line_no) in load_config_file(path).items():
+            values[key], lines[key] = value, line_no
     for f in fields(PipelineConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
-    return PipelineConfig(**values)
+            lines.pop(f.name, None)
+    try:
+        return PipelineConfig(**values)
+    except ConfigValueError as exc:
+        if exc.key not in lines:
+            raise
+        # the value came from the config file: name its line
+        raise ChainvolError(str(exc), path, lines[exc.key]) from None
 
 
 def _write_json(path, payload: dict, config: PipelineConfig) -> None:
@@ -151,6 +169,7 @@ def cmd_features(args, config: PipelineConfig) -> int:
     cube = chainlets.combine_matrices(
         ingest.load_matrix_file(args.occurrence, dim=config.threshold),
         ingest.load_matrix_file(args.amount, dim=config.threshold),
+        args.occurrence, args.amount,
     )
     if not cube.dates:
         print("warning: empty matrix input", file=sys.stderr)
@@ -213,14 +232,14 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     # standardized OLS of squared returns on the six features
-    y_std, _, _ = stats.standardize(r_sq)
-    X_std = np.column_stack([stats.standardize(X[:, j])[0] for j in range(X.shape[1])])
+    y_std = stats.standardize(r_sq)
+    X_std = np.column_stack([stats.standardize(X[:, j]) for j in range(X.shape[1])])
     names = ["A_l", "A_r", "A_x", "O_l", "O_r", "O_x"]
     report = stats.ols_fit(y_std, X_std, names=names)
     _write_json(os.path.join(args.out, "ols_report.json"), report.to_dict(), config)
 
     # conditional loss-density moments, losses standardized over the full sample
-    loss_std, _, _ = stats.standardize(-r)
+    loss_std = stats.standardize(-r)
     a_x = X[:, names.index("A_x")]
     o_x = X[:, names.index("O_x")]
     moments_payload = {"unconditional": stats.moments(loss_std).to_dict()}
@@ -257,11 +276,10 @@ def _run_backtest(model: str, X, r, config: PipelineConfig):
     spec = garchx.ModelSpec(
         p=config.arma_p, q=config.arma_q, k=k, distribution=config.distribution
     )
-    fit_config = garchx.FitConfig(restarts=config.restarts, seed=config.seed)
     return bt.rolling_backtest(
         r, X.T if k > 0 else None, spec,
         window=config.window, refit_every=config.refit_every,
-        level=config.var_level, fit_config=fit_config,
+        level=config.var_level, restarts=config.restarts, seed=config.seed,
     )
 
 

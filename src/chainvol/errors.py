@@ -27,14 +27,15 @@ class ValidationError(ChainvolError):
 
 
 class AlignmentError(ChainvolError):
-    """Two daily series do not cover the same calendar."""
+    """Two daily series do not cover the same calendar; path names the file
+    that lacks the missing dates."""
 
-    def __init__(self, message, missing_dates=()):
+    def __init__(self, message, missing_dates, path=None):
         self.missing_dates = list(missing_dates)
         if self.missing_dates:
             shown = ", ".join(str(d) for d in self.missing_dates[:10])
             message = f"{message} (missing: {shown})"
-        super().__init__(message)
+        super().__init__(message, path)
 
 
 class DegenerateSeriesError(ChainvolError):

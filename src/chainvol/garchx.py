@@ -165,12 +165,6 @@ def _groups(keys) -> list:
 
 
 @dataclass
-class FitConfig:
-    restarts: int = 5
-    seed: int = 0
-
-
-@dataclass
 class FitResult:
     spec: ModelSpec
     params: ArmaGarchXParams
@@ -448,8 +442,9 @@ def default_start(y, spec: ModelSpec) -> ArmaGarchXParams:
     )
 
 
-def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
-    """Maximum-likelihood fit with multiple restarts on the transformed space.
+def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
+    """Maximum-likelihood fit on the transformed space: ``restarts`` L-BFGS-B
+    runs, all but the first from default_start plus noise drawn from ``seed``.
 
     Regressors are standardized before entering the variance equation; the
     transform is recorded in the result so forecasts can apply it to raw
@@ -459,7 +454,6 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
     # the backtest stage fits
     from scipy import optimize
 
-    config = config or FitConfig()
     y = np.asarray(y, dtype=float)
     if y.size < MIN_OBS:
         raise ValidationError(f"need >= {MIN_OBS} observations, got {y.size}")
@@ -473,7 +467,7 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
         x_std = np.where(sd > 0, sd, 1.0)
         x_fit = (x_fit - x_mean[:, None]) / x_std[:, None]
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     v0 = pack_params(default_start(y, spec), spec)
     # the filter's pre-sample variance; y is fixed for the whole fit
     sigma2_init = float(np.var(y))
@@ -508,7 +502,7 @@ def fit(y, x, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
     best_v, best_nll = v0, start_nll
     n_iter = 0
     any_converged = False
-    for r in range(max(1, config.restarts)):
+    for r in range(max(1, restarts)):
         v_start = v0 if r == 0 else v0 + rng.normal(scale=0.3, size=v0.size)
         try:
             res = optimize.minimize(

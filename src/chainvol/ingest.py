@@ -305,7 +305,7 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
         elif calendar.gap_policy is GapPolicy.FORWARD_FILL and last is not None:
             pass  # keep last
         else:
-            raise AlignmentError(f"price series missing calendar day", [day])
+            raise AlignmentError("price series missing calendar day", [day], path)
         dates.append(day)
         closes.append(last)
     return PriceSeries(dates, np.array(closes))
@@ -390,6 +390,11 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _check_not_directory(path, target) -> None:
+    if os.path.isdir(target):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+
+
 @contextmanager
 def atomic_files(*paths):
     """Yield a text file open for writing for each path: all or none are written.
@@ -400,13 +405,16 @@ def atomic_files(*paths):
     target gets the new bytes; when the block fails, or a path is a
     directory, every temp file is removed and no path changes. The temp
     files are created with mode 0o666, so the umask decides the final mode
-    as it does for any plainly created file. Two paths that name one file
-    are an error before any temp file exists.
+    as it does for any plainly created file. Two paths that name one file,
+    or a path that is a directory, are an error before any temp file exists;
+    a directory is checked for again before the renames, in case one
+    appeared while the block ran.
     """
     real = [os.path.realpath(path) for path in paths]
     for i, path in enumerate(paths):
         if real[i] in real[:i]:
             raise ValidationError("named for two outputs", path)
+        _check_not_directory(path, real[i])
     tmps, handles = [], []
     try:
         for path, target in zip(paths, real):
@@ -422,8 +430,7 @@ def atomic_files(*paths):
             fh.close()
         # the one rename failure to expect; checked before any rename
         for path, target in zip(paths, real):
-            if os.path.isdir(target):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            _check_not_directory(path, target)
         for tmp, target in zip(tmps, real):
             os.replace(tmp, target)
     except BaseException:

@@ -14,6 +14,11 @@ from .ingest import PriceSeries
 # scipy.special is imported in the functions that call it, so that the stages
 # that never call them (extract, features) never load scipy
 
+# gaussian_kde_grid's grid: its points, and its margin in bandwidths on each
+# side of the sample
+KDE_POINTS = 256
+KDE_PAD = 3.0
+
 
 @dataclass
 class ReturnSeries:
@@ -100,7 +105,7 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
     return ReturnSeries(list(prices.dates[:-1]), r, r**2)
 
 
-def standardize(x) -> tuple[np.ndarray, float, float]:
+def standardize(x) -> np.ndarray:
     """Center and scale by the sample (n-1 denominator) standard deviation."""
     x = np.asarray(x, dtype=float)
     if x.size < 2:
@@ -109,7 +114,7 @@ def standardize(x) -> tuple[np.ndarray, float, float]:
     std = float(np.std(x, ddof=1))
     if std == 0.0:
         raise DegenerateSeriesError("zero-variance series cannot be standardized")
-    return (x - mean) / std, mean, std
+    return (x - mean) / std
 
 
 def ols_fit(y, X, names=None) -> OlsReport:
@@ -216,11 +221,11 @@ def silverman_bandwidth(x) -> float:
     return 0.9 * spread * x.size ** (-0.2)
 
 
-def gaussian_kde_grid(x, n_grid: int = 256, pad: float = 3.0):
+def gaussian_kde_grid(x):
     """Gaussian kernel density on an evenly spaced grid, Silverman bandwidth."""
     x = np.asarray(x, dtype=float)
     h = silverman_bandwidth(x)
-    grid = np.linspace(x.min() - pad * h, x.max() + pad * h, n_grid)
+    grid = np.linspace(x.min() - KDE_PAD * h, x.max() + KDE_PAD * h, KDE_POINTS)
     z = (grid[:, None] - x[None, :]) / h
     dens = np.exp(-0.5 * z**2).sum(axis=1) / (x.size * h * np.sqrt(2 * np.pi))
     return grid, dens

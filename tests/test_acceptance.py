@@ -19,7 +19,7 @@ from scipy import integrate, stats as sps
 from chainvol import backtest as bt
 from chainvol import chainlets, garchx, skewt, stats
 from chainvol.chainlets import DayCube, DayCubeBuilder
-from chainvol.garchx import ArmaGarchXParams, FitConfig, ModelSpec
+from chainvol.garchx import ArmaGarchXParams, ModelSpec
 
 
 def report(number: int, description: str, ok: bool, detail: str = ""):
@@ -87,7 +87,7 @@ def test_criterion_05_garch_parameter_recovery():
     hits = 0
     for seed in range(10):
         y, _, _ = garchx.simulate(true, spec, None, 10_000, seed)
-        result = garchx.fit(y, None, spec, FitConfig(restarts=2, seed=seed))
+        result = garchx.fit(y, None, spec, restarts=2, seed=seed)
         persistence = result.params.alpha1 + result.params.beta
         hits += abs(persistence - 0.95) <= 0.05
     elapsed = time.time() - t0
@@ -113,15 +113,17 @@ def test_criterion_06_skew_t_correctness():
            "; ".join(details))
 
 
-def test_criterion_07_var_coverage_on_simulated_truth():
+def test_criterion_07_var_coverage_on_simulated_truth(monkeypatch, fixed_fit):
     spec = ModelSpec(0, 0, 0, "normal")
     true = ArmaGarchXParams(mu=0.0, alpha0=0.05, alpha1=0.10, beta=0.85)
+    # every refit of the rolling backtest returns the true parameters
+    monkeypatch.setattr(bt, "fit", fixed_fit(true))
     t0 = time.time()
     freq_ok = 0
     kupiec_ok = 0
     for seed in range(20):
         y, _, _ = garchx.simulate(true, spec, None, 5000, seed)
-        series = bt.rolling_backtest(y, None, spec, window=250, level=0.01, fixed_params=true)
+        series = bt.rolling_backtest(y, None, spec, window=250, level=0.01)
         freq = series.n_breaches / series.n
         se = math.sqrt(0.01 * 0.99 / series.n)
         freq_ok += abs(freq - 0.01) <= 2 * se
@@ -150,7 +152,7 @@ def test_criterion_08_conditional_moment_oracle():
             (m.skewness, m3 / m2**1.5), (m.kurtosis, m4 / m2**2),
         ]:
             ok &= abs(got - want) <= 1e-10 * max(1.0, abs(want))
-    z, _, _ = stats.standardize(L)
+    z = stats.standardize(L)
     mu = stats.moments(z)
     ok &= abs(mu.mean) <= 1e-12 and abs(mu.std_dev - math.sqrt(999 / 1000)) <= 1e-10
     report(8, "conditional moments match a brute-force subset oracle at 1e-10", bool(ok))

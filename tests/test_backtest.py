@@ -137,43 +137,41 @@ class TestVarFromForecast:
 
 
 class TestRollingBacktest:
-    def test_true_model_coverage(self):
+    def test_true_model_coverage(self, monkeypatch, fixed_fit):
         spec = ModelSpec(0, 0, 0, "normal")
         true = ArmaGarchXParams(alpha0=0.05, alpha1=0.1, beta=0.85)
         y, _, _ = simulate(true, spec, None, 5000, seed=0)
-        series = bt.rolling_backtest(
-            y, None, spec, window=250, level=0.01, fixed_params=true
-        )
+        monkeypatch.setattr(bt, "fit", fixed_fit(true))
+        series = bt.rolling_backtest(y, None, spec, window=250, level=0.01)
         freq = series.n_breaches / series.n
         se = math.sqrt(0.01 * 0.99 / series.n)
         assert abs(freq - 0.01) <= 2 * se
 
-    def test_breach_definition_double_entry(self):
+    def test_breach_definition_double_entry(self, monkeypatch, fixed_fit):
         spec = ModelSpec(0, 0, 0, "normal")
         true = ArmaGarchXParams(alpha0=0.05, alpha1=0.1, beta=0.85)
         y, _, _ = simulate(true, spec, None, 1000, seed=1)
-        series = bt.rolling_backtest(y, None, spec, window=250, level=0.05, fixed_params=true)
+        monkeypatch.setattr(bt, "fit", fixed_fit(true))
+        series = bt.rolling_backtest(y, None, spec, window=250, level=0.05)
         # loss space: loss > VaR threshold iff return < -VaR
         losses = -series.realized_return
         assert np.array_equal(series.breach, losses > series.var_value)
 
-    def test_refit_modes_equal_with_fixed_params(self):
+    def test_refit_modes_equal_with_fixed_params(self, monkeypatch, fixed_fit):
         spec = ModelSpec(0, 0, 0, "normal")
         true = ArmaGarchXParams(alpha0=0.05, alpha1=0.1, beta=0.85)
         y, _, _ = simulate(true, spec, None, 600, seed=2)
-        s1 = bt.rolling_backtest(y, None, spec, window=250, refit_every=1, fixed_params=true)
-        s7 = bt.rolling_backtest(y, None, spec, window=250, refit_every=7, fixed_params=true)
+        monkeypatch.setattr(bt, "fit", fixed_fit(true))
+        s1 = bt.rolling_backtest(y, None, spec, window=250, refit_every=1)
+        s7 = bt.rolling_backtest(y, None, spec, window=250, refit_every=7)
         assert np.array_equal(s1.var_value, s7.var_value)
 
     def test_deterministic_given_seeds(self):
         spec = ModelSpec(0, 0, 0, "normal")
         true = ArmaGarchXParams(alpha0=0.05, alpha1=0.1, beta=0.85)
         y, _, _ = simulate(true, spec, None, 400, seed=3)
-        from chainvol.garchx import FitConfig
-
-        cfg = FitConfig(restarts=1, seed=42)
-        a = bt.rolling_backtest(y, None, spec, window=300, refit_every=50, fit_config=cfg)
-        b = bt.rolling_backtest(y, None, spec, window=300, refit_every=50, fit_config=cfg)
+        a = bt.rolling_backtest(y, None, spec, window=300, refit_every=50, restarts=1, seed=42)
+        b = bt.rolling_backtest(y, None, spec, window=300, refit_every=50, restarts=1, seed=42)
         assert np.array_equal(a.var_value, b.var_value)
 
     def test_too_short_series(self):

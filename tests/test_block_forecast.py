@@ -12,10 +12,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from chainvol import backtest as bt
 from chainvol import garchx as g
 from chainvol.errors import FitError
-from chainvol.garchx import ArmaGarchXParams, FitConfig, FitResult, ModelSpec
+from chainvol.garchx import ArmaGarchXParams, FitResult, ModelSpec
 
 
-def per_day_backtest(y, x, spec, window, refit_every, level, fit_config, fixed_params, fit):
+def per_day_backtest(y, x, spec, window, refit_every, level, restarts, seed, fit):
     """The rolling backtest as one forecast per day."""
     y = np.asarray(y, dtype=float)
     T = y.size
@@ -24,22 +24,17 @@ def per_day_backtest(y, x, spec, window, refit_every, level, fit_config, fixed_p
     current = None
     for step, t in enumerate(range(window, T)):
         lo = t - window
+        if current is None or step % refit_every == 0:
+            try:
+                current = fit(y[lo:t], x[:, lo:t] if x is not None else None, spec,
+                              restarts, seed)
+            except FitError:
+                if current is None:
+                    raise
+                refit_failures.append(t)
+        params = current.params
         # the window's regressors and those of its forecast day
-        x_ahead = x[:, lo:t + 1] if x is not None else None
-        if fixed_params is not None:
-            params = fixed_params
-        else:
-            if current is None or step % refit_every == 0:
-                try:
-                    current = fit(y[lo:t], x[:, lo:t] if x is not None else None, spec,
-                                  fit_config)
-                except FitError:
-                    if current is None:
-                        raise
-                    refit_failures.append(t)
-            params = current.params
-            if x is not None:
-                x_ahead = current.transform_x(x_ahead)
+        x_ahead = current.transform_x(x[:, lo:t + 1]) if x is not None else None
         (mean_next,), (sigma_next,) = g.forecast_one(
             params, spec, y[None, lo:t], x_ahead[None] if x is not None else None
         )
@@ -54,7 +49,7 @@ def window_fit(base: ArmaGarchXParams, failing_calls=()):
     regressor standardization fit records, and FitError on the given calls."""
     calls = []
 
-    def fit(y, x, spec, config):
+    def fit(y, x, spec, restarts, seed):
         calls.append(None)
         if len(calls) in failing_calls:
             raise FitError("refit failed")
@@ -78,15 +73,11 @@ def assert_same_days(got: bt.VarSeries, want):
     assert got.refit_failures == refit_failures
 
 
-def run_both(monkeypatch, y, x, spec, window, refit_every=7, level=0.01, fixed_params=None,
-             make_fit=None):
-    config = FitConfig(restarts=1, seed=0)
-    if make_fit is not None:
-        monkeypatch.setattr(bt, "fit", make_fit())
+def run_both(monkeypatch, y, x, spec, window, make_fit, refit_every=7, level=0.01):
+    monkeypatch.setattr(bt, "fit", make_fit())
     got = bt.rolling_backtest(y, x, spec, window=window, refit_every=refit_every, level=level,
-                              fit_config=config, fixed_params=fixed_params)
-    want = per_day_backtest(y, x, spec, window, refit_every, level, config, fixed_params,
-                            make_fit() if make_fit is not None else None)
+                              restarts=1, seed=0)
+    want = per_day_backtest(y, x, spec, window, refit_every, level, 1, 0, make_fit())
     return got, want
 
 
@@ -109,8 +100,8 @@ def test_refit_blocks_with_a_failed_refit(monkeypatch, layout, chunk_days):
     y = rng.standard_t(5, size=T) * 0.02
     # F: the regressors as the CLI passes them, a transposed (days, k) array
     x = rng.normal(2.0, 3.0, size=(5, T)) if layout == "C" else rng.normal(2.0, 3.0, size=(T, 5)).T
-    got, want = run_both(monkeypatch, y, x, ModelSpec(2, 2, 5, "skewt"), window, refit_every=7,
-                         make_fit=lambda: window_fit(SKEWT_ARMA, failing_calls=(2,)))
+    got, want = run_both(monkeypatch, y, x, ModelSpec(2, 2, 5, "skewt"), window,
+                         lambda: window_fit(SKEWT_ARMA, failing_calls=(2,)), refit_every=7)
     assert want[3] == [window + 7]
     assert_same_days(got, want)
 
@@ -121,12 +112,12 @@ def test_real_refits_of_a_garchx_model(monkeypatch):
     y, _, _ = g.simulate(ArmaGarchXParams(alpha0=1e-4, alpha1=0.1, beta=0.8, nu=6.0, xi=1.3),
                          ModelSpec(0, 0, 0, "skewt"), None, T, seed=1)
     x = rng.normal(size=(T, 2)).T
-    got, want = run_both(monkeypatch, y, x, ModelSpec(1, 1, 2, "skewt"), window, refit_every=15,
-                         make_fit=lambda: g.fit)
+    got, want = run_both(monkeypatch, y, x, ModelSpec(1, 1, 2, "skewt"), window,
+                         lambda: g.fit, refit_every=15)
     assert_same_days(got, want)
 
 
-def test_windows_where_the_floor_binds(monkeypatch):
+def test_windows_where_the_floor_binds(monkeypatch, fixed_fit):
     rng = np.random.default_rng(2)
     T, window = 140, 50
     y = rng.normal(size=T) * 0.02
@@ -136,19 +127,23 @@ def test_windows_where_the_floor_binds(monkeypatch):
     spec = ModelSpec(1, 1, 4, "t")
     _, sigma2 = g.filter_model(y[:window], x[:, :window], params, spec)
     assert (sigma2 == g.SIGMA2_MIN).any()
-    for fixed in (params, None):
-        got, want = run_both(monkeypatch, y, x, spec, window, refit_every=9, fixed_params=fixed,
-                             make_fit=None if fixed else lambda: window_fit(params))
+    # the parameters on the raw regressors, then moving with the window on
+    # standardized ones
+    for make_fit in (lambda: fixed_fit(params), lambda: window_fit(params)):
+        got, want = run_both(monkeypatch, y, x, spec, window, make_fit, refit_every=9)
         assert_same_days(got, want)
 
 
-def test_fixed_params_longer_than_one_chunk(monkeypatch):
+def test_fixed_params_longer_than_one_chunk(monkeypatch, fixed_fit):
+    # one refit block of more days than one chunk holds
     spec = ModelSpec(0, 0, 0, "normal")
     true = ArmaGarchXParams(mu=0.0, alpha0=0.05, alpha1=0.10, beta=0.85)
     window = 50
     chunk_days = bt.BATCH_CELLS // window
-    y, _, _ = g.simulate(true, spec, None, window + chunk_days + 37, seed=3)
-    got, want = run_both(monkeypatch, y, None, spec, window, fixed_params=true)
+    T = window + chunk_days + 37
+    y, _, _ = g.simulate(true, spec, None, T, seed=3)
+    got, want = run_both(monkeypatch, y, None, spec, window, lambda: fixed_fit(true),
+                         refit_every=T - window)
     assert got.n > chunk_days
     assert_same_days(got, want)
 
@@ -229,7 +224,7 @@ def test_block_forecast_cases_reach_the_floor(k):
 
 
 @pytest.mark.parametrize("fixed", [True, False])
-def test_no_look_ahead(monkeypatch, fixed):
+def test_no_look_ahead(monkeypatch, fixed_fit, fixed):
     # the forecast of day t sees y before t and x up to t: other values from
     # day t0 on leave every earlier day's VaR and sigma bit for bit as they were
     T, window = 150, 60
@@ -242,10 +237,11 @@ def test_no_look_ahead(monkeypatch, fixed):
     params = ArmaGarchXParams(**{**SKEWT_ARMA.to_dict(), "alpha0": 1e-2})
 
     def run(y, x):
-        # a second refit that fails, so one block keeps the first refit's parameters
-        monkeypatch.setattr(bt, "fit", window_fit(params, failing_calls=(2,)))
-        return bt.rolling_backtest(y, x, spec, window=window, refit_every=7,
-                                   fixed_params=params if fixed else None)
+        # fixed: every refit gives params on the raw regressors; else a second
+        # refit fails, so one block keeps the first refit's parameters
+        fit = fixed_fit(params) if fixed else window_fit(params, failing_calls=(2,))
+        monkeypatch.setattr(bt, "fit", fit)
+        return bt.rolling_backtest(y, x, spec, window=window, refit_every=7)
 
     def assert_first_days_equal(got, want, days):
         for name in ("var_value", "sigma_forecast"):

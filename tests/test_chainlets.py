@@ -374,7 +374,7 @@ def entries(*days, value=1):
 
 class TestCombineMatrices:
     def test_pairs_by_day(self):
-        cube = combine_matrices(entries(1, 2, 4), entries(1, 2, 4, value=7))
+        cube = combine_matrices(entries(1, 2, 4), entries(1, 2, 4, value=7), "occ", "amo")
         assert [d.day for d in cube.dates] == [1, 2, 4]
         assert cube.occurrence.tolist() == [[[1, 1], [1, 1]]] * 3
         assert cube.amount.tolist() == [[[7, 7], [7, 7]]] * 3
@@ -386,12 +386,12 @@ class TestCombineMatrices:
         empty_path.write_text("")
         occ = ingest.load_matrix_file(occ_path, dim=2)
         amo = ingest.load_matrix_file(amo_path, dim=2)
-        cube = combine_matrices(occ, amo)
+        cube = combine_matrices(occ, amo, occ_path, amo_path)
         assert np.shares_memory(cube.occurrence, occ[1])
         assert np.shares_memory(cube.amount, amo[1])
         assert cube.amount.tolist() == [[[5, 0], [0, 9]], [[0, 4], [0, 0]]]
         empty = ingest.load_matrix_file(empty_path, dim=2)
-        cube = combine_matrices(empty, empty)
+        cube = combine_matrices(empty, empty, empty_path, amo_path)
         assert cube.dates == [] and cube.occurrence.shape == cube.amount.shape == (0, 2, 2)
         assert cube.occurrence.dtype == cube.amount.dtype == np.int64
 
@@ -403,15 +403,21 @@ class TestCombineMatrices:
     ], ids=["repeated", "reversed", "amount-repeated", "amount-reversed"])
     def test_days_strictly_increasing(self, occ, amo, message):
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            combine_matrices(entries(*occ), entries(*amo))
+            combine_matrices(entries(*occ), entries(*amo), "occ", "amo")
 
     def test_missing_amount_day(self):
-        with pytest.raises(AlignmentError, match="^amount file does not cover") as exc:
-            combine_matrices(entries(1, 2, 3), entries(1, 3))
+        message = "amo: amount file does not cover all occurrence days (missing: 2015-06-02)"
+        with pytest.raises(AlignmentError, match="^" + re.escape(message) + "$") as exc:
+            combine_matrices(entries(1, 2, 3), entries(1, 3), "occ", "amo")
         assert exc.value.missing_dates == [dt.date(2015, 6, 2)]
 
     @pytest.mark.parametrize("amo,day", [((1, 2, 3, 4), 1), ((2, 3, 4), 4)])
     def test_extra_amount_day(self, amo, day):
-        message = f"2015-06-0{day}: day in the amount file but not in the occurrence file"
-        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            combine_matrices(entries(2, 3), entries(*amo))
+        # day is the first of the amount days that the occurrence file lacks
+        missing = [dt.date(2015, 6, d) for d in amo if d not in (2, 3)]
+        assert missing[0].day == day
+        message = ("occ: occurrence file does not cover all amount days "
+                   f"(missing: {', '.join(map(str, missing))})")
+        with pytest.raises(AlignmentError, match="^" + re.escape(message) + "$") as exc:
+            combine_matrices(entries(2, 3), entries(*amo), "occ", "amo")
+        assert exc.value.missing_dates == missing

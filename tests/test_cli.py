@@ -178,6 +178,23 @@ class TestExtract:
         assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
         assert os.listdir(tmp_path) == ["tx.csv"]
 
+    def test_directory_output_fails_before_the_parse(self, tmp_path, capsys, monkeypatch):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("tx_blocks called")
+
+        monkeypatch.setattr(cli.ingest, "tx_blocks", no_parse)
+        tx = tmp_path / "tx.csv"
+        tx.write_text("1420070400,1,1,10\n")
+        out_amo = tmp_path / "adir"
+        out_amo.mkdir()
+        assert cli.main([
+            "extract", str(tx), "--out-occurrence", str(tmp_path / "o.txt"),
+            "--out-amount", str(out_amo),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {out_amo}: Is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["adir", "tx.csv"]
+        assert os.listdir(out_amo) == []
+
     @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
     def test_failed_amount_write_keeps_old_pair(self, tmp_path, capsys, bad):
         tx = tmp_path / "tx.csv"
@@ -256,6 +273,39 @@ class TestFeatures:
             "--out", str(tmp_path / "f.csv"),
         ]) == 1
         assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["features", "analyze", "backtest"])
+def test_price_gap_names_the_price_file(dataset, tmp_path, capsys, stage):
+    lines = (dataset["data"] / "prices.csv").read_text().splitlines()
+    assert lines[4].startswith("2015-01-04,")
+    prices = tmp_path / "p_gap.csv"
+    prices.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
+    out = tmp_path / "out"
+    inputs = {"features": [str(dataset["occ"]), str(dataset["amo"])]}.get(
+        stage, [str(dataset["features"])])
+    assert cli.main([stage, *inputs, str(prices), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {prices}: price series missing calendar day (missing: 2015-01-04)\n")
+    assert sorted(os.listdir(tmp_path)) == ["p_gap.csv"]
+
+
+@pytest.mark.parametrize("short", ["amount", "occurrence"])
+def test_short_matrix_file_is_named(dataset, tmp_path, capsys, short):
+    paths = {}
+    for name, key in (("occurrence", "occ"), ("amount", "amo")):
+        lines = dataset[key].read_text().splitlines()
+        paths[name] = tmp_path / f"{key}.txt"
+        # the short file lacks its fifth day
+        paths[name].write_text("\n".join(lines[:4] + lines[5:] if name == short else lines) + "\n")
+    day = dataset["occ"].read_text().splitlines()[4].split()[0]
+    other = "occurrence" if short == "amount" else "amount"
+    assert cli.main(["features", str(paths["occurrence"]), str(paths["amount"]),
+                     str(dataset["data"] / "prices.csv"), "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[short]}: {short} file does not cover all {other} days "
+        f"(missing: {day})\n")
+    assert not (tmp_path / "f.csv").exists()
 
 
 class TestAnalyze:
@@ -592,8 +642,45 @@ def test_bad_seed_or_synth_value(tmp_path, capsys, monkeypatch, key, argv):
     monkeypatch.chdir(run)
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    # a value from a config file is named by its file and line
+    where = f"{argv[1]}:1: " if argv[0] == "--config" else ""
+    assert err.startswith(f"error: {where}{key} must be ") and err.count("\n") == 1
     assert os.listdir(run) == []
+
+
+OUT_OF_RANGE_LINES = [
+    ("threshold=1", "threshold must be >= 2, got 1"),
+    ("alpha_tail=0.5", "alpha_tail must be in (0, 0.5), got 0.5"),
+    ("var_level=0", "var_level must be in (0, 0.5), got 0.0"),
+    ("window=10", "window must be >= 50, got 10"),
+    ("refit_every=0", "refit_every must be >= 1, got 0"),
+    ("arma_p=-1", "arma_p must be >= 0, got -1"),
+    ("arma_q=-1", "arma_q must be >= 0, got -1"),
+    ("distribution=skew", "distribution must be one of normal, t, skewt, got skew"),
+    ("restarts=0", "restarts must be >= 1, got 0"),
+    ("lag=-1", "lag must be >= 0, got -1"),
+    ("seed=-1", "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("line, message", OUT_OF_RANGE_LINES,
+                         ids=[line.split("=")[0] for line, _ in OUT_OF_RANGE_LINES])
+def test_config_file_value_out_of_range_names_file_and_line(tmp_path, capsys, monkeypatch,
+                                                            line, message):
+    # the input files do not exist: the config is checked before any of them is read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(f"# settings\nthreshold=20\n{line}\n")
+    assert cli.main(["--config", "bad.cfg", "backtest", "f.csv", "p.csv", "--out", "b"]) == 1
+    assert capsys.readouterr().err == f"error: bad.cfg:3: {message}\n"
+    assert os.listdir(tmp_path) == ["bad.cfg"]
+
+
+def test_flag_over_a_config_value_is_not_named_by_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("window=10\n")
+    assert cli.main(["--config", "bad.cfg", "backtest", "f.csv", "p.csv", "--out", "b",
+                     "--window", "20"]) == 1
+    assert capsys.readouterr().err == "error: window must be >= 50, got 20\n"
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])

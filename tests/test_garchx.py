@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from chainvol import garchx as g
 from chainvol.errors import FitError, ValidationError
-from chainvol.garchx import ArmaGarchXParams, FitConfig, ModelSpec
+from chainvol.garchx import ArmaGarchXParams, ModelSpec
 
 
 def garch_params(**kw):
@@ -282,7 +282,7 @@ class TestFit:
         spec = ModelSpec(0, 0, 0, "normal")
         true = garch_params()
         y, _, _ = g.simulate(true, spec, None, 10_000, seed=0)
-        result = g.fit(y, None, spec, FitConfig(restarts=2, seed=0))
+        result = g.fit(y, None, spec, restarts=2, seed=0)
         assert result.converged
         assert result.params.alpha1 + result.params.beta == pytest.approx(0.95, abs=0.05)
 
@@ -291,17 +291,17 @@ class TestFit:
         hits = 0
         for seed in range(5):
             y = np.random.default_rng(seed).normal(size=3000)
-            result = g.fit(y, None, spec, FitConfig(restarts=1, seed=seed))
+            result = g.fit(y, None, spec, restarts=1, seed=seed)
             hits += result.params.alpha1 < 0.05
         assert hits >= 4
 
     def test_refit_is_fixed_point(self):
         spec = ModelSpec(0, 0, 0, "normal")
         y, _, _ = g.simulate(garch_params(), spec, None, 3000, seed=3)
-        first = g.fit(y, None, spec, FitConfig(restarts=1, seed=0))
+        first = g.fit(y, None, spec, restarts=1, seed=0)
         nll_at_fit = g.neg_log_likelihood(y, None, first.params, spec)
         assert -first.loglik == pytest.approx(nll_at_fit, abs=1e-9)
-        again = g.fit(y, None, spec, FitConfig(restarts=1, seed=1))
+        again = g.fit(y, None, spec, restarts=1, seed=1)
         assert again.loglik == pytest.approx(first.loglik, abs=1e-4)
 
     def test_exogenous_standardization_recorded(self):
@@ -309,14 +309,14 @@ class TestFit:
         rng = np.random.default_rng(9)
         x = np.abs(rng.normal(5.0, 2.0, size=(1, 2000)))
         y, _, _ = g.simulate(garch_params(), ModelSpec(0, 0, 0, "normal"), None, 2000, seed=4)
-        result = g.fit(y, x, spec, FitConfig(restarts=1, seed=0))
+        result = g.fit(y, x, spec, restarts=1, seed=0)
         assert result.x_mean.shape == (1,)
         z = result.transform_x(x)
         assert abs(z.mean()) < 1e-9
 
     def test_too_few_observations(self):
         with pytest.raises(ValidationError):
-            g.fit(np.zeros(10), None, ModelSpec(0, 0, 0, "normal"), FitConfig())
+            g.fit(np.zeros(10), None, ModelSpec(0, 0, 0, "normal"))
 
     def test_loglik_is_attained_by_returned_params(self, monkeypatch):
         # after an abnormal line-search end L-BFGS-B reports a fun that its
@@ -332,7 +332,7 @@ class TestFit:
         monkeypatch.setattr(scipy.optimize, "minimize", minimize_reporting_lower_fun)
         spec = ModelSpec(1, 0, 0, "t")
         y, _, _ = g.simulate(garch_params(phi=[0.2]), spec, None, 400, seed=8)
-        result = g.fit(y, None, spec, FitConfig(restarts=2, seed=0))
+        result = g.fit(y, None, spec, restarts=2, seed=0)
         assert result.loglik == -g.neg_log_likelihood(y, None, result.params, spec)
 
     def test_unusable_likelihood_raises_fit_error(self, monkeypatch):
@@ -341,7 +341,7 @@ class TestFit:
         monkeypatch.setattr(g, "neg_log_likelihood", lambda *args, **kwargs: float("nan"))
         y = np.random.default_rng(9).normal(size=100)
         with pytest.raises(FitError, match="start point"):
-            g.fit(y, None, ModelSpec(0, 0, 0, "normal"), FitConfig(restarts=1))
+            g.fit(y, None, ModelSpec(0, 0, 0, "normal"), restarts=1)
 
     def test_skewt_garchx_fit_raises_no_runtime_warning(self):
         # the optimizer probes overflowing parameters; they get the penalty
@@ -352,7 +352,7 @@ class TestFit:
                              None, 250, seed=11)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = g.fit(y, x, spec, FitConfig(restarts=2, seed=0))
+            result = g.fit(y, x, spec, restarts=2, seed=0)
         assert np.isfinite(result.loglik)
 
 

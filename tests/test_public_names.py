@@ -9,6 +9,12 @@ an imported name or a string constant that spells a dotted name, as the
 benchmark's tracer names the functions it wraps; a member's name may be a
 local variable's or a report key, so those do not count for a member. A
 name that only tests reach is code kept alive for no caller.
+
+The same holds for parameters: a parameter with a default, of a public
+function, a public method or an explicit ``__init__``, must be passed at some
+call in those files, by keyword or by position; a call with ``*args`` or
+``**kwargs`` passes every parameter those could fill. A default that every
+caller keeps is an option no caller uses.
 """
 
 import ast
@@ -90,3 +96,64 @@ def test_every_public_name_has_a_caller():
                     if of_member or not member} - {(path, line)}:
                 unused.append(f"{path.stem}.{qualified} (line {line})")
     assert not unused, "no caller outside the tests: " + ", ".join(unused)
+
+
+def defaulted_parameters(path: pathlib.Path):
+    """(callable name, parameter, position or None, line) of each parameter
+    with a default of a public function or method or an explicit __init__;
+    a method's position does not count its self or cls, and a keyword-only
+    parameter has none. An __init__ is called by its class's name."""
+    tree = ast.parse(path.read_text())
+    defs = [(node.name, node, False) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for member in cls.body:
+            if isinstance(member, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in member.decorator_list)
+                name = cls.name if member.name == "__init__" else member.name
+                defs.append((name, member, not static))
+    for name, node, bound in defs:
+        if not public(name):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        if bound:
+            positional = positional[1:]
+        for i, arg in enumerate(positional[len(positional) - len(a.defaults):],
+                                len(positional) - len(a.defaults)):
+            yield name, arg.arg, i, node.lineno
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None, node.lineno
+
+
+def passed(path: pathlib.Path):
+    """(callable name, parameter name or position, or "*" for every
+    parameter) of what each call in the file passes."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                kw.arg is None for kw in node.keywords):
+            yield name, "*"
+            continue
+        for i in range(len(node.args)):
+            yield name, i
+        for kw in node.keywords:
+            yield name, kw.arg
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = set()
+    for path in CALLERS:
+        calls.update(passed(path))
+    unpassed = []
+    for path in PACKAGE:
+        for name, param, position, line in defaulted_parameters(path):
+            if not {(name, param), (name, position), (name, "*")} & calls:
+                unpassed.append(f"{path.stem}.{name}({param}) (line {line})")
+    assert not unpassed, "never passed outside the tests: " + ", ".join(unpassed)

@@ -49,7 +49,7 @@ def test_reports_at_recorded_parameters(readme_dataset, monkeypatch):
     recorded = json.loads(RECORDED.read_text())
     fits = iter(recorded["fits"])
 
-    def replay_fit(y, x, spec, config):
+    def replay_fit(y, x, spec, restarts, seed):
         rec = next(fits)
         assert rec["spec"] == {"p": spec.p, "q": spec.q, "k": spec.k,
                                "distribution": spec.distribution}

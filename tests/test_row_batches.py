@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from chainvol import cli
 from chainvol import garchx as g
-from chainvol.garchx import ArmaGarchXParams, FitConfig, ModelSpec, ParamRows
+from chainvol.garchx import ArmaGarchXParams, ModelSpec, ParamRows
 
 
 def bits(values):
@@ -252,7 +252,7 @@ class TestFitWorkers:
             return real_minimize(fun, x0, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "minimize", capture)
-        result = g.fit(y, x, spec, FitConfig(restarts=1, seed=0))
+        result = g.fit(y, x, spec, restarts=1, seed=0)
         return result, calls
 
     @pytest.mark.parametrize("spec", [ModelSpec(2, 2, 2, "skewt"), ModelSpec(1, 0, 0, "t"),
@@ -298,7 +298,7 @@ class TestFitWorkers:
                              None, 250, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = g.fit(y, x, spec, FitConfig(restarts=2, seed=0))
+            result = g.fit(y, x, spec, restarts=2, seed=0)
         assert np.isfinite(result.loglik)
 
 
@@ -357,7 +357,7 @@ def test_first_readme_refit_is_pinned(readme_returns, model):
     k = X.shape[1] if model == "garchx" else 0
     # the regressors as the CLI hands them over: a transposed view
     result = g.fit(r[:250], X.T[:, :250] if k else None, ModelSpec(2, 2, k, "skewt"),
-                   FitConfig(restarts=1, seed=0))
+                   restarts=1, seed=0)
     want = FIRST_REFITS[model]
     assert result.params.to_dict() == want["params"]
     assert result.loglik == want["loglik"]

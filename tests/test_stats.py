@@ -55,16 +55,15 @@ class TestStandardize:
             stats.standardize([3.0, 3.0, 3.0])
 
     def test_simple_case(self):
-        z, mean, std = stats.standardize([1.0, 2.0, 3.0])
-        assert mean == 2.0
-        assert std == 1.0  # sample sd of (1,2,3)
-        assert np.allclose(z, [-1, 0, 1])
+        # mean 2 and sample sd 1, so the z-scores are exact
+        z = stats.standardize([1.0, 2.0, 3.0])
+        assert z.tolist() == [-1.0, 0.0, 1.0]
 
     def test_idempotence(self):
         rng = np.random.default_rng(0)
         x = rng.normal(5, 3, size=200)
-        z, _, _ = stats.standardize(x)
-        z2, _, _ = stats.standardize(z)
+        z = stats.standardize(x)
+        z2 = stats.standardize(z)
         assert np.allclose(z, z2, atol=1e-10)
         assert abs(np.mean(z)) < 1e-10
         assert abs(np.std(z, ddof=1) - 1) < 1e-10
@@ -130,8 +129,8 @@ class TestOls:
         y = X @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=100)
 
         def standardized_fit(y_raw, X_raw):
-            ys, _, _ = stats.standardize(y_raw)
-            Xs = np.column_stack([stats.standardize(X_raw[:, j])[0] for j in range(X_raw.shape[1])])
+            ys = stats.standardize(y_raw)
+            Xs = np.column_stack([stats.standardize(X_raw[:, j]) for j in range(X_raw.shape[1])])
             return stats.ols_fit(ys, Xs)
 
         base = standardized_fit(y, X)
@@ -202,7 +201,7 @@ class TestMoments:
 class TestConditionalMoments:
     def test_unconditional_standardized(self):
         rng = np.random.default_rng(9)
-        L, _, _ = stats.standardize(rng.normal(size=1000))
+        L = stats.standardize(rng.normal(size=1000))
         m = stats.moments(L)
         # population-denominator std of a sample-standardized series
         assert m.mean == pytest.approx(0.0, abs=1e-12)
@@ -247,10 +246,14 @@ class TestConditionalMoments:
 
 
 class TestKde:
-    def test_density_integrates_to_one(self):
+    def test_density_integrates_to_one(self, monkeypatch):
+        # a finer grid with a wider margin, so the trapezoid rule and the
+        # tails beyond the grid stay far inside the tolerance
+        monkeypatch.setattr(stats, "KDE_POINTS", 512)
+        monkeypatch.setattr(stats, "KDE_PAD", 6.0)
         rng = np.random.default_rng(13)
         x = rng.normal(size=400)
-        grid, dens = stats.gaussian_kde_grid(x, n_grid=512, pad=6.0)
+        grid, dens = stats.gaussian_kde_grid(x)
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_silverman_bandwidth_positive(self):
