@@ -251,14 +251,12 @@ def combine_matrices(occ, amo, occ_path, amo_path) -> DayCube:
     """Pair the ``(dates, values)`` of an occurrence file and of an amount file
     into a cube on the same arrays.
 
-    Both files must hold the same days, in strictly increasing order; a day
-    that one file lacks is an AlignmentError naming that file's path.
+    Both files must hold the same days, which load_matrix_file has checked
+    to strictly increase; a day that one file lacks is an AlignmentError
+    naming that file's path. An amount in a cell with zero occurrences is a
+    ValidationError naming the amount file.
     """
     (dates, occ_values), (amo_dates, amo_values) = occ, amo
-    for name, days in (("occurrence", dates), ("amount", amo_dates)):
-        for a, b in zip(days, days[1:]):
-            if b <= a:
-                raise ValidationError(f"{b}: {name} file day not after {a}")
     if dates != amo_dates:
         amo_days, occ_days = set(amo_dates), set(dates)
         missing = [d for d in dates if d not in amo_days]
@@ -267,7 +265,12 @@ def combine_matrices(occ, amo, occ_path, amo_path) -> DayCube:
                                  amo_path)
         missing = [d for d in amo_dates if d not in occ_days]
         raise AlignmentError("occurrence file does not cover all amount days", missing, occ_path)
-    return DayCube(dates, occ_values, amo_values)
+    try:
+        return DayCube(dates, occ_values, amo_values)
+    except ValidationError as exc:
+        # the reader lets no negative value through, so this is the amount
+        # in a cell without occurrences
+        raise ValidationError(str(exc), amo_path) from None
 
 
 FEATURE_HEADER = "date,A_l,A_r,A_x,O_l,O_r,O_x"

@@ -201,7 +201,7 @@ def _aligned_features_returns(features_path, prices_path, config: PipelineConfig
     """Feature matrix and return series joined on common dates.
 
     With lag L = config.lag the return on day t is paired with the features
-    of day t-L. Returns (dates, X (T,6), returns, r_sq).
+    of day t-L. Returns (dates, X (T,6), returns).
     """
     rows = chainlets.read_feature_csv(features_path)
     if not rows:
@@ -212,27 +212,27 @@ def _aligned_features_returns(features_path, prices_path, config: PipelineConfig
     prices = ingest.load_prices(prices_path, calendar)
     returns = stats.log_returns(prices)
     feat_by_date = {r.date: r for r in rows}
-    dates, X, r, r_sq = [], [], [], []
-    for i, day in enumerate(returns.dates):
+    dates, X, r = [], [], []
+    # returns[i] is labelled by the day of its first price
+    for day, r_day in zip(prices.dates, returns):
         feat_day = day - dt.timedelta(days=config.lag)
         if feat_day in feat_by_date:
             dates.append(day)
             X.append(feat_by_date[feat_day].values())
-            r.append(returns.r[i])
-            r_sq.append(returns.r_sq[i])
+            r.append(r_day)
     if not dates:
         raise ChainvolError("no overlapping dates between features and returns")
-    return dates, np.array(X, dtype=float), np.array(r), np.array(r_sq)
+    return dates, np.array(X, dtype=float), np.array(r)
 
 
 def cmd_analyze(args, config: PipelineConfig) -> int:
-    dates, X, r, r_sq = _aligned_features_returns(args.features, args.prices, config)
+    dates, X, r = _aligned_features_returns(args.features, args.prices, config)
     if len(dates) < 30:
         raise ChainvolError(f"need >= 30 aligned days for analysis, got {len(dates)}")
     os.makedirs(args.out, exist_ok=True)
 
     # standardized OLS of squared returns on the six features
-    y_std = stats.standardize(r_sq)
+    y_std = stats.standardize(r**2)
     X_std = np.column_stack([stats.standardize(X[:, j]) for j in range(X.shape[1])])
     names = ["A_l", "A_r", "A_x", "O_l", "O_r", "O_x"]
     report = stats.ols_fit(y_std, X_std, names=names)
@@ -298,7 +298,7 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
     if args.model is not None and args.compare:
         raise ChainvolError("--model and --compare exclude each other: --compare runs both models")
     horizon = 30 if args.horizon is None else args.horizon
-    dates, X, r, _ = _aligned_features_returns(args.features, args.prices, config)
+    dates, X, r = _aligned_features_returns(args.features, args.prices, config)
     if len(dates) <= config.window + 10:
         raise ChainvolError(
             f"need > {config.window + 10} aligned days for window {config.window}, got {len(dates)}"

@@ -30,12 +30,6 @@ MAX_ITER = 500
 GTOL = 1e-6
 FTOL = 1e-10
 MIN_OBS = 50
-# most rows x days in one batched likelihood or filter call. Past this the
-# block's arrays outgrow the CPU caches. On a 2-core x86-64 VM a likelihood
-# batch of 4 rows beat 4 one-row calls at 4000 days and lost to them at
-# 10000, and a fixed-parameter backtest of 4750 days ran fastest in chunks
-# of 2**14 cells (2**11 to 2**19 tried; 48 ms against 71 ms at 2**17).
-BATCH_CELLS = 2**14
 
 DISTRIBUTIONS = ("normal", "t", "skewt")
 
@@ -388,29 +382,8 @@ def neg_log_likelihood(y, x, params, spec: ModelSpec, sigma2_init=None):
 # layout: mu, phi(p), theta(q), log(alpha0), logit(persistence), logit(split),
 #         beta_x(k), [log(nu-2)], [log(xi)]
 
-def _logit(s):
-    s = min(max(s, 1e-12), 1 - 1e-12)
-    return float(np.log(s / (1.0 - s)))
-
-
-def pack_params(params: ArmaGarchXParams, spec: ModelSpec) -> np.ndarray:
-    _check_orders(params, spec)
-    persistence = params.alpha1 + params.beta
-    split = params.alpha1 / persistence if persistence > 0 else 0.5
-    v = [params.mu]
-    v += list(params.phi)
-    v += list(params.theta)
-    v += [np.log(params.alpha0), _logit(persistence), _logit(split)]
-    v += list(params.beta_x)
-    if spec.distribution in ("t", "skewt"):
-        v.append(np.log(params.nu - 2.0))
-    if spec.distribution == "skewt":
-        v.append(np.log(params.xi))
-    return np.array(v, dtype=float)
-
-
 def unpack_rows(v, spec: ModelSpec) -> ParamRows:
-    """The parameter sets of the rows of v, a stack of pack_params vectors."""
+    """The parameter sets of the rows of v, a stack of packed points."""
     from scipy import special
 
     # one contiguous array per coordinate: numpy's exp may take another code
@@ -432,19 +405,27 @@ def unpack_rows(v, spec: ModelSpec) -> ParamRows:
     )
 
 
-def default_start(y, spec: ModelSpec) -> ArmaGarchXParams:
-    vy = float(np.var(y))
-    return ArmaGarchXParams(
-        mu=float(np.mean(y)),
-        phi=np.zeros(spec.p), theta=np.zeros(spec.q),
-        alpha0=max(0.1 * vy, 10 * SIGMA2_MIN), alpha1=0.05, beta=0.90,
-        beta_x=np.zeros(spec.k), nu=8.0, xi=1.0,
-    )
+def start_point(y, spec: ModelSpec) -> np.ndarray:
+    """The packed point every fit starts from: mu = mean(y), every ARMA and
+    regressor coefficient 0, alpha0 = max(var(y) / 10, 10 * SIGMA2_MIN),
+    alpha1 = 0.05, beta = 0.90, nu = 8 and xi = 1."""
+    i = 1 + spec.p + spec.q
+    v = np.zeros(i + 3 + spec.k + (spec.distribution != "normal")
+                 + (spec.distribution == "skewt"))
+    persistence = 0.05 + 0.90
+    split = 0.05 / persistence
+    v[0] = np.mean(y)
+    v[i] = np.log(max(0.1 * float(np.var(y)), 10 * SIGMA2_MIN))
+    v[i + 1] = np.log(persistence / (1.0 - persistence))
+    v[i + 2] = np.log(split / (1.0 - split))
+    if spec.distribution != "normal":
+        v[i + 3 + spec.k] = np.log(8.0 - 2.0)
+    return v
 
 
 def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
     """Maximum-likelihood fit on the transformed space: ``restarts`` L-BFGS-B
-    runs, all but the first from default_start plus noise drawn from ``seed``.
+    runs, all but the first from start_point plus noise drawn from ``seed``.
 
     Regressors are standardized before entering the variance equation; the
     transform is recorded in the result so forecasts can apply it to raw
@@ -468,28 +449,22 @@ def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
         x_fit = (x_fit - x_mean[:, None]) / x_std[:, None]
 
     rng = np.random.default_rng(seed)
-    v0 = pack_params(default_start(y, spec), spec)
+    v0 = start_point(y, spec)
     # the filter's pre-sample variance; y is fixed for the whole fit
     sigma2_init = float(np.var(y))
-    rows_per_call = max(1, BATCH_CELLS // y.size)
 
     def evaluate(points) -> list:
         """The negative log-likelihood of each point of a stack of packed
-        points: one neg_log_likelihood call per rows_per_call unpack_rows
-        rows at most. Every point of the fit goes through here, one-row
-        stacks included."""
-        points = np.array(points, dtype=float)
-        values = []
+        points: one unpack_rows and one neg_log_likelihood call on the whole
+        stack. Every point of the fit goes through here, one-row stacks
+        included."""
         # the optimizer probes far into overflow territory, where unpack_rows
         # overflows; those points get the penalty value, so their numpy
         # warnings carry no information
         with np.errstate(all="ignore"):
-            for lo in range(0, len(points), rows_per_call):
-                batch = points[lo: lo + rows_per_call]
-                nll = neg_log_likelihood(y, x_fit, unpack_rows(batch, spec), spec, sigma2_init)
-                # one value per row; broadcast_to also spreads a single value
-                values += np.broadcast_to(nll, len(batch)).tolist()
-        return values
+            nll = neg_log_likelihood(y, x_fit, unpack_rows(points, spec), spec, sigma2_init)
+        # one value per row; broadcast_to also spreads a single value
+        return np.broadcast_to(nll, len(points)).tolist()
 
     def objective(v) -> float:
         return evaluate([v])[0]

@@ -272,7 +272,9 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
     """Read a ``date,close`` CSV and align it onto the calendar.
 
     Missing calendar days follow the calendar's gap policy: ERROR raises,
-    FORWARD_FILL carries the last seen close forward.
+    FORWARD_FILL carries the last seen close forward. The AlignmentError
+    lists every missing day that has no close to use: under FORWARD_FILL,
+    the days before the first close.
     """
     rows: dict[dt.date, float] = {}
     for line_no, line in data_lines(path):
@@ -298,22 +300,25 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
 
     dates: list[dt.date] = []
     closes: list[float] = []
+    missing: list[dt.date] = []
     last = None
     for day in calendar.days():
         if day in rows:
             last = rows[day]
-        elif calendar.gap_policy is GapPolicy.FORWARD_FILL and last is not None:
-            pass  # keep last
-        else:
-            raise AlignmentError("price series missing calendar day", [day], path)
+        elif calendar.gap_policy is not GapPolicy.FORWARD_FILL or last is None:
+            missing.append(day)
         dates.append(day)
         closes.append(last)
+    if missing:
+        raise AlignmentError("price series missing calendar day", missing, path)
     return PriceSeries(dates, np.array(closes))
 
 
-def _parse_matrix_lines(lines, line_no, path, dim: int) -> tuple[list[dt.date], np.ndarray]:
-    """The line parser of matrix files; ``lines`` start at file line ``line_no``.
-    Returns the days and their (days, dim*dim) int64 values."""
+def _parse_matrix_lines(lines, line_no, path, dim: int,
+                        prev: dt.date | None) -> tuple[list[dt.date], np.ndarray]:
+    """The line parser of matrix files; ``lines`` start at file line ``line_no``
+    and ``prev`` is the day of the line before them, if any. Returns the days
+    and their (days, dim*dim) int64 values."""
     days: list[dt.date] = []
     table = array("q")
     n2 = dim * dim
@@ -323,7 +328,7 @@ def _parse_matrix_lines(lines, line_no, path, dim: int) -> tuple[list[dt.date], 
             raise ParseError(
                 f"expected date + {n2} values, got {len(tokens) - 1} values", path, line_no
             )
-        days.append(parse_date(tokens[0], path, line_no))
+        day = parse_date(tokens[0], path, line_no)
         try:
             values = [int(t) for t in tokens[1:]]
         except ValueError:
@@ -334,6 +339,10 @@ def _parse_matrix_lines(lines, line_no, path, dim: int) -> tuple[list[dt.date], 
             raise ParseError("matrix value out of int64 range", path, line_no) from None
         if min(values) < 0:
             raise ValidationError("negative matrix value", path, line_no)
+        if prev is not None and day <= prev:
+            raise ValidationError(f"date {day} not after {prev}", path, line_no)
+        days.append(day)
+        prev = day
     return days, np.frombuffer(table, dtype=np.int64).reshape(-1, n2)
 
 
@@ -342,12 +351,14 @@ def load_matrix_file(path, dim: int) -> tuple[list[dt.date], np.ndarray]:
 
     Row index is the input class i (1..dim), column the output class j.
     Occurrence files carry counts, amount files integer satoshis. Returns
-    the days and one C-contiguous (days, dim, dim) int64 array.
+    the days, which strictly increase, and one C-contiguous (days, dim, dim)
+    int64 array.
 
     Each block of lines is parsed by one ``np.loadtxt`` call, which hands
     the date column to a converter, so a row of the wrong width or with a
-    bad date fails there. Such a block, or one with a negative value, is
-    parsed again by the line parser, which raises the error with its line.
+    bad date fails there. Such a block, or one with a negative value or a
+    day not after the day before it, is parsed again by the line parser,
+    which raises the error with its line.
     Each block's values go straight into the one array, which grows by the
     block's rows, so no block is held once the next one is read.
     """
@@ -363,10 +374,13 @@ def load_matrix_file(path, dim: int) -> tuple[list[dt.date], np.ndarray]:
                 return 0
 
             rows = _loadtxt_block(text, converters={0: date_column})
-            if rows is not None and rows.shape[1] == n2 + 1 and not (rows[:, 1:] < 0).any():
+            ordered = days[-1:] + block_days
+            if (rows is not None and rows.shape[1] == n2 + 1 and not (rows[:, 1:] < 0).any()
+                    and all(a < b for a, b in zip(ordered, ordered[1:]))):
                 values = rows[:, 1:]
             else:
-                block_days, values = _parse_matrix_lines(text.split("\n"), first_line, path, dim)
+                block_days, values = _parse_matrix_lines(
+                    text.split("\n"), first_line, path, dim, days[-1] if days else None)
             days += block_days
             # in place, as DayCubeBuilder._cover grows its accumulators; no
             # view of table exists before the return, so no refcheck

@@ -25,17 +25,19 @@ def _std_t_scale(nu: float) -> float:
     return np.sqrt(nu / (nu - 2.0))
 
 
-def _std_t_logpdf(a, nu: float):
-    """Log-density of the unit-variance Student-t, in closed form.
+def student_t_logpdf(z, nu):
+    """Log-density of the unit-variance Student-t (the xi = 1 special case),
+    in closed form; nu broadcasts as in skewt_logpdf.
 
-    This is scipy's t.logpdf(a * c, nu) + log(c) with c = sqrt(nu / (nu - 2))
+    This is scipy's t.logpdf(z * c, nu) + log(c) with c = sqrt(nu / (nu - 2))
     folded in, without the per-call overhead of a scipy distribution. The
     normalizing constant log Gamma((nu+1)/2) - log Gamma(nu/2) is taken as
     log poch(nu/2, 1/2), as scipy does, which keeps it accurate for large nu.
     """
     from scipy import special
+    z = np.asarray(z, dtype=float)
     return (np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * np.log((nu - 2.0) * np.pi)
-            - 0.5 * (nu + 1.0) * np.log1p(a * a / (nu - 2.0)))
+            - 0.5 * (nu + 1.0) * np.log1p(z * z / (nu - 2.0)))
 
 
 def _square(v):
@@ -72,7 +74,7 @@ def skewt_logpdf(z, nu, xi):
     w = sd * z + mean  # unstandardized coordinate
     # unit-variance t log-density evaluated at w/xi (right) or w*xi (left)
     arg = np.where(w >= 0, w / xi, w * xi)
-    out = np.log(2.0 / (xi + 1.0 / xi)) + _std_t_logpdf(arg, nu) + np.log(sd)
+    out = np.log(2.0 / (xi + 1.0 / xi)) + student_t_logpdf(arg, nu) + np.log(sd)
     return out if out.ndim else float(out)
 
 
@@ -109,12 +111,6 @@ def skewt_quantile(p, nu: float, xi: float):
     w = np.where(p < p0, w_lo, w_hi)
     out = (w - mean) / sd
     return out if out.ndim else float(out)
-
-
-def student_t_logpdf(z, nu):
-    """Unit-variance Student-t log-density (the xi = 1 special case); nu
-    broadcasts as in skewt_logpdf."""
-    return _std_t_logpdf(np.asarray(z, dtype=float), nu)
 
 
 def normal_logpdf(z):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,19 +17,6 @@ from .ingest import PriceSeries
 # side of the sample
 KDE_POINTS = 256
 KDE_PAD = 3.0
-
-
-@dataclass
-class ReturnSeries:
-    """Daily log returns r and squared returns.
-
-    dates[t] labels the day of P_t; r[t] = ln(P_{t+1}/P_t), so the series is
-    one shorter than the price series.
-    """
-
-    dates: list[dt.date]
-    r: np.ndarray
-    r_sq: np.ndarray
 
 
 @dataclass
@@ -96,13 +82,13 @@ class Tail(Enum):
     UPPER = "upper"
 
 
-def log_returns(prices: PriceSeries) -> ReturnSeries:
-    """r[t] = ln(P[t+1]/P[t])."""
+def log_returns(prices: PriceSeries) -> np.ndarray:
+    """r[t] = ln(P[t+1]/P[t]), labelled by the day of P[t]: one shorter than
+    the price series."""
     if len(prices) < 2:
         raise DegenerateSeriesError("need at least 2 prices for returns")
     p = np.asarray(prices.close, dtype=float)
-    r = np.log(p[1:] / p[:-1])
-    return ReturnSeries(list(prices.dates[:-1]), r, r**2)
+    return np.log(p[1:] / p[:-1])
 
 
 def standardize(x) -> np.ndarray:

@@ -208,7 +208,12 @@ def test_criterion_10_likelihood_self_consistency():
         return out
 
     rng = np.random.default_rng(1)
-    v0 = garchx.pack_params(true, spec)
+    # true as a packed point: mu, phi, theta, log(alpha0), logit(alpha1 + beta),
+    # logit(alpha1 / (alpha1 + beta)), log(nu - 2), log(xi)
+    persistence = 0.10 + 0.85
+    split = 0.10 / persistence
+    v0 = np.array([0.0, 0.2, 0.1, np.log(0.05), np.log(persistence / (1.0 - persistence)),
+                   np.log(split / (1.0 - split)), np.log(6.0 - 2.0), np.log(1.2)])
     ok = True
     worst = 0.0
     for _ in range(5):

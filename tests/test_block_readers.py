@@ -71,6 +71,7 @@ def reference_transactions(path):
 
 def reference_matrices(path, dim):
     out = []
+    prev = None
     for line_no, raw in _lines(path):
         _utf8(raw, path, line_no)
         line = raw.strip()
@@ -94,6 +95,9 @@ def reference_matrices(path, dim):
             raise ParseError("matrix value out of int64 range", path, line_no)
         if any(v < 0 for v in values):
             raise ValidationError(f"{path}:{line_no}: negative matrix value")
+        if prev is not None and day <= prev:
+            raise ValidationError(f"{path}:{line_no}: date {day} not after {prev}")
+        prev = day
         out.append((day, values))
     return out
 
@@ -194,16 +198,14 @@ def tx_line(draw):
 
 
 DIM = 2
-MATRIX_DAYS = ["2015-01-01", "2015-01-02", "2016-02-29"]
 
 
 @st.composite
-def matrix_line(draw):
+def matrix_line(draw, day):
     kind = draw(st.sampled_from(
         ["row"] * 6 + ["comment", "inline_comment", "blank", "spaces", "width", "token",
                        "negative", "date", "separators"]
     ))
-    day = draw(st.sampled_from(MATRIX_DAYS))
     values = [str(v) for v in draw(st.lists(st.integers(0, 2**63 - 1),
                                             min_size=DIM * DIM, max_size=DIM * DIM))]
     sep = " "
@@ -239,7 +241,15 @@ def tx_file(draw):
 
 @st.composite
 def matrix_file(draw):
-    return join_lines(draw, draw(st.lists(matrix_line(), max_size=12)))
+    # days mostly increase, by one or two days or by 424 (2015-01-01 to
+    # 2016-02-29); a step of 0 or -1 repeats or reverses a day, within a
+    # block or across its edge
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 424, 0, -1]), max_size=12))
+    day, days = dt.date(2015, 1, 1), []
+    for step in steps:
+        day += dt.timedelta(days=step)
+        days.append(day.isoformat())
+    return join_lines(draw, [draw(matrix_line(d)) for d in days])
 
 
 # --- properties -------------------------------------------------------------
@@ -299,7 +309,7 @@ def test_odd_transaction_token(scratch, token, field):
 def test_odd_matrix_token(scratch, token, field):
     tokens = ["2015-01-01", "1", "2", "3", "4"]
     tokens[field] = token
-    scratch.write_text(f"2015-01-01 1 1 1 1\n{' '.join(tokens)}\n2015-01-02 1 1 1 1\n")
+    scratch.write_text(f"2014-12-31 1 1 1 1\n{' '.join(tokens)}\n2015-01-02 1 1 1 1\n")
     assert_same_matrices(scratch, 32)
 
 

@@ -395,15 +395,31 @@ class TestCombineMatrices:
         assert cube.dates == [] and cube.occurrence.shape == cube.amount.shape == (0, 2, 2)
         assert cube.occurrence.dtype == cube.amount.dtype == np.int64
 
-    @pytest.mark.parametrize("occ,amo,message", [
-        ((1, 2, 2, 3), (1, 2, 2, 3), "2015-06-02: occurrence file day not after 2015-06-02"),
-        ((1, 3, 2), (1, 3, 2), "2015-06-02: occurrence file day not after 2015-06-03"),
-        ((1, 2, 3), (1, 2, 2, 3), "2015-06-02: amount file day not after 2015-06-02"),
-        ((1, 2, 3), (1, 3, 2), "2015-06-02: amount file day not after 2015-06-03"),
+    @pytest.mark.parametrize("occ,amo,name,message", [
+        ((1, 2, 2, 3), (1, 2, 2, 3), "occ", "date 2015-06-02 not after 2015-06-02"),
+        ((1, 3, 2), (1, 3, 2), "occ", "date 2015-06-02 not after 2015-06-03"),
+        ((1, 2, 3), (1, 2, 2, 3), "amo", "date 2015-06-02 not after 2015-06-02"),
+        ((1, 2, 3), (1, 3, 2), "amo", "date 2015-06-02 not after 2015-06-03"),
     ], ids=["repeated", "reversed", "amount-repeated", "amount-reversed"])
-    def test_days_strictly_increasing(self, occ, amo, message):
+    def test_days_strictly_increasing(self, tmp_path, occ, amo, name, message):
+        # the reader checks the order, so a pair is out of order before it
+        # is combined, and the error names the file and the line
+        paths = {}
+        for file, days in (("occ", occ), ("amo", amo)):
+            paths[file] = tmp_path / f"{file}.txt"
+            paths[file].write_text("".join(f"2015-06-{d:02d} 1 1 1 1\n" for d in days))
+        with pytest.raises(ValidationError,
+                           match="^" + re.escape(f"{paths[name]}:3: {message}") + "$"):
+            combine_matrices(ingest.load_matrix_file(paths["occ"], dim=2),
+                             ingest.load_matrix_file(paths["amo"], dim=2),
+                             paths["occ"], paths["amo"])
+
+    def test_amount_without_occurrence_names_the_amount_file(self):
+        occ = entries(1, 2, 3)
+        occ[1][1, 0, 1] = 0
+        message = "amo: 2015-06-02: amount recorded in a cell with zero occurrences"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            combine_matrices(entries(*occ), entries(*amo), "occ", "amo")
+            combine_matrices(occ, entries(1, 2, 3, value=7), "occ", "amo")
 
     def test_missing_amount_day(self):
         message = "amo: amount file does not cover all occurrence days (missing: 2015-06-02)"

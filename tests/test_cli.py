@@ -8,8 +8,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from chainvol import backtest, cli, garchx
+from chainvol import backtest, cli, garchx, ingest
 from chainvol.chainlets import read_feature_csv
+from chainvol.errors import AlignmentError
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +273,19 @@ class TestFeatures:
             "features", str(dataset["occ"]), str(dataset["amo"]), str(clipped),
             "--out", str(tmp_path / "f.csv"),
         ]) == 1
-        assert "missing" in capsys.readouterr().err
+        # every calendar day from the fifth on is missing; the message shows ten
+        days = [line.split()[0] for line in dataset["occ"].read_text().splitlines()]
+        assert prices[5].startswith(days[4] + ",")
+        assert capsys.readouterr().err == (
+            f"error: {clipped}: price series missing calendar day "
+            f"(missing: {', '.join(days[4:14])})\n")
+        # the calendar of the features stage: the matrix days
+        calendar = ingest.DailyCalendar(dt.date.fromisoformat(days[0]),
+                                        dt.date.fromisoformat(days[-1]))
+        assert [str(d) for d in calendar.days()] == days
+        with pytest.raises(AlignmentError) as exc:
+            ingest.load_prices(clipped, calendar)
+        assert [str(d) for d in exc.value.missing_dates] == days[4:]
 
 
 @pytest.mark.parametrize("stage", ["features", "analyze", "backtest"])
@@ -533,7 +546,7 @@ class TestBadInput:
                          "--out", str(tmp_path / "f.csv")]) == 1
         day = dataset["occ"].read_text().splitlines()[2].split()[0]
         assert capsys.readouterr().err == (
-            f"error: {day}: occurrence file day not after {day}\n")
+            f"error: {paths[0]}:4: date {day} not after {day}\n")
         assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("line", ["window=abc", "gap_policy=sometimes"])
@@ -692,8 +705,8 @@ def test_lag_pairs_returns_with_earlier_features(dataset, tmp_path, form):
     argv = [*analyze, "--lag", "1"] if form == "flag" else ["--config", str(cfg), *analyze]
     config = cli.resolve_config(cli.build_parser().parse_args(argv))
     assert config.lag == 1
-    dates0, _, r0, _ = cli._aligned_features_returns(features, prices, cli.PipelineConfig())
-    dates1, X1, r1, _ = cli._aligned_features_returns(features, prices, config)
+    dates0, _, r0 = cli._aligned_features_returns(features, prices, cli.PipelineConfig())
+    dates1, X1, r1 = cli._aligned_features_returns(features, prices, config)
     # the first return has no features of the day before
     assert len(dates1) == len(dates0) - 1
     assert dates1 == dates0[1:]

@@ -205,7 +205,12 @@ class TestNegLogLikelihood:
             return g.neg_log_likelihood(y, None, g.unpack_rows(v, spec).row(0), spec)
 
         rng = np.random.default_rng(5)
-        v0 = g.pack_params(true, spec)
+        # true as a packed point: mu, phi, theta, log(alpha0), logit(alpha1 +
+        # beta), logit(alpha1 / (alpha1 + beta)), log(nu - 2), log(xi)
+        persistence = 0.10 + 0.85
+        split = 0.10 / persistence
+        v0 = np.array([0.0, 0.2, 0.1, np.log(0.05), np.log(persistence / (1.0 - persistence)),
+                       np.log(split / (1.0 - split)), np.log(6.0 - 2.0), np.log(1.2)])
         for _ in range(5):
             v = v0 + rng.normal(scale=0.05, size=v0.size)
             g1 = self._fd_gradient(f, v, 1e-5)
@@ -436,11 +441,6 @@ class TestOrders:
             g.simulate(params, spec, self.x(spec, 60), 60, seed=0)
 
     @pytest.mark.parametrize("params,spec,message", CASES, ids=IDS)
-    def test_pack_params(self, params, spec, message):
-        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            g.pack_params(params, spec)
-
-    @pytest.mark.parametrize("params,spec,message", CASES, ids=IDS)
     def test_neg_log_likelihood_raises_not_penalizes(self, params, spec, message):
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             g.neg_log_likelihood(self.Y, self.x(spec, 60), params, spec)
@@ -454,12 +454,20 @@ class TestSerialization:
         back = ArmaGarchXParams(**params.to_dict())
         assert back.to_dict() == params.to_dict()
 
-    def test_pack_unpack_round_trip(self):
-        spec = ModelSpec(2, 1, 2, "skewt")
-        params = garch_params(phi=[0.2, -0.1], theta=[0.05], beta_x=[0.3, -0.2], nu=5.5, xi=0.9)
-        back = g.unpack_rows(g.pack_params(params, spec), spec).row(0)
-        for key, value in params.to_dict().items():
-            assert np.allclose(value, back.to_dict()[key], atol=1e-9), key
+    def test_start_point_unpacks_to_the_documented_start(self):
+        rng = np.random.default_rng(12)
+        for y in (rng.normal(0.01, 0.05, size=200), np.full(60, 0.02)):
+            for law in g.DISTRIBUTIONS:
+                spec = ModelSpec(2, 1, 3, law)
+                start = g.unpack_rows(g.start_point(y, spec), spec).row(0).to_dict()
+                want = {"mu": np.mean(y), "phi": [0.0, 0.0], "theta": [0.0],
+                        "alpha0": max(np.var(y) / 10, 10 * g.SIGMA2_MIN),
+                        "alpha1": 0.05, "beta": 0.90, "beta_x": [0.0, 0.0, 0.0],
+                        "nu": 8.0, "xi": 1.0}
+                assert start.keys() == want.keys()
+                for key, value in want.items():
+                    np.testing.assert_allclose(start[key], value, rtol=1e-12, atol=0,
+                                               err_msg=f"{law} {key}")
 
 
 class TestIsValid:

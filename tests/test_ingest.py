@@ -169,6 +169,20 @@ class TestLoadPrices:
             ingest.load_prices(p, cal)
         assert dt.date(2012, 1, 2) in exc.value.missing_dates
 
+    @pytest.mark.parametrize("policy,missing", [
+        (GapPolicy.ERROR, [2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]),
+        (GapPolicy.FORWARD_FILL, [2, 3]),
+    ])
+    def test_every_missing_day_listed(self, tmp_path, policy, missing):
+        # one error lists them all, the message the first ten
+        cal = DailyCalendar(dt.date(2012, 1, 2), dt.date(2012, 1, 15), policy)
+        p = write(tmp_path, "p.csv", "2012-01-01,10.0\n2012-01-04,12.0\n")
+        with pytest.raises(AlignmentError) as exc:
+            ingest.load_prices(p, cal)
+        assert exc.value.missing_dates == [dt.date(2012, 1, d) for d in missing]
+        shown = ", ".join(str(dt.date(2012, 1, d)) for d in missing[:10])
+        assert str(exc.value) == f"{p}: price series missing calendar day (missing: {shown})"
+
     def test_negative_price_rejected(self, tmp_path):
         cal = DailyCalendar(dt.date(2012, 1, 1), dt.date(2012, 1, 2))
         p = write(tmp_path, "p.csv", "2012-01-01,-3.0\n2012-01-02,5.0\n")
@@ -230,6 +244,18 @@ class TestMatrixFiles:
         p = write(tmp_path, "m.txt", f"2015-01-01 {values}\n")
         with pytest.raises(ValidationError):
             ingest.load_matrix_file(p, dim=20)
+
+    def test_repeat_across_a_block_edge_names_line(self, tmp_path):
+        # 19-character lines: at 19 and 38 characters the repeated third day
+        # is the first line of a block, at 57 it is inside the first block
+        lines = ["2015-01-01 1 2 3 4", "2015-01-02 1 2 3 4", "2015-01-02 1 2 3 4",
+                 "2015-01-03 1 2 3 4"]
+        p = write(tmp_path, "m.txt", "\n".join(lines) + "\n")
+        message = f"{p}:3: date 2015-01-02 not after 2015-01-02"
+        for block in (19, 38, 57, ingest.BLOCK_CHARS):
+            with mock.patch.object(ingest, "BLOCK_CHARS", block), \
+                    pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+                ingest.load_matrix_file(p, dim=2)
 
     def test_value_past_int64_names_line(self, tmp_path):
         p = write(tmp_path, "m.txt", f"2015-01-01 1 2 3 4\n2015-01-02 1 2 3 {2**63}\n")

@@ -15,6 +15,10 @@ function, a public method or an explicit ``__init__``, must be passed at some
 call in those files, by keyword or by position; a call with ``*args`` or
 ``**kwargs`` passes every parameter those could fill. A default that every
 caller keeps is an option no caller uses.
+
+A private top-level function or class of ``src/chainvol`` must be referenced
+in those files outside its own definition: a helper that nothing calls is
+dead code, which the public-name rule does not see.
 """
 
 import ast
@@ -157,3 +161,18 @@ def test_every_defaulted_parameter_is_passed():
             if not {(name, param), (name, position), (name, "*")} & calls:
                 unpassed.append(f"{path.stem}.{name}({param}) (line {line})")
     assert not unpassed, "never passed outside the tests: " + ", ".join(unpassed)
+
+
+def test_every_private_helper_is_called():
+    seen: dict[str, set] = {}  # name -> {(path, line)}
+    for path in CALLERS:
+        for name, line, _ in references(path):
+            seen.setdefault(name, set()).add((path, line))
+    uncalled = []
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not public(node.name):
+                own = {(path, line) for line in range(node.lineno, node.end_lineno + 1)}
+                if not seen.get(node.name, set()) - own:
+                    uncalled.append(f"{path.stem}.{node.name} (line {node.lineno})")
+    assert not uncalled, "never referenced outside its definition: " + ", ".join(uncalled)

@@ -252,8 +252,8 @@ class TestFitWorkers:
             return real_minimize(fun, x0, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "minimize", capture)
-        result = g.fit(y, x, spec, restarts=1, seed=0)
-        return result, calls
+        g.fit(y, x, spec, restarts=1, seed=0)
+        return calls
 
     @pytest.mark.parametrize("spec", [ModelSpec(2, 2, 2, "skewt"), ModelSpec(1, 0, 0, "t"),
                                       ModelSpec(0, 0, 0, "normal")])
@@ -262,9 +262,9 @@ class TestFitWorkers:
         y, _, _ = g.simulate(ArmaGarchXParams(alpha0=1e-4, alpha1=0.1, beta=0.8, nu=6.0),
                              ModelSpec(0, 0, 0, spec.distribution), None, 250, seed=3)
         x = rng.normal(size=(spec.k, 250)) if spec.k else None
-        result, calls = self._fit_capturing_minimize(monkeypatch, spec, y, x)
+        calls = self._fit_capturing_minimize(monkeypatch, spec, y, x)
         objective, workers = calls[0]
-        v = g.pack_params(result.params, spec)
+        v = g.start_point(y, spec)
         # finite-difference neighbours, far points in the penalty region and
         # duplicates, as L-BFGS-B might probe them
         points = [v + 1e-8 * np.eye(v.size)[i] for i in range(v.size)]
@@ -274,20 +274,6 @@ class TestFitWorkers:
         got = workers(objective, iter(points))
         assert isinstance(got, list)
         np.testing.assert_array_equal(bits(got), bits(want))
-
-    def test_long_series_split_into_batches(self, monkeypatch):
-        # BATCH_CELLS bounds the rows x days of one call; the split changes
-        # nothing of the values
-        monkeypatch.setattr(g, "BATCH_CELLS", 500)
-        spec = ModelSpec(1, 1, 0, "t")
-        y, _, _ = g.simulate(ArmaGarchXParams(alpha0=1e-4, alpha1=0.1, beta=0.8, nu=6.0),
-                             ModelSpec(0, 0, 0, "t"), None, 200, seed=4)
-        _, calls = self._fit_capturing_minimize(monkeypatch, spec, y, None)
-        objective, workers = calls[0]
-        v = g.pack_params(g.default_start(y, spec), spec)
-        points = [v + 1e-6 * np.eye(v.size)[i] for i in range(v.size)]
-        np.testing.assert_array_equal(bits(workers(objective, iter(points))),
-                                      bits(list(map(objective, points))))
 
     def test_fit_raises_no_warning(self):
         # a scipy without L-BFGS-B's workers option warns "Unknown solver
@@ -346,8 +332,8 @@ def readme_returns(tmp_path_factory):
                      "--out-amount", str(root / "amo.txt")]) == 0
     assert cli.main(["features", str(root / "occ.txt"), str(root / "amo.txt"),
                      str(data / "prices.csv"), "--out", str(root / "features.csv")]) == 0
-    _, X, r, _ = cli._aligned_features_returns(root / "features.csv", data / "prices.csv",
-                                                cli.PipelineConfig())
+    _, X, r = cli._aligned_features_returns(root / "features.csv", data / "prices.csv",
+                                             cli.PipelineConfig())
     return X, r
 
 
