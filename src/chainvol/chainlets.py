@@ -9,6 +9,7 @@ column excluding the corner (j = N, i < N) the right extreme set.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -254,7 +255,8 @@ def combine_matrices(occ, amo, occ_path, amo_path) -> DayCube:
     Both files must hold the same days, which load_matrix_file has checked
     to strictly increase; a day that one file lacks is an AlignmentError
     naming that file's path. An amount in a cell with zero occurrences is a
-    ValidationError naming the amount file.
+    ValidationError naming the amount file and the line of the first day
+    that has one.
     """
     (dates, occ_values), (amo_dates, amo_values) = occ, amo
     if dates != amo_dates:
@@ -269,8 +271,11 @@ def combine_matrices(occ, amo, occ_path, amo_path) -> DayCube:
         return DayCube(dates, occ_values, amo_values)
     except ValidationError as exc:
         # the reader lets no negative value through, so this is the amount
-        # in a cell without occurrences
-        raise ValidationError(str(exc), amo_path) from None
+        # in a cell without occurrences, on the first day k that has one;
+        # the file holds one data line a day, so its line is data line k
+        k = int(np.argmax(((occ_values == 0) & (amo_values != 0)).any(axis=(1, 2))))
+        line_no, _ = next(itertools.islice(data_lines(amo_path), k, None))
+        raise ValidationError(str(exc), amo_path, line_no) from None
 
 
 FEATURE_HEADER = "date,A_l,A_r,A_x,O_l,O_r,O_x"

@@ -30,6 +30,7 @@ MAX_ITER = 500
 GTOL = 1e-6
 FTOL = 1e-10
 MIN_OBS = 50
+FD_STEP = 1e-8  # L-BFGS-B's default finite-difference step
 
 DISTRIBUTIONS = ("normal", "t", "skewt")
 
@@ -453,27 +454,24 @@ def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
     # the filter's pre-sample variance; y is fixed for the whole fit
     sigma2_init = float(np.var(y))
 
-    def evaluate(points) -> list:
-        """The negative log-likelihood of each point of a stack of packed
-        points: one unpack_rows and one neg_log_likelihood call on the whole
-        stack. Every point of the fit goes through here, one-row stacks
-        included."""
-        # the optimizer probes far into overflow territory, where unpack_rows
-        # overflows; those points get the penalty value, so their numpy
-        # warnings carry no information
+    def evaluate(points) -> np.ndarray:
+        """The negative log-likelihood of each row of a stack of packed points."""
+        # far probes overflow in unpack_rows and get the penalty value, so
+        # their numpy warnings carry no information
         with np.errstate(all="ignore"):
-            nll = neg_log_likelihood(y, x_fit, unpack_rows(points, spec), spec, sigma2_init)
-        # one value per row; broadcast_to also spreads a single value
-        return np.broadcast_to(nll, len(points)).tolist()
+            return neg_log_likelihood(y, x_fit, unpack_rows(points, spec), spec, sigma2_init)
 
-    def objective(v) -> float:
-        return evaluate([v])[0]
+    def value_and_gradient(v):
+        """The value at v and its gradient by L-BFGS-B's own forward differences,
+        from one (n+1)-row stack. Where FD_STEP is lost in v_i, |v_i| > 1 and
+        the step sqrt(eps)·sign(v_i)·max(1, |v_i|) is sqrt(eps)·v_i."""
+        h = np.where((v + FD_STEP) - v == 0, np.sqrt(np.finfo(float).eps) * v, FD_STEP)
+        points = np.tile(v, (v.size + 1, 1))
+        np.fill_diagonal(points[1:], v + h)
+        f = evaluate(points)
+        return f[0], (f[1:] - f[0]) / ((v + h) - v)
 
-    def evaluate_points(fun, points) -> list:
-        # L-BFGS-B's map-like workers, given each finite-difference gradient
-        return evaluate(list(points))
-
-    start_nll = objective(v0)
+    start_nll = evaluate(v0)[0]
     best_v, best_nll = v0, start_nll
     n_iter = 0
     any_converged = False
@@ -481,16 +479,15 @@ def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
         v_start = v0 if r == 0 else v0 + rng.normal(scale=0.3, size=v0.size)
         try:
             res = optimize.minimize(
-                objective, v_start, method="L-BFGS-B",
-                options={"maxiter": MAX_ITER, "gtol": GTOL, "ftol": FTOL,
-                         "workers": evaluate_points},
+                value_and_gradient, v_start, method="L-BFGS-B", jac=True,
+                options={"maxiter": MAX_ITER, "gtol": GTOL, "ftol": FTOL},
             )
         except (ValueError, FloatingPointError):
             continue
         n_iter += int(res.nit)
         # after an abnormal line-search end res.fun belongs to another point
         # than res.x, so compare restarts on what res.x attains
-        nll = objective(res.x)
+        nll = evaluate(res.x)[0]
         if nll < best_nll:
             best_v, best_nll = res.x, nll
         if res.success:

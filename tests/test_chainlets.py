@@ -414,12 +414,15 @@ class TestCombineMatrices:
                              ingest.load_matrix_file(paths["amo"], dim=2),
                              paths["occ"], paths["amo"])
 
-    def test_amount_without_occurrence_names_the_amount_file(self):
+    def test_amount_without_occurrence_names_the_amount_file(self, tmp_path):
         occ = entries(1, 2, 3)
         occ[1][1, 0, 1] = 0
-        message = "amo: 2015-06-02: amount recorded in a cell with zero occurrences"
+        amo_path = tmp_path / "amo.txt"
+        # a comment and a blank line first: the error gives the day's file line
+        amo_path.write_text("# amounts\n\n" + "".join(f"2015-06-0{d} 7 7 7 7\n" for d in (1, 2, 3)))
+        message = f"{amo_path}:4: 2015-06-02: amount recorded in a cell with zero occurrences"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            combine_matrices(occ, entries(1, 2, 3, value=7), "occ", "amo")
+            combine_matrices(occ, ingest.load_matrix_file(amo_path, dim=2), "occ", amo_path)
 
     def test_missing_amount_day(self):
         message = "amo: amount file does not cover all occurrence days (missing: 2015-06-02)"

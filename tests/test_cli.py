@@ -549,6 +549,28 @@ class TestBadInput:
             f"error: {paths[0]}:4: date {day} not after {day}\n")
         assert not (tmp_path / "f.csv").exists()
 
+    @pytest.mark.parametrize("head", ["", "# amounts\n\n  \n# of 2015\n"],
+                             ids=["plain", "comments"])
+    def test_amount_in_empty_cell_names_line(self, dataset, tmp_path, capsys, head):
+        # an amount in a cell without occurrences on the fifth day; comment
+        # and blank lines before the days move the day's line
+        occ_lines = dataset["occ"].read_text().splitlines()
+        amo_lines = dataset["amo"].read_text().splitlines()
+        day, *counts = occ_lines[4].split()
+        cell = counts.index("0")
+        amounts = amo_lines[4].split()
+        amounts[1 + cell] = "5"
+        amo_lines[4] = " ".join(amounts)
+        amo = tmp_path / "amo.txt"
+        amo.write_text(head + "\n".join(amo_lines) + "\n")
+        out = tmp_path / "f.csv"
+        assert cli.main(["features", str(dataset["occ"]), str(amo),
+                         str(dataset["data"] / "prices.csv"), "--out", str(out)]) == 1
+        line = head.count("\n") + 5
+        assert capsys.readouterr().err == (
+            f"error: {amo}:{line}: {day}: amount recorded in a cell with zero occurrences\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["window=abc", "gap_policy=sometimes"])
     def test_bad_config_value(self, tmp_path, capsys, line):
         cfg = tmp_path / "cfg"

@@ -343,7 +343,8 @@ class TestFit:
     def test_unusable_likelihood_raises_fit_error(self, monkeypatch):
         # a likelihood that is NaN everywhere can never beat the start point;
         # that ends in FitError, a check that python -O keeps
-        monkeypatch.setattr(g, "neg_log_likelihood", lambda *args, **kwargs: float("nan"))
+        monkeypatch.setattr(g, "neg_log_likelihood",
+                            lambda y, x, rows, *args: np.full(len(rows), np.nan))
         y = np.random.default_rng(9).normal(size=100)
         with pytest.raises(FitError, match="start point"):
             g.fit(y, None, ModelSpec(0, 0, 0, "normal"), restarts=1)

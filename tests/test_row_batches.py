@@ -2,9 +2,9 @@
 
 neg_log_likelihood and filter_model take a ParamRows of m parameter sets;
 each row must give, bit for bit, what that row gives as one parameter set.
-fit hands the points of every finite-difference gradient to L-BFGS-B's
-``workers`` option as one batched call, so its end points are those of one
-call per point.
+fit evaluates each L-BFGS-B point and its finite-difference steps as one
+stack, with L-BFGS-B's own steps and quotients, so its end points are those
+of one call per point.
 """
 
 import warnings
@@ -242,42 +242,99 @@ def test_kernel_matches_lfilter(order, m, T, layout, with_zi, seed):
     np.testing.assert_array_equal(bits(got), bits(want))
 
 
-class TestFitWorkers:
-    def _fit_capturing_minimize(self, monkeypatch, spec, y, x):
+def fit_case(spec):
+    """A 250-day series of spec's law, its regressors, and the one-row
+    objective that fit minimizes on them."""
+    rng = np.random.default_rng(3)
+    y, _, _ = g.simulate(ArmaGarchXParams(alpha0=1e-4, alpha1=0.1, beta=0.8, nu=6.0),
+                         ModelSpec(0, 0, 0, spec.distribution), None, 250, seed=3)
+    x = x_fit = rng.normal(size=(spec.k, 250)) if spec.k else None
+    if spec.k:
+        # the standardization fit applies
+        x_fit = (x - x.mean(axis=1)[:, None]) / x.std(axis=1, ddof=1)[:, None]
+    sigma2_init = float(np.var(y))
+
+    def objective(v):
+        with np.errstate(all="ignore"):
+            return float(g.neg_log_likelihood(y, x_fit, g.unpack_rows(v, spec), spec,
+                                              sigma2_init)[0])
+
+    return y, x, objective
+
+
+FIT_SPECS = [ModelSpec(2, 2, 2, "skewt"), ModelSpec(1, 0, 0, "t"), ModelSpec(0, 0, 0, "normal")]
+
+
+class TestFitGradient:
+    """fit hands L-BFGS-B a function that gives the value and the gradient
+    of a point from one stack of the point and its finite-difference steps."""
+
+    def _fit_capturing_minimize(self, monkeypatch, spec, y, x, wrap=None):
         calls = []
         real_minimize = scipy.optimize.minimize
 
         def capture(fun, x0, **kwargs):
-            calls.append((fun, kwargs["options"]["workers"]))
-            return real_minimize(fun, x0, **kwargs)
+            assert kwargs["jac"] is True
+            calls.append(fun)
+            return real_minimize(wrap(fun) if wrap else fun, x0, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "minimize", capture)
         g.fit(y, x, spec, restarts=1, seed=0)
         return calls
 
-    @pytest.mark.parametrize("spec", [ModelSpec(2, 2, 2, "skewt"), ModelSpec(1, 0, 0, "t"),
-                                      ModelSpec(0, 0, 0, "normal")])
-    def test_workers_equal_map_of_objective(self, monkeypatch, spec):
-        rng = np.random.default_rng(3)
-        y, _, _ = g.simulate(ArmaGarchXParams(alpha0=1e-4, alpha1=0.1, beta=0.8, nu=6.0),
-                             ModelSpec(0, 0, 0, spec.distribution), None, 250, seed=3)
-        x = rng.normal(size=(spec.k, 250)) if spec.k else None
-        calls = self._fit_capturing_minimize(monkeypatch, spec, y, x)
-        objective, workers = calls[0]
+    @pytest.mark.parametrize("spec", FIT_SPECS)
+    def test_gradient_is_lbfgsb_differences(self, monkeypatch, spec):
+        y, x, objective = fit_case(spec)
+        (value_and_gradient,) = self._fit_capturing_minimize(monkeypatch, spec, y, x)
         v = g.start_point(y, spec)
-        # finite-difference neighbours, far points in the penalty region and
-        # duplicates, as L-BFGS-B might probe them
-        points = [v + 1e-8 * np.eye(v.size)[i] for i in range(v.size)]
-        points += [v + rng.normal(scale=s, size=v.size) for s in (0.1, 5.0, 50.0)] + [v, v]
-        with np.errstate(all="ignore"):
-            want = list(map(objective, points))
-        got = workers(objective, iter(points))
-        assert isinstance(got, list)
-        np.testing.assert_array_equal(bits(got), bits(want))
+        rng = np.random.default_rng(4)
+        # the start point, points out to the penalty region, and points with
+        # one coordinate so large that FD_STEP is lost in it, where the step
+        # is relative
+        points = [v] + [v + rng.normal(scale=s, size=v.size) for s in (0.1, 5.0, 50.0)]
+        for big in (2.0**27, 1e9, -3e12):
+            for i in range(v.size):
+                point = v.copy()
+                point[i] = big
+                assert (point[i] + g.FD_STEP) - point[i] == 0
+                points.append(point)
+        for point in points:
+            value, gradient = value_and_gradient(point)
+            with np.errstate(all="ignore"):
+                want = scipy.optimize.approx_fprime(point, objective, g.FD_STEP)
+            assert bits(value) == bits(objective(point))
+            np.testing.assert_array_equal(bits(gradient), bits(want))
+
+    @pytest.mark.parametrize("spec", FIT_SPECS)
+    def test_one_likelihood_call_per_optimizer_point(self, monkeypatch, spec):
+        y, x, _ = fit_case(spec)
+        rows, points = [], []
+        real_nll = g.neg_log_likelihood
+
+        def spy(y, x, params, *args):
+            rows.append(params)
+            return real_nll(y, x, params, *args)
+
+        def trace(fun):
+            def traced(v):
+                points.append(v.copy())
+                return fun(v)
+            return traced
+
+        monkeypatch.setattr(g, "neg_log_likelihood", spy)
+        self._fit_capturing_minimize(monkeypatch, spec, y, x, wrap=trace)
+        n = g.start_point(y, spec).size
+        # the start point, one stack per optimizer point, the end point
+        assert [len(r) for r in rows] == [1] + [n + 1] * len(points) + [1]
+        for stack, point in zip(rows[1:-1], points):
+            want = g.unpack_rows(point, spec)
+            for f in fields(ParamRows):
+                np.testing.assert_array_equal(bits(getattr(stack, f.name)[:1]),
+                                              bits(getattr(want, f.name)))
 
     def test_fit_raises_no_warning(self):
-        # a scipy without L-BFGS-B's workers option warns "Unknown solver
-        # options: workers" and evaluates the points one by one
+        # scipy warns on an option or a jac it does not know, and numpy on
+        # the overflows of far probes, which get the penalty value
         spec = ModelSpec(2, 2, 2, "skewt")
         x = np.random.default_rng(5).normal(size=(2, 250))
         y, _, _ = g.simulate(ArmaGarchXParams(nu=5.0, xi=1.2), ModelSpec(0, 0, 0, "skewt"),
