@@ -31,6 +31,11 @@ GTOL = 1e-6
 FTOL = 1e-10
 MIN_OBS = 50
 FD_STEP = 1e-8  # L-BFGS-B's default finite-difference step
+# the rest of scipy's L-BFGS-B defaults: stored corrections, evaluations per
+# line search and evaluations per run
+CORRECTIONS = 10
+MAX_LS = 20
+MAX_FUN = 15000
 
 DISTRIBUTIONS = ("normal", "t", "skewt")
 
@@ -193,17 +198,15 @@ _B = np.ones(1)
 
 
 @functools.cache
-def _linear_filter():
-    """scipy.signal._sigtools._linear_filter, the C kernel that lfilter calls
-    unchanged for every denominator longer than [1].
+def _scipy_extension(package: str, name: str):
+    """The extension module scipy.<package>.<name>, loaded from its file.
 
-    It is loaded from its extension file, so scipy/signal/__init__.py never
-    runs: that would load scipy.stats (through _peak_finding), scipy.spatial
-    and scipy.ndimage, 0.6-0.8 s of every backtest process on a 2-core
-    x86-64 VM. The module goes into sys.modules under its own name, so a
-    later import of scipy.signal uses it.
-    tests/test_row_batches.py::test_kernel_matches_lfilter guards the
-    private name against lfilter.
+    So the __init__ of its package never runs: scipy/signal/__init__.py would
+    load scipy.stats (through _peak_finding), scipy.spatial and
+    scipy.ndimage, 0.6-0.8 s of every backtest process on a 2-core x86-64
+    VM, and scipy/optimize/__init__.py loads _linprog, _shgo, scipy.linalg
+    and scipy.fft, about 0.3 s more. The module goes into sys.modules under
+    its own name, so a later import of its package uses it.
     """
     import importlib.machinery
     import importlib.util
@@ -212,16 +215,25 @@ def _linear_filter():
 
     import scipy
 
-    name = "scipy.signal._sigtools"
-    if name not in sys.modules:
-        path = os.path.join(os.path.dirname(scipy.__file__), "signal",
-                            "_sigtools" + importlib.machinery.EXTENSION_SUFFIXES[0])
-        spec = importlib.util.spec_from_file_location(name, path)
+    full_name = f"scipy.{package}.{name}"
+    if full_name not in sys.modules:
+        path = os.path.join(os.path.dirname(scipy.__file__), package,
+                            name + importlib.machinery.EXTENSION_SUFFIXES[0])
+        spec = importlib.util.spec_from_file_location(full_name, path)
         # an ImportError naming path when the file is missing
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return sys.modules[name]._linear_filter
+        sys.modules[full_name] = module
+    return sys.modules[full_name]
+
+
+def _linear_filter():
+    """scipy.signal._sigtools._linear_filter, the C kernel that lfilter calls
+    unchanged for every denominator longer than [1].
+    tests/test_row_batches.py::test_kernel_matches_lfilter guards the
+    private name against lfilter.
+    """
+    return _scipy_extension("signal", "_sigtools")._linear_filter
 
 
 def _lfilter_rows(lags, x, zi=None):
@@ -424,6 +436,52 @@ def start_point(y, spec: ModelSpec) -> np.ndarray:
     return v
 
 
+def _lbfgsb(fun, x0):
+    """Minimize fun from x0 with L-BFGS-B, as scipy.optimize.minimize(fun, x0,
+    method="L-BFGS-B", jac=True, options={"maxiter": MAX_ITER, "gtol": GTOL,
+    "ftol": FTOL}) does, without importing scipy.optimize: the same calls of
+    its C kernel setulb, without bounds. Returns (x, iterations, converged).
+
+    fun(v) gives the value and the gradient at v. It gets a copy of each
+    point the kernel asks about, unless that point equals the one evaluated
+    last, as in scipy's ScalarFunction. A run ends when the kernel stops, at
+    MAX_ITER iterations, or past MAX_FUN evaluations, minimize's default
+    maxfun. It converged when the kernel stopped on its own tests.
+    tests/test_row_batches.py::test_lbfgsb_matches_minimize guards the
+    private kernel against minimize.
+    """
+    setulb = _scipy_extension("optimize", "_lbfgsb").setulb
+    n = x0.size
+    x = np.array(x0, dtype=float)
+    f, g = 0.0, np.zeros(n)
+    # no bounds: nbd 0 on every coordinate leaves the bounds unread
+    nbd = np.zeros(n, np.int32)
+    bound = np.zeros(n)
+    wa = np.zeros(2 * CORRECTIONS * n + 5 * n + 11 * CORRECTIONS**2 + 8 * CORRECTIONS)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = FTOL / np.finfo(float).eps
+    last = None
+    iterations = evaluations = 0
+    while True:
+        setulb(CORRECTIONS, x, bound, bound, nbd, f, g, factr, GTOL, wa, iwa, task,
+               lsave, isave, dsave, MAX_LS, ln_task)
+        if task[0] == 3:  # FG: the value and gradient at x
+            if last is None or not np.array_equal(x, last):
+                last = x.copy()
+                f, g = fun(x.copy())
+                evaluations += 1
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            iterations += 1
+            if iterations >= MAX_ITER:
+                task[:] = 5, 504
+            elif evaluations > MAX_FUN:
+                task[:] = 5, 502
+        else:
+            return x, iterations, bool(task[0] == 4)
+
+
 def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
     """Maximum-likelihood fit on the transformed space: ``restarts`` L-BFGS-B
     runs, all but the first from start_point plus noise drawn from ``seed``.
@@ -432,10 +490,6 @@ def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
     transform is recorded in the result so forecasts can apply it to raw
     future regressors.
     """
-    # imported here: scipy.optimize would add to every CLI start, and only
-    # the backtest stage fits
-    from scipy import optimize
-
     y = np.asarray(y, dtype=float)
     if y.size < MIN_OBS:
         raise ValidationError(f"need >= {MIN_OBS} observations, got {y.size}")
@@ -477,21 +531,15 @@ def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
     any_converged = False
     for r in range(max(1, restarts)):
         v_start = v0 if r == 0 else v0 + rng.normal(scale=0.3, size=v0.size)
-        try:
-            res = optimize.minimize(
-                value_and_gradient, v_start, method="L-BFGS-B", jac=True,
-                options={"maxiter": MAX_ITER, "gtol": GTOL, "ftol": FTOL},
-            )
-        except (ValueError, FloatingPointError):
-            continue
-        n_iter += int(res.nit)
-        # after an abnormal line-search end res.fun belongs to another point
-        # than res.x, so compare restarts on what res.x attains
-        nll = evaluate(res.x)[0]
+        v, iterations, converged = _lbfgsb(value_and_gradient, v_start)
+        n_iter += iterations
+        # after an abnormal line-search end the last point L-BFGS-B evaluated
+        # is another than the one it returns, so compare restarts on what v
+        # attains
+        nll = evaluate(v)[0]
         if nll < best_nll:
-            best_v, best_nll = res.x, nll
-        if res.success:
-            any_converged = True
+            best_v, best_nll = v, nll
+        any_converged = any_converged or converged
     if best_nll >= PENALTY_NLL:
         raise FitError("all restarts ended in the penalty region")
     if not best_nll <= start_nll:

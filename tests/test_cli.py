@@ -758,11 +758,12 @@ class TestTopLevelFlags:
 
 
 def test_import_does_not_load_scipy_signal(dataset, tmp_path):
-    # the filter loads lfilter's C kernel from its extension file, the fit
-    # imports scipy.optimize and every caller of scipy.special that module
-    # where it runs, and scipy.stats is not used at all; so importing
+    # the filter loads lfilter's C kernel and the fit L-BFGS-B's C kernel
+    # from their extension files, every caller of scipy.special imports that
+    # module where it runs, and scipy.stats is not used at all; so importing
     # chainvol.cli, extract and features load no scipy, and backtest loads
-    # neither the scipy.signal package nor scipy.stats
+    # neither the scipy.signal nor the scipy.optimize package, no module of
+    # scipy.optimize but the L-BFGS-B kernel, and no scipy.stats
     code = textwrap.dedent("""
         import sys, chainvol.cli
         def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
@@ -774,7 +775,9 @@ def test_import_does_not_load_scipy_signal(dataset, tmp_path):
         print(scipy())
         assert main(['backtest', out, prices, '--out', bt, '--window', '60',
                      '--refit-every', '20', '--restarts', '1']) == 0
-        print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])
+        print([m for m in sys.modules if m in ('scipy.signal', 'scipy.stats')
+               or m.split('.')[:2] == ['scipy', 'optimize'] and m != 'scipy.optimize._lbfgsb'])
+        assert 'scipy.optimize._lbfgsb' in sys.modules
     """)
     data = dataset["data"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

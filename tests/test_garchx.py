@@ -5,7 +5,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,20 +323,30 @@ class TestFit:
             g.fit(np.zeros(10), None, ModelSpec(0, 0, 0, "normal"))
 
     def test_loglik_is_attained_by_returned_params(self, monkeypatch):
-        # after an abnormal line-search end L-BFGS-B reports a fun that its
-        # x does not attain; the fit must report what the returned x attains
-        real_minimize = scipy.optimize.minimize
+        # after an abnormal line-search end L-BFGS-B returns another point
+        # than the last one it evaluated; the fit must report what the
+        # returned point attains
+        real_lbfgsb = g._lbfgsb
+        ends = []
 
-        def minimize_reporting_lower_fun(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            res.fun -= 5.0
-            return res
+        def lbfgsb_returning_another_point(fun, x0):
+            values = []
 
-        # fit imports scipy.optimize when it runs, so patch the module itself
-        monkeypatch.setattr(scipy.optimize, "minimize", minimize_reporting_lower_fun)
+            def recorded(v):
+                value, gradient = fun(v)
+                values.append(value)
+                return value, gradient
+
+            x, iterations, converged = real_lbfgsb(recorded, x0)
+            ends.append((fun(x + 1e-3)[0], values[-1]))
+            return x + 1e-3, iterations, converged
+
+        monkeypatch.setattr(g, "_lbfgsb", lbfgsb_returning_another_point)
         spec = ModelSpec(1, 0, 0, "t")
         y, _, _ = g.simulate(garch_params(phi=[0.2]), spec, None, 400, seed=8)
         result = g.fit(y, None, spec, restarts=2, seed=0)
+        # each returned point attains another value than the last one evaluated
+        assert len(ends) == 2 and all(attained != last for attained, last in ends)
         assert result.loglik == -g.neg_log_likelihood(y, None, result.params, spec)
 
     def test_unusable_likelihood_raises_fit_error(self, monkeypatch):

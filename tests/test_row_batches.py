@@ -4,11 +4,14 @@ neg_log_likelihood and filter_model take a ParamRows of m parameter sets;
 each row must give, bit for bit, what that row gives as one parameter set.
 fit evaluates each L-BFGS-B point and its finite-difference steps as one
 stack, with L-BFGS-B's own steps and quotients, so its end points are those
-of one call per point.
+of one call per point. Its L-BFGS-B loop calls the C kernel and the
+objective as scipy.optimize.minimize does.
 """
 
+import functools
 import warnings
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -265,27 +268,41 @@ def fit_case(spec):
 FIT_SPECS = [ModelSpec(2, 2, 2, "skewt"), ModelSpec(1, 0, 0, "t"), ModelSpec(0, 0, 0, "normal")]
 
 
+def fit_capturing_lbfgsb(spec, y, x, run):
+    """The objective fit hands _lbfgsb on y and x with one restart, which
+    run(fun, x0) minimizes in _lbfgsb's place."""
+    funs = []
+
+    def capture(fun, x0):
+        funs.append(fun)
+        return run(fun, x0)
+
+    with mock.patch.object(g, "_lbfgsb", capture):
+        g.fit(y, x, spec, restarts=1, seed=0)
+    (fun,) = funs
+    return fun
+
+
+def stay_at_start(fun, x0):
+    return x0, 0, False
+
+
+def traced(fun, points):
+    """fun, appending a copy of each point it is called on to points."""
+    def call(v):
+        points.append(v.copy())
+        return fun(v)
+    return call
+
+
 class TestFitGradient:
     """fit hands L-BFGS-B a function that gives the value and the gradient
     of a point from one stack of the point and its finite-difference steps."""
 
-    def _fit_capturing_minimize(self, monkeypatch, spec, y, x, wrap=None):
-        calls = []
-        real_minimize = scipy.optimize.minimize
-
-        def capture(fun, x0, **kwargs):
-            assert kwargs["jac"] is True
-            calls.append(fun)
-            return real_minimize(wrap(fun) if wrap else fun, x0, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "minimize", capture)
-        g.fit(y, x, spec, restarts=1, seed=0)
-        return calls
-
     @pytest.mark.parametrize("spec", FIT_SPECS)
-    def test_gradient_is_lbfgsb_differences(self, monkeypatch, spec):
+    def test_gradient_is_lbfgsb_differences(self, spec):
         y, x, objective = fit_case(spec)
-        (value_and_gradient,) = self._fit_capturing_minimize(monkeypatch, spec, y, x)
+        value_and_gradient = fit_capturing_lbfgsb(spec, y, x, stay_at_start)
         v = g.start_point(y, spec)
         rng = np.random.default_rng(4)
         # the start point, points out to the penalty region, and points with
@@ -309,20 +326,14 @@ class TestFitGradient:
     def test_one_likelihood_call_per_optimizer_point(self, monkeypatch, spec):
         y, x, _ = fit_case(spec)
         rows, points = [], []
-        real_nll = g.neg_log_likelihood
+        real_nll, real_lbfgsb = g.neg_log_likelihood, g._lbfgsb
 
         def spy(y, x, params, *args):
             rows.append(params)
             return real_nll(y, x, params, *args)
 
-        def trace(fun):
-            def traced(v):
-                points.append(v.copy())
-                return fun(v)
-            return traced
-
         monkeypatch.setattr(g, "neg_log_likelihood", spy)
-        self._fit_capturing_minimize(monkeypatch, spec, y, x, wrap=trace)
+        fit_capturing_lbfgsb(spec, y, x, lambda fun, x0: real_lbfgsb(traced(fun, points), x0))
         n = g.start_point(y, spec).size
         # the start point, one stack per optimizer point, the end point
         assert [len(r) for r in rows] == [1] + [n + 1] * len(points) + [1]
@@ -333,8 +344,8 @@ class TestFitGradient:
                                               bits(getattr(want, f.name)))
 
     def test_fit_raises_no_warning(self):
-        # scipy warns on an option or a jac it does not know, and numpy on
-        # the overflows of far probes, which get the penalty value
+        # numpy warns on the overflows of far probes, which get the penalty
+        # value
         spec = ModelSpec(2, 2, 2, "skewt")
         x = np.random.default_rng(5).normal(size=(2, 250))
         y, _, _ = g.simulate(ArmaGarchXParams(nu=5.0, xi=1.2), ModelSpec(0, 0, 0, "skewt"),
@@ -343,6 +354,72 @@ class TestFitGradient:
             warnings.simplefilter("error")
             result = g.fit(y, x, spec, restarts=2, seed=0)
         assert np.isfinite(result.loglik)
+
+
+@functools.cache
+def fit_objective(spec):
+    """fit's own value_and_gradient on the first 100 days of fit_case(spec),
+    and its start point; shorter runs than on 250 days, through the same
+    kernel calls."""
+    y, x, _ = fit_case(spec)
+    y, x = y[:100], None if x is None else x[:, :100]
+    return fit_capturing_lbfgsb(spec, y, x, stay_at_start), g.start_point(y, spec)
+
+
+def wall_objective(wall):
+    """A bowl with its floor at 2 in a region x_0 > 1 of value wall, NaN or
+    PENALTY_NLL, where the gradient is NaN or 0: the line search cannot
+    leave the region, so L-BFGS-B ends ABNORMAL."""
+    def fun(v):
+        if v[0] > 1:
+            return wall, np.full(v.size, wall * 0.0)
+        return float(np.sum((v - 2.0) ** 2)), 2.0 * (v - 2.0)
+    return fun
+
+
+@st.composite
+def lbfgsb_cases(draw):
+    """(objective, start, MAX_ITER and MAX_FUN, the scipy message it must end
+    with): fit's objective of each FIT_SPECS from start_point plus noise, a
+    region that ends the run ABNORMAL, or a run cut at MAX_ITER or MAX_FUN."""
+    kind = draw(st.sampled_from(("fit", "wall", "cut")))
+    limits = {"MAX_ITER": g.MAX_ITER, "MAX_FUN": g.MAX_FUN}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wall":
+        n = draw(st.integers(1, 6))
+        x0 = rng.normal(scale=2.0, size=n)
+        x0[0] = -abs(x0[0])
+        wall = draw(st.sampled_from((np.nan, g.PENALTY_NLL)))
+        return wall_objective(wall), x0, limits, "ABNORMAL"
+    fun, v0 = fit_objective(draw(st.sampled_from(FIT_SPECS)))
+    x0 = v0 + rng.normal(scale=draw(st.sampled_from((0.0, 0.3, 1.0))), size=v0.size)
+    if kind == "fit":
+        return fun, x0, limits, ""
+    name = draw(st.sampled_from(("MAX_ITER", "MAX_FUN")))
+    limits[name] = draw(st.integers(1, 8))
+    return fun, x0, limits, "ITERATIONS" if name == "MAX_ITER" else "EVALUATIONS"
+
+
+@given(lbfgsb_cases())
+@settings(max_examples=200, deadline=None)
+def test_lbfgsb_matches_minimize(case):
+    # garchx drives scipy.optimize._lbfgsb.setulb, L-BFGS-B's private C
+    # kernel, by its own loop; a scipy that moves or changes the kernel or
+    # minimize's use of it must fail here
+    fun, x0, limits, message = case
+    got, want = [], []
+    with mock.patch.multiple(g, **limits):
+        x, iterations, converged = g._lbfgsb(traced(fun, got), x0)
+        res = scipy.optimize.minimize(
+            traced(fun, want), x0, method="L-BFGS-B", jac=True,
+            options={"maxiter": g.MAX_ITER, "maxfun": g.MAX_FUN, "gtol": g.GTOL,
+                     "ftol": g.FTOL})
+    assert message in res.message
+    np.testing.assert_array_equal(bits(x), bits(res.x))
+    assert (iterations, converged) == (res.nit, res.success)
+    assert len(got) == len(want) == res.nfev
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(bits(a), bits(b))
 
 
 # First refits of `backtest --window 250 --arma-p 2 --arma-q 2 --distribution
