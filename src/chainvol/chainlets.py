@@ -17,9 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AlignmentError, ParseError, ValidationError
-from .ingest import (
-    EPOCH, SECONDS_PER_DAY, PriceSeries, atomic_write_text, data_lines, parse_date,
-)
+from .ingest import EPOCH, SECONDS_PER_DAY, PriceSeries, data_lines, parse_date
 
 SATOSHI_PER_BTC = 10**8
 DEFAULT_THRESHOLD = 20
@@ -281,13 +279,14 @@ def combine_matrices(occ, amo, occ_path, amo_path) -> DayCube:
 FEATURE_HEADER = "date,A_l,A_r,A_x,O_l,O_r,O_x"
 
 
-def write_feature_csv(path, rows) -> None:
+def write_feature_csv(fh, rows) -> None:
+    """Write the feature CSV of rows to the text file ``fh``."""
     lines = [FEATURE_HEADER]
     for r in rows:
         lines.append(
             f"{r.date.isoformat()},{r.A_l!r},{r.A_r!r},{r.A_x!r},{r.O_l},{r.O_r},{r.O_x!r}"
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")
 
 
 def read_feature_csv(path) -> list[ExtremeFeatureRow]:

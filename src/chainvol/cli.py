@@ -84,6 +84,8 @@ def load_config_file(path) -> dict:
         if key not in valid:
             raise ChainvolError(f"unknown config key {key!r}", path, line_no)
         value = value.strip()
+        if key in out:
+            raise ChainvolError(f"duplicate config key {key!r}", path, line_no)
         try:
             out[key] = casts[valid[key]](value), line_no
             if key == "gap_policy":
@@ -166,33 +168,32 @@ def cmd_features(args, config: PipelineConfig) -> int:
         raise ChainvolError("--events needs --plot-data: the events are labels in the plot data")
     if os.path.realpath(args.occurrence) == os.path.realpath(args.amount):
         raise ChainvolError("named for both the occurrence and the amount input", args.amount)
-    cube = chainlets.combine_matrices(
-        ingest.load_matrix_file(args.occurrence, dim=config.threshold),
-        ingest.load_matrix_file(args.amount, dim=config.threshold),
-        args.occurrence, args.amount,
-    )
-    if not cube.dates:
-        print("warning: empty matrix input", file=sys.stderr)
-        chainlets.write_feature_csv(args.out, [])
-        return 0
-    calendar = ingest.DailyCalendar(
-        cube.dates[0], cube.dates[-1], ingest.GapPolicy(config.gap_policy)
-    )
-    prices = ingest.load_prices(args.prices, calendar)
-    rows = chainlets.feature_series(cube, prices)
     events = {}
     if args.events:
-        for line_no, line in ingest.data_lines(args.events):
-            if line.startswith("date,"):
-                continue
-            d, _, label = line.partition(",")
-            events[ingest.parse_date(d, args.events, line_no)] = label
-    chainlets.write_feature_csv(args.out, rows)
-    if args.plot_data:
-        lines = ["day_index,O_x,label"]
-        for i, r in enumerate(rows):
-            lines.append(f"{i},{r.O_x!r},{events.get(r.date, '')}")
-        ingest.atomic_write_text(args.plot_data, "\n".join(lines) + "\n")
+        events = {day: label for _, day, label in ingest.date_value_lines(args.events)}
+    # both outputs or neither, their temp files made before the matrices are read
+    outputs = [args.out] + ([args.plot_data] if args.plot_data else [])
+    with ingest.atomic_files(*outputs) as files:
+        cube = chainlets.combine_matrices(
+            ingest.load_matrix_file(args.occurrence, dim=config.threshold),
+            ingest.load_matrix_file(args.amount, dim=config.threshold),
+            args.occurrence, args.amount,
+        )
+        rows = []
+        if cube.dates:
+            calendar = ingest.DailyCalendar(
+                cube.dates[0], cube.dates[-1], ingest.GapPolicy(config.gap_policy)
+            )
+            rows = chainlets.feature_series(cube, ingest.load_prices(args.prices, calendar))
+        chainlets.write_feature_csv(files[0], rows)
+        if args.plot_data:
+            lines = ["day_index,O_x,label"]
+            for i, r in enumerate(rows):
+                lines.append(f"{i},{r.O_x!r},{events.get(r.date, '')}")
+            files[1].write("\n".join(lines) + "\n")
+    if not cube.dates:
+        print("warning: empty matrix input", file=sys.stderr)
+        return 0
     print(f"{len(rows)} feature rows written to {args.out}")
     return 0
 

@@ -151,16 +151,16 @@ def _check_orders(params, spec: ModelSpec) -> None:
 
 
 def _groups(keys) -> list:
-    """Groups of rows of the 2-D array keys with the same bits, as (first
-    row, index) pairs: the index is a slice over all rows when every row is
-    the same, else an array of row numbers in increasing order."""
+    """Groups of rows of the 2-D array keys as (first row, index) pairs: a
+    slice over all rows when all have row 0's bits, else the rows with row
+    0's bits, then each other row alone, as arrays. Each stack fit builds
+    differs from its row 0 in one coordinate a row; other callers pass one row."""
     if len(keys) > 1:
         bits = np.ascontiguousarray(keys, dtype=float).view(np.int64)
-        if not (bits == bits[:1]).all():
-            groups: dict = {}
-            for i, key in enumerate(map(tuple, bits.tolist())):
-                groups.setdefault(key, []).append(i)
-            return [(rows[0], np.array(rows)) for rows in groups.values()]
+        same = (bits == bits[:1]).all(axis=1)
+        if not same.all():
+            return [(0, np.flatnonzero(same))] + [
+                (i, np.array([i])) for i in np.flatnonzero(~same).tolist()]
     return [(0, slice(None))]
 
 
@@ -238,7 +238,7 @@ def _linear_filter():
 
 def _lfilter_rows(lags, x, zi=None):
     """lfilter([1], [1, *lags[r]], x[r]) on every row r of x, starting from
-    state zi[r]: one 2-D kernel call per distinct denominator."""
+    state zi[r]: one 2-D kernel call per group of _groups(lags)."""
     if lags.shape[1] == 0:
         # a denominator of [1] leaves x as it is; lfilter would get there
         # through np.convolve on each row
@@ -278,11 +278,11 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     parameter set over m windows, y (m, T) with x (m, k, T). A block gives
     (m, T) arrays whose rows are bit for bit what each row gives alone, its
     regressors in the same memory layout.
-    Every row runs through both recursions; each recursion is one call of
-    lfilter's C kernel per distinct denominator, and beta_x' x is one
-    product per distinct beta_x. A state that is not finite is a
-    ValidationError for one ArmaGarchXParams; rows of a ParamRows keep it,
-    for the caller to check.
+    Every row runs through both recursions. Each recursion is one call of
+    lfilter's C kernel, and beta_x' x one product, for the rows that share
+    row 0's coefficients and one for each other row. A state that is not
+    finite is a ValidationError for one ArmaGarchXParams; rows of a
+    ParamRows keep it, for the caller to check.
     """
     rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
     _check_orders(rows, spec)
@@ -340,19 +340,17 @@ def innovation_logpdf(z, params, spec: ModelSpec):
 
     One ArmaGarchXParams is taken as a one-row ParamRows. Row r of z takes
     row r's parameters of the law: none for normal, nu for t and (nu, xi)
-    for skewt. The density runs once on all of z. One row passes them as
-    numpy scalars, and z may then have any shape; m rows pass them as (m, 1)
-    columns over the (m, T) block. Each row gives, bit for bit, what it gives
-    alone, and an extreme nu or xi gives inf or nan, not a Python
-    ZeroDivisionError or OverflowError.
+    for skewt. The density runs once on all of z, with nu and xi as (m,)
+    arrays shaped to broadcast against z: (m, 1) columns over an (m, T)
+    block, and (1,) over the 1-D z of one row. Each row gives, bit for bit,
+    what it gives alone, and an extreme nu or xi gives inf or nan, not a
+    Python ZeroDivisionError or OverflowError.
     """
     if spec.distribution == "normal":
         return normal_logpdf(z)
     rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
-    if len(rows) == 1:
-        nu, xi = rows.nu[0], rows.xi[0]
-    else:
-        nu, xi = rows.nu[:, None], rows.xi[:, None]
+    column = (slice(None),) + (None,) * (np.ndim(z) - 1)
+    nu, xi = rows.nu[column], rows.xi[column]
     if spec.distribution == "t":
         return student_t_logpdf(z, nu)
     return skewt_logpdf(z, nu, xi)

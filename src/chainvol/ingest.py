@@ -268,6 +268,24 @@ def load_transactions(path, calendar: DailyCalendar) -> TxLoadResult:
     return TxLoadResult(days, skipped_coinbase)
 
 
+def date_value_lines(path):
+    """Yield ``(line_no, day, value)`` for each ``date,value`` line of a file.
+    Lines that start with ``date,``, in any case, are headers; every other
+    line holds exactly two fields, and no day comes twice."""
+    days = set()
+    for line_no, line in data_lines(path):
+        if line.lower().startswith("date,"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 fields, got {len(parts)}", path, line_no)
+        day = parse_date(parts[0], path, line_no)
+        if day in days:
+            raise ValidationError(f"duplicate date {day}", path, line_no)
+        days.add(day)
+        yield line_no, day, parts[1]
+
+
 def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
     """Read a ``date,close`` CSV and align it onto the calendar.
 
@@ -277,23 +295,15 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
     the days before the first close.
     """
     rows: dict[dt.date, float] = {}
-    for line_no, line in data_lines(path):
-        if line.lower().startswith("date,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", path, line_no)
-        day = parse_date(parts[0], path, line_no)
+    for line_no, day, text in date_value_lines(path):
         try:
-            close = float(parts[1])
+            close = float(text)
         except ValueError:
             close = math.nan
         if not math.isfinite(close):
-            raise ParseError(f"bad price {parts[1]!r}", path, line_no)
+            raise ParseError(f"bad price {text!r}", path, line_no)
         if close <= 0:
             raise ValidationError(f"non-positive price {close} on {day}", path, line_no)
-        if day in rows:
-            raise ValidationError(f"duplicate date {day}", path, line_no)
         rows[day] = close
     if len(rows) < 2:
         raise ValidationError(f"price file {path} has fewer than 2 rows")

@@ -316,7 +316,8 @@ class TestHelpers:
         cube = cube_of([tx(25, 1, 500), tx(1, 2, 700)])
         rows = feature_series(cube, PriceSeries([DAY], np.array([100.0])))
         path = tmp_path / "f.csv"
-        chainlets.write_feature_csv(path, rows)
+        with open(path, "w") as fh:
+            chainlets.write_feature_csv(fh, rows)
         back = chainlets.read_feature_csv(path)
         assert back == rows
 

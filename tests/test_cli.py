@@ -256,6 +256,61 @@ class TestFeatures:
         assert "--events needs --plot-data" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["events.csv"]
 
+    @pytest.mark.parametrize("second", ["same.csv", "./same.csv", "sub/../same.csv"])
+    def test_one_file_for_both_outputs_fails_before_any_write(self, dataset, tmp_path, capsys,
+                                                              monkeypatch, second):
+        # the plot data would replace the feature CSV, exit 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "same.csv").write_text("old\n")
+        assert cli.main(["features", str(dataset["occ"]), str(dataset["amo"]),
+                         str(dataset["data"] / "prices.csv"), "--out", "same.csv",
+                         "--plot-data", second]) == 1
+        assert capsys.readouterr().err == f"error: {second}: named for two outputs\n"
+        assert (tmp_path / "same.csv").read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["same.csv", "sub"]
+
+    def test_empty_matrices_write_both_headers(self, tmp_path, capsys, monkeypatch):
+        # the two outputs are a pair, also when there is no day; the prices
+        # are never read
+        monkeypatch.chdir(tmp_path)
+        for name in ("occ.txt", "amo.txt"):
+            (tmp_path / name).write_text("# no days\n")
+        assert cli.main(["features", "occ.txt", "amo.txt", "prices.csv", "--out", "f.csv",
+                         "--plot-data", "plot.csv"]) == 0
+        assert capsys.readouterr().err == "warning: empty matrix input\n"
+        assert (tmp_path / "f.csv").read_text() == "date,A_l,A_r,A_x,O_l,O_r,O_x\n"
+        assert (tmp_path / "plot.csv").read_text() == "day_index,O_x,label\n"
+
+    def test_events_label_plot_rows(self, dataset, tmp_path):
+        # the header may be in any case
+        events = tmp_path / "events.csv"
+        events.write_text("DATE,Label\n2015-01-05,halving\n")
+        plot = tmp_path / "plot.csv"
+        assert cli.main(["features", str(dataset["occ"]), str(dataset["amo"]),
+                         str(dataset["data"] / "prices.csv"), "--out", str(tmp_path / "f.csv"),
+                         "--plot-data", str(plot), "--events", str(events)]) == 0
+        days = [row.date.isoformat() for row in read_feature_csv(tmp_path / "f.csv")]
+        labels = [line.split(",")[2] for line in plot.read_text().splitlines()[1:]]
+        assert labels == ["halving" if day == "2015-01-05" else "" for day in days]
+
+    @pytest.mark.parametrize("text, message", [
+        # the label would be two fields of the three-column plot data
+        ("date,label\n2015-01-05,halving, part 2\n", "2: expected 2 fields, got 3"),
+        # one of the two labels would be dropped
+        ("date,label\n2015-01-07,fork\n2015-01-07,fork again\n",
+         "3: duplicate date 2015-01-07"),
+    ], ids=["comma", "duplicate"])
+    def test_bad_events_line_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   text, message):
+        # the matrix and price files do not exist: the events are read first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "events.csv").write_text(text)
+        assert cli.main(["features", "occ.txt", "amo.txt", "prices.csv", "--out", "f.csv",
+                         "--plot-data", "plot.csv", "--events", "events.csv"]) == 1
+        assert capsys.readouterr().err == f"error: events.csv:{message}\n"
+        assert os.listdir(tmp_path) == ["events.csv"]
+
     def test_one_file_for_occurrence_and_amount_fails(self, dataset, tmp_path, capsys):
         # the amounts read as counts would give silently wrong features
         occ = str(dataset["occ"])
@@ -373,7 +428,8 @@ class TestAnalyze:
                 for d in days
             ]
             fpath = tmp_path / f"f{seed}.csv"
-            write_feature_csv(fpath, rows)
+            with open(fpath, "w") as fh:
+                write_feature_csv(fh, rows)
             levels = 100 * np.exp(np.concatenate([[0.0], np.cumsum(rng.normal(0, 0.03, size=120))]))
             prices = [
                 f"{(days[0] + dt.timedelta(days=i)).isoformat()},{float(levels[i]):.6f}"
@@ -470,6 +526,15 @@ class TestConfigFile:
         assert resolved.threshold == 12  # flag wins
         assert resolved.alpha_tail == 0.1  # file wins over default
         assert resolved.var_level == 0.01  # default
+
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        # the second value would silently win
+        cfg = tmp_path / "cfg"
+        cfg.write_text("window=300\nwindow=100\n")
+        assert cli.main(["--config", str(cfg), "synth", "--out", str(tmp_path / "d"),
+                         "--days", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: duplicate config key 'window'\n"
+        assert os.listdir(tmp_path) == ["cfg"]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -704,7 +769,9 @@ def test_config_file_value_out_of_range_names_file_and_line(tmp_path, capsys, mo
                                                             line, message):
     # the input files do not exist: the config is checked before any of them is read
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.cfg").write_text(f"# settings\nthreshold=20\n{line}\n")
+    # a valid line of another key first: a key given twice is an error of its own
+    other = "seed=7" if line.startswith("threshold=") else "threshold=20"
+    (tmp_path / "bad.cfg").write_text(f"# settings\n{other}\n{line}\n")
     assert cli.main(["--config", "bad.cfg", "backtest", "f.csv", "p.csv", "--out", "b"]) == 1
     assert capsys.readouterr().err == f"error: bad.cfg:3: {message}\n"
     assert os.listdir(tmp_path) == ["bad.cfg"]

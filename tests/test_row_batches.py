@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from chainvol import cli
 from chainvol import garchx as g
+from chainvol.skewt import skewt_logpdf, student_t_logpdf
 from chainvol.garchx import ArmaGarchXParams, ModelSpec, ParamRows
 
 
@@ -149,12 +150,14 @@ class TestBatchedLikelihood:
 
     @given(st.sampled_from(("t", "skewt")),
            st.lists(st.sampled_from(("distinct", "duplicate", "ulp", "hard")),
-                    min_size=2, max_size=32),
+                    min_size=1, max_size=32),
            st.integers(1, 120), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_density_rows_equal_one_set_calls(self, distribution, kinds, T, seed):
-        # the block passes nu and xi as (m, 1) columns, one set as numpy
-        # scalars: the path of pipebench's reference check
+        # the block passes nu and xi as (m, 1) columns, and one set over 1-D z
+        # as (1,) arrays, the path of pipebench's reference check. Each must
+        # give the bits of the density of one row with nu and xi as Python
+        # floats, whose squares ** takes with the C library's pow
         rng = np.random.default_rng(seed)
         laws = []
         for kind in kinds:
@@ -174,7 +177,14 @@ class TestBatchedLikelihood:
         block = g.innovation_logpdf(z, stack_rows(sets), spec)
         assert block.shape == z.shape
         for z_i, s, row in zip(z, sets, block):
-            np.testing.assert_array_equal(bits(row), bits(g.innovation_logpdf(z_i, s, spec)))
+            if distribution == "t":
+                want = student_t_logpdf(z_i, float(s.nu))
+            else:
+                want = skewt_logpdf(z_i, float(s.nu), float(s.xi))
+            one_set = g.innovation_logpdf(z_i, s, spec)
+            assert one_set.shape == (T,)
+            np.testing.assert_array_equal(bits(row), bits(want))
+            np.testing.assert_array_equal(bits(one_set), bits(want))
 
     def test_penalty_rules_row_by_row(self):
         y = np.random.default_rng(1).normal(size=80) * 0.02
@@ -243,6 +253,31 @@ def test_kernel_matches_lfilter(order, m, T, layout, with_zi, seed):
     else:
         got, want = g._lfilter_rows(lags, x), lfilter([1.0], a, x)
     np.testing.assert_array_equal(bits(got), bits(want))
+
+
+# bit patterns of key entries: zeros of both signs, quiet NaNs of other
+# payloads and signs, 1.0 and the float after it, and infinity
+KEY_BITS = (0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+            0xFFF8000000000000, 0x3FF0000000000000, 0x3FF0000000000001, 0x7FF0000000000000)
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_groups_are_row_0s_bits_then_single_rows(n, data):
+    row = st.lists(st.sampled_from(KEY_BITS), min_size=n, max_size=n)
+    first_row = data.draw(row)
+    key_rows = [first_row] + data.draw(st.lists(st.one_of(st.just(first_row), row), max_size=8))
+    keys = np.array(key_rows, dtype=np.uint64).view(float)
+    index = np.arange(len(keys))
+    groups = [(first, index[rows]) for first, rows in g._groups(keys)]
+    # every row exactly once, in the group of a row with its bits
+    assert sorted(np.concatenate([rows for _, rows in groups]).tolist()) == index.tolist()
+    for first, rows in groups:
+        assert first == rows[0]
+        assert all(key_rows[i] == key_rows[first] for i in rows)
+    # row 0's group is every row with row 0's bits, and every other row is alone
+    assert groups[0][1].tolist() == [i for i, r in enumerate(key_rows) if r == first_row]
+    assert all(len(rows) == 1 for _, rows in groups[1:])
 
 
 def fit_case(spec):
@@ -356,6 +391,46 @@ class TestFitGradient:
         assert np.isfinite(result.loglik)
 
 
+@pytest.mark.parametrize("spec", FIT_SPECS)
+def test_kernel_calls_per_stack(monkeypatch, spec):
+    # a stack differs from its row 0 in one coordinate a row, so the MA
+    # recursion makes at most 1 + q kernel calls (row 0's theta, then each
+    # theta step), the variance recursion at most 3 (row 0's beta, then the
+    # persistence and the split step) and the regressor term at most 1 + k
+    # products (row 0's beta_x, then each beta_x step); one row makes one each
+    y, x, _ = fit_case(spec)
+    counts = []
+    kernel, real_xvar, real_filter = g._linear_filter(), g._xvar, g.filter_model
+
+    def counted_kernel(*args):
+        counts[-1]["variance" if len(args) == 5 else "ma"] += 1
+        return kernel(*args)
+
+    def counted_xvar(*args):
+        counts[-1]["products"] += 1
+        return real_xvar(*args)
+
+    def counted_filter(y, x, params, *args):
+        counts.append({"rows": len(params), "ma": 0, "variance": 0, "products": 0})
+        return real_filter(y, x, params, *args)
+
+    monkeypatch.setattr(g, "_linear_filter", lambda: counted_kernel)
+    monkeypatch.setattr(g, "_xvar", counted_xvar)
+    monkeypatch.setattr(g, "filter_model", counted_filter)
+    g.fit(y, x, spec, restarts=2, seed=0)
+    n = g.start_point(y, spec).size
+    ones = [c for c in counts if c["rows"] == 1]
+    stacks = [c for c in counts if c["rows"] == n + 1]
+    assert len(ones) == 3 and len(ones) + len(stacks) == len(counts)
+    for c in ones:
+        assert (c["ma"], c["variance"], c["products"]) == (min(spec.q, 1), 1, min(spec.k, 1))
+    bounds = {"ma": 1 + spec.q if spec.q else 0, "variance": 3,
+              "products": 1 + spec.k if spec.k else 0}
+    for name, bound in bounds.items():
+        # each bound is attained
+        assert max(c[name] for c in stacks) == bound
+
+
 @functools.cache
 def fit_objective(spec):
     """fit's own value_and_gradient on the first 100 days of fit_case(spec),
@@ -400,13 +475,12 @@ def lbfgsb_cases(draw):
     return fun, x0, limits, "ITERATIONS" if name == "MAX_ITER" else "EVALUATIONS"
 
 
-@given(lbfgsb_cases())
-@settings(max_examples=200, deadline=None)
-def test_lbfgsb_matches_minimize(case):
-    # garchx drives scipy.optimize._lbfgsb.setulb, L-BFGS-B's private C
-    # kernel, by its own loop; a scipy that moves or changes the kernel or
-    # minimize's use of it must fail here
-    fun, x0, limits, message = case
+def check_lbfgsb_matches_minimize(fun, x0, limits, message):
+    """Minimize fun from x0 under limits by _lbfgsb and by minimize, which
+    must evaluate the same points, end on the same bits and end with message.
+    A run cut at MAX_ITER or MAX_FUN may stop on its own first, ABNORMAL in
+    a line search or converged; then its limit, checked as each iteration
+    ends, was never reached. Returns minimize's result."""
     got, want = [], []
     with mock.patch.multiple(g, **limits):
         x, iterations, converged = g._lbfgsb(traced(fun, got), x0)
@@ -414,12 +488,45 @@ def test_lbfgsb_matches_minimize(case):
             traced(fun, want), x0, method="L-BFGS-B", jac=True,
             options={"maxiter": g.MAX_ITER, "maxfun": g.MAX_FUN, "gtol": g.GTOL,
                      "ftol": g.FTOL})
-    assert message in res.message
+    if message not in res.message:
+        assert message in ("ITERATIONS", "EVALUATIONS")
+        assert "ABNORMAL" in res.message or res.success
+        if message == "ITERATIONS":
+            assert res.nit < limits["MAX_ITER"]
+        else:
+            # the last iteration ended on res.x, at its first evaluation
+            ended = next(i for i, v in enumerate(want, 1) if (bits(v) == bits(res.x)).all())
+            assert ended <= limits["MAX_FUN"]
     np.testing.assert_array_equal(bits(x), bits(res.x))
     assert (iterations, converged) == (res.nit, res.success)
     assert len(got) == len(want) == res.nfev
     for a, b in zip(got, want):
         np.testing.assert_array_equal(bits(a), bits(b))
+    return res
+
+
+@given(lbfgsb_cases())
+@settings(max_examples=200, deadline=None)
+def test_lbfgsb_matches_minimize(case):
+    # garchx drives scipy.optimize._lbfgsb.setulb, L-BFGS-B's private C
+    # kernel, by its own loop; a scipy that moves or changes the kernel or
+    # minimize's use of it must fail here
+    check_lbfgsb_matches_minimize(*case)
+
+
+@pytest.mark.parametrize("scale, seed, name, limit, end", [
+    (0.3, 264, "MAX_ITER", 2, "ABNORMAL"),
+    (1.0, 159, "MAX_FUN", 3, "ABNORMAL"),
+    (1.0, 178, "MAX_ITER", 7, "CONVERGENCE"),
+])
+def test_lbfgsb_cut_run_that_stops_first(scale, seed, name, limit, end):
+    # cases of lbfgsb_cases on the ARMA(2,2)-GARCHX(2) skew-t objective that
+    # stop on their own before the cut (numpy 2.4, scipy 1.17, x86-64)
+    fun, v0 = fit_objective(FIT_SPECS[0])
+    x0 = v0 + np.random.default_rng(seed).normal(scale=scale, size=v0.size)
+    limits = {"MAX_ITER": g.MAX_ITER, "MAX_FUN": g.MAX_FUN, name: limit}
+    message = "ITERATIONS" if name == "MAX_ITER" else "EVALUATIONS"
+    assert end in check_lbfgsb_matches_minimize(fun, x0, limits, message).message
 
 
 # First refits of `backtest --window 250 --arma-p 2 --arma-q 2 --distribution
