@@ -10,9 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FitError, ValidationError
 from .garchx import ArmaGarchXParams, FitResult, ModelSpec, fit, forecast_one, innovation_quantile
-
-# scipy.special is imported in the functions that call it, so that the stages
-# that never call them (extract, features) never load scipy
+from .kernels import special
 
 CHI2_CRIT_1DF_95 = 3.841
 CHI2_CRIT_2DF_95 = 5.991
@@ -104,14 +102,13 @@ def _xlogy(x: float, y: float) -> float:
 
 def kupiec_test(n: int, x: int, alpha: float) -> tuple[float, float]:
     """Unconditional coverage likelihood ratio; chi-square(1) p-value."""
-    from scipy import special
     if n < 1 or not 0 <= x <= n or not 0 < alpha < 1:
         raise ValidationError(f"bad kupiec inputs n={n} x={x} alpha={alpha}")
     pi_hat = x / n
     ll_null = _xlogy(n - x, 1.0 - alpha) + _xlogy(x, alpha)
     ll_alt = _xlogy(n - x, 1.0 - pi_hat) + _xlogy(x, pi_hat)
     lr = max(0.0, -2.0 * (ll_null - ll_alt))
-    return lr, float(special.chdtrc(1, lr))
+    return lr, float(special().chdtrc(1, lr))
 
 
 def christoffersen_test(breaches, alpha: float) -> tuple[float, float, float]:
@@ -121,7 +118,6 @@ def christoffersen_test(breaches, alpha: float) -> tuple[float, float, float]:
     alternative on the observed transition counts; LR.cc = LR.uc + LR.ind
     with a chi-square(2) p-value.
     """
-    from scipy import special
     b = np.asarray(breaches, dtype=int)
     if b.size < 2:
         raise ValidationError("need at least 2 observations for the Christoffersen test")
@@ -142,7 +138,7 @@ def christoffersen_test(breaches, alpha: float) -> tuple[float, float, float]:
     lr_ind = max(0.0, -2.0 * (ll_iid - ll_markov))
     lr_uc, _ = kupiec_test(b.size, int(b.sum()), alpha)
     lr_cc = lr_uc + lr_ind
-    return lr_cc, float(special.chdtrc(2, lr_cc)), lr_ind
+    return lr_cc, float(special().chdtrc(2, lr_cc)), lr_ind
 
 
 def backtest_report(n: int, x: int, alpha: float, breaches) -> VarBacktestReport:
@@ -242,7 +238,6 @@ def diebold_mariano(e1, e2) -> DmReport:
     d_t = e1_t^2 - e2_t^2, whose long-run variance is its plain variance at
     horizon one. Negative statistics favor model 1.
     """
-    from scipy import special
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
     if e1.shape != e2.shape:
@@ -257,5 +252,5 @@ def diebold_mariano(e1, e2) -> DmReport:
     if lrv <= 0:
         return DmReport(0.0, 1.0, n, identical=bool(np.allclose(d, 0.0)))
     stat = dbar / math.sqrt(lrv / n)
-    p = 2.0 * float(special.ndtr(-abs(stat)))
+    p = 2.0 * float(special().ndtr(-abs(stat)))
     return DmReport(stat, p, n)

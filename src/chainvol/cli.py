@@ -115,9 +115,18 @@ def resolve_config(args) -> PipelineConfig:
         raise ChainvolError(str(exc), path, lines[exc.key]) from None
 
 
-def _write_json(path, payload: dict, config: PipelineConfig) -> None:
+def _json_text(payload: dict, config: PipelineConfig) -> str:
     payload = {"schema_version": SCHEMA_VERSION, "config": config.to_dict(), **payload}
-    ingest.atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write_reports(directory, texts: dict) -> None:
+    """Write each text to the file of its name in directory: all or none, so
+    a failed run leaves the reports of an earlier run as they were."""
+    paths = [os.path.join(directory, name) for name in texts]
+    with ingest.atomic_files(*paths) as files:
+        for fh, text in zip(files, texts.values()):
+            fh.write(text)
 
 
 def _wide_calendar() -> ingest.DailyCalendar:
@@ -237,7 +246,7 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     X_std = np.column_stack([stats.standardize(X[:, j]) for j in range(X.shape[1])])
     names = ["A_l", "A_r", "A_x", "O_l", "O_r", "O_x"]
     report = stats.ols_fit(y_std, X_std, names=names)
-    _write_json(os.path.join(args.out, "ols_report.json"), report.to_dict(), config)
+    texts = {"ols_report.json": _json_text(report.to_dict(), config)}
 
     # conditional loss-density moments, losses standardized over the full sample
     loss_std = stats.standardize(-r)
@@ -251,7 +260,7 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
             moments_payload[key] = stats.conditional_moments(
                 loss_std, c, config.alpha_tail, tail
             ).to_dict()
-    _write_json(os.path.join(args.out, "conditional_moments.json"), moments_payload, config)
+    texts["conditional_moments.json"] = _json_text(moments_payload, config)
 
     # density plot data: three curves per panel
     for label, c in panels.items():
@@ -265,9 +274,8 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
             grid, dens = stats.gaussian_kde_grid(sample)
             for g, d in zip(grid, dens):
                 lines.append(f"{curve},{float(g)!r},{float(d)!r}")
-        ingest.atomic_write_text(
-            os.path.join(args.out, f"density_{label}.csv"), "\n".join(lines) + "\n"
-        )
+        texts[f"density_{label}.csv"] = "\n".join(lines) + "\n"
+    _write_reports(args.out, texts)
     print(f"analysis reports written to {args.out}")
     return 0
 
@@ -284,13 +292,13 @@ def _run_backtest(model: str, X, r, config: PipelineConfig):
     )
 
 
-def _var_series_csv(path, dates, series) -> None:
+def _var_series_csv(dates, series) -> str:
     lines = ["date,var,return,breach"]
     for idx, var, ret, breach in zip(
         series.indices, series.var_value, series.realized_return, series.breach
     ):
         lines.append(f"{dates[idx].isoformat()},{float(var)!r},{float(ret)!r},{int(breach)}")
-    ingest.atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_backtest(args, config: PipelineConfig) -> int:
@@ -312,6 +320,7 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
     os.makedirs(args.out, exist_ok=True)
     models = ["garch", "garchx"] if args.compare else [args.model or "garchx"]
     payload = {"models": {}}
+    texts = {}
     series_by_model = {}
     for model in models:
         series = _run_backtest(model, X, r, config)
@@ -321,7 +330,7 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
             **report.to_dict(),
             "refit_failures": len(series.refit_failures),
         }
-        _var_series_csv(os.path.join(args.out, f"var_series_{model}.csv"), dates, series)
+        texts[f"var_series_{model}.csv"] = _var_series_csv(dates, series)
     if args.compare:
         e = {}
         for model, series in series_by_model.items():
@@ -331,7 +340,8 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
             e[model] = r2 - series.sigma_forecast[-horizon:] ** 2
         dm = bt.diebold_mariano(e["garch"], e["garchx"])
         payload["diebold_mariano"] = dm.to_dict()
-    _write_json(os.path.join(args.out, "backtest_report.json"), payload, config)
+    texts["backtest_report.json"] = _json_text(payload, config)
+    _write_reports(args.out, texts)
     print(f"backtest reports written to {args.out}")
     return 0
 

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, ValidationError
+from .kernels import scipy_extension, special
 from .skewt import normal_logpdf, skewt_logpdf, skewt_quantile, student_t_logpdf
-
-# scipy.special is imported in the functions that call it, so that the stages
-# that never call them (extract, features) never load scipy
 
 SIGMA2_MIN = 1e-12
 PENALTY_NLL = 1e10
@@ -198,42 +196,13 @@ _B = np.ones(1)
 
 
 @functools.cache
-def _scipy_extension(package: str, name: str):
-    """The extension module scipy.<package>.<name>, loaded from its file.
-
-    So the __init__ of its package never runs: scipy/signal/__init__.py would
-    load scipy.stats (through _peak_finding), scipy.spatial and
-    scipy.ndimage, 0.6-0.8 s of every backtest process on a 2-core x86-64
-    VM, and scipy/optimize/__init__.py loads _linprog, _shgo, scipy.linalg
-    and scipy.fft, about 0.3 s more. The module goes into sys.modules under
-    its own name, so a later import of its package uses it.
-    """
-    import importlib.machinery
-    import importlib.util
-    import os
-    import sys
-
-    import scipy
-
-    full_name = f"scipy.{package}.{name}"
-    if full_name not in sys.modules:
-        path = os.path.join(os.path.dirname(scipy.__file__), package,
-                            name + importlib.machinery.EXTENSION_SUFFIXES[0])
-        spec = importlib.util.spec_from_file_location(full_name, path)
-        # an ImportError naming path when the file is missing
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[full_name] = module
-    return sys.modules[full_name]
-
-
 def _linear_filter():
     """scipy.signal._sigtools._linear_filter, the C kernel that lfilter calls
     unchanged for every denominator longer than [1].
     tests/test_row_batches.py::test_kernel_matches_lfilter guards the
     private name against lfilter.
     """
-    return _scipy_extension("signal", "_sigtools")._linear_filter
+    return scipy_extension("signal", "_sigtools")._linear_filter
 
 
 def _lfilter_rows(lags, x, zi=None):
@@ -358,9 +327,8 @@ def innovation_logpdf(z, params, spec: ModelSpec):
 
 def innovation_quantile(params: ArmaGarchXParams, spec: ModelSpec, p):
     """Quantile of the innovation law at probability p (scalar or array)."""
-    from scipy import special
     if spec.distribution == "normal":
-        return special.ndtri(p)
+        return special().ndtri(p)
     xi = params.xi if spec.distribution == "skewt" else 1.0
     return skewt_quantile(p, params.nu, xi)
 
@@ -395,14 +363,12 @@ def neg_log_likelihood(y, x, params, spec: ModelSpec, sigma2_init=None):
 
 def unpack_rows(v, spec: ModelSpec) -> ParamRows:
     """The parameter sets of the rows of v, a stack of packed points."""
-    from scipy import special
-
     # one contiguous array per coordinate: numpy's exp may take another code
     # path on strided input, and each row must give the bits it gives alone
     cols = np.ascontiguousarray(np.atleast_2d(np.asarray(v, dtype=float)).T)
     m = cols.shape[1]
     i = 1 + spec.p + spec.q
-    persistence, split = special.expit(cols[i + 1]), special.expit(cols[i + 2])
+    persistence, split = special().expit(cols[i + 1]), special().expit(cols[i + 2])
     nu, xi = np.full(m, 8.0), np.full(m, 1.0)
     if spec.distribution in ("t", "skewt"):
         nu = 2.0 + np.exp(cols[i + 3 + spec.k])
@@ -448,7 +414,7 @@ def _lbfgsb(fun, x0):
     tests/test_row_batches.py::test_lbfgsb_matches_minimize guards the
     private kernel against minimize.
     """
-    setulb = _scipy_extension("optimize", "_lbfgsb").setulb
+    setulb = scipy_extension("optimize", "_lbfgsb").setulb
     n = x0.size
     x = np.array(x0, dtype=float)
     f, g = 0.0, np.zeros(n)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# scipy.special is imported in the functions that call it, so that the stages
-# that never call them (extract, features) never load scipy
+from .kernels import special
 
 
 def _check_params(nu: float, xi: float) -> None:
@@ -34,9 +33,8 @@ def student_t_logpdf(z, nu):
     normalizing constant log Gamma((nu+1)/2) - log Gamma(nu/2) is taken as
     log poch(nu/2, 1/2), as scipy does, which keeps it accurate for large nu.
     """
-    from scipy import special
     z = np.asarray(z, dtype=float)
-    return (np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * np.log((nu - 2.0) * np.pi)
+    return (np.log(special().poch(0.5 * nu, 0.5)) - 0.5 * np.log((nu - 2.0) * np.pi)
             - 0.5 * (nu + 1.0) * np.log1p(z * z / (nu - 2.0)))
 
 
@@ -57,8 +55,7 @@ def _fs_constants(nu, xi):
 
     m1 is the absolute first moment of the unit-variance Student-t.
     """
-    from scipy import special
-    m1 = 2.0 * np.sqrt(nu - 2.0) / (nu - 1.0) / special.beta(nu / 2.0, 0.5)
+    m1 = 2.0 * np.sqrt(nu - 2.0) / (nu - 1.0) / special().beta(nu / 2.0, 0.5)
     mean = m1 * (xi - 1.0 / xi)
     m1_2, xi_2 = _square(m1), _square(xi)
     var = (1.0 - m1_2) * (xi_2 + 1.0 / xi_2) + 2.0 * m1_2 - 1.0
@@ -84,21 +81,19 @@ def skewt_pdf(z, nu: float, xi: float):
 
 
 def skewt_cdf(z, nu: float, xi: float):
-    from scipy import special
     _check_params(nu, xi)
     z = np.asarray(z, dtype=float)
     mean, sd = _fs_constants(nu, xi)
     w = sd * z + mean
     c = _std_t_scale(nu)
-    lo = 2.0 / (1.0 + xi**2) * special.stdtr(nu, w * xi * c)
-    hi = 1.0 / (1.0 + xi**2) + 2.0 * xi**2 / (1.0 + xi**2) * (special.stdtr(nu, w / xi * c) - 0.5)
+    lo = 2.0 / (1.0 + xi**2) * special().stdtr(nu, w * xi * c)
+    hi = 1.0 / (1.0 + xi**2) + 2.0 * xi**2 / (1.0 + xi**2) * (special().stdtr(nu, w / xi * c) - 0.5)
     out = np.where(w < 0, lo, hi)
     return out if out.ndim else float(out)
 
 
 def skewt_quantile(p, nu: float, xi: float):
     """Inverse CDF via the closed-form piecewise inversion of the skewing."""
-    from scipy import special
     _check_params(nu, xi)
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0) | (p >= 1)):
@@ -106,8 +101,8 @@ def skewt_quantile(p, nu: float, xi: float):
     mean, sd = _fs_constants(nu, xi)
     c = _std_t_scale(nu)
     p0 = 1.0 / (1.0 + xi**2)  # mass left of the mode-side split point w = 0
-    w_lo = special.stdtrit(nu, (1.0 + xi**2) * p / 2.0) / (xi * c)
-    w_hi = special.stdtrit(nu, (p - p0) * (1.0 + xi**2) / (2.0 * xi**2) + 0.5) * xi / c
+    w_lo = special().stdtrit(nu, (1.0 + xi**2) * p / 2.0) / (xi * c)
+    w_hi = special().stdtrit(nu, (p - p0) * (1.0 + xi**2) / (2.0 * xi**2) + 0.5) * xi / c
     w = np.where(p < p0, w_lo, w_hi)
     out = (w - mean) / sd
     return out if out.ndim else float(out)

@@ -9,9 +9,7 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, ValidationError
 from .ingest import PriceSeries
-
-# scipy.special is imported in the functions that call it, so that the stages
-# that never call them (extract, features) never load scipy
+from .kernels import special
 
 # gaussian_kde_grid's grid: its points, and its margin in bandwidths on each
 # side of the sample
@@ -110,7 +108,6 @@ def ols_fit(y, X, names=None) -> OlsReport:
     p-values use n - k - 1 degrees of freedom where k counts the non-intercept
     regressors.
     """
-    from scipy import special
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     n, k = X.shape
@@ -137,7 +134,7 @@ def ols_fit(y, X, names=None) -> OlsReport:
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):  # se == 0 on perfect fits
         t_value = coef / se
-    p_value = 2.0 * special.stdtr(dof, -np.abs(t_value))
+    p_value = 2.0 * special().stdtr(dof, -np.abs(t_value))
     return OlsReport(names, coef, se, t_value, p_value, n, k)
 
 

@@ -408,6 +408,24 @@ class TestAnalyze:
             outs.append((out / "ols_report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_failed_run_keeps_old_reports(self, dataset, tmp_path, capsys):
+        # 40 days leave 2 observations in a 5 % tail: the moments fail after
+        # the OLS report is made, and no report of an earlier run changes
+        features = tmp_path / "f.csv"
+        lines = dataset["features"].read_text().splitlines(keepends=True)
+        features.write_text("".join(lines[:41]))
+        out = tmp_path / "analysis"
+        out.mkdir()
+        old = {name: f"old {name}\n" for name in (
+            "ols_report.json", "conditional_moments.json", "density_A_x.csv", "density_O_x.csv")}
+        for name, text in old.items():
+            (out / name).write_text(text)
+        assert cli.main([
+            "analyze", str(features), str(dataset["data"] / "prices.csv"), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == "error: only 2 observations in the lower tail subsample\n"
+        assert {p.name: p.read_text() for p in out.iterdir()} == old
+
     def test_null_features_not_systematically_significant(self, tmp_path):
         # features independent of losses: OLS should rarely reject
         import datetime as dt
@@ -503,6 +521,25 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "bt").exists()
+
+    def test_failed_run_keeps_old_reports(self, dataset, tmp_path, capsys):
+        # the report path is a directory, found after both series are made:
+        # no file of an earlier run changes
+        out = tmp_path / "bt"
+        (out / "backtest_report.json").mkdir(parents=True)
+        old = {f"var_series_{model}.csv": f"old {model}\n" for model in ("garch", "garchx")}
+        for name, text in old.items():
+            (out / name).write_text(text)
+        assert cli.main([
+            "backtest", str(dataset["features"]), str(dataset["data"] / "prices.csv"),
+            "--out", str(out), "--compare", "--window", "60", "--refit-every", "20",
+            "--restarts", "1", "--arma-p", "0", "--arma-q", "0", "--distribution", "normal",
+            "--horizon", "10",
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {out / 'backtest_report.json'}: Is a directory\n"
+        assert {p.name: p.read_text() for p in out.iterdir() if p.is_file()} == old
+        assert sorted(os.listdir(out)) == ["backtest_report.json", *sorted(old)]
+        assert os.listdir(out / "backtest_report.json") == []
 
     def test_window_too_large_fails(self, dataset, tmp_path, capsys):
         assert cli.main([
@@ -825,25 +862,32 @@ class TestTopLevelFlags:
 
 
 def test_import_does_not_load_scipy_signal(dataset, tmp_path):
-    # the filter loads lfilter's C kernel and the fit L-BFGS-B's C kernel
-    # from their extension files, every caller of scipy.special imports that
-    # module where it runs, and scipy.stats is not used at all; so importing
-    # chainvol.cli, extract and features load no scipy, and backtest loads
-    # neither the scipy.signal nor the scipy.optimize package, no module of
-    # scipy.optimize but the L-BFGS-B kernel, and no scipy.stats
+    # chainvol loads each scipy kernel it calls from its extension file
+    # (chainvol.kernels) and does not use scipy.stats; so importing
+    # chainvol.cli, extract and features load no scipy, and analyze and
+    # backtest load scipy.special._ufuncs but not the scipy.special package,
+    # whose __init__ loads scipy._lib.array_api_compat and numpy.f2py, and
+    # backtest loads neither the scipy.signal nor the scipy.optimize package,
+    # no module of scipy.optimize but the L-BFGS-B kernel, and no scipy.stats
     code = textwrap.dedent("""
         import sys, chainvol.cli
         def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+        def packages():
+            assert 'scipy.special._ufuncs' in sys.modules
+            return [m for m in sys.modules if m in ('scipy.special', 'scipy.signal', 'scipy.stats')
+                    or m.startswith(('scipy._lib.array_api_compat', 'numpy.f2py'))
+                    or m.split('.')[:2] == ['scipy', 'optimize'] and m != 'scipy.optimize._lbfgsb']
         print(scipy())
-        tx, occ, amo, prices, out, bt = sys.argv[1:]
+        tx, occ, amo, prices, out, an, bt = sys.argv[1:]
         main = chainvol.cli.main
         assert main(['extract', tx, '--out-occurrence', occ, '--out-amount', amo]) == 0
         assert main(['features', occ, amo, prices, '--out', out]) == 0
         print(scipy())
+        assert main(['analyze', out, prices, '--out', an]) == 0
+        print(packages())
         assert main(['backtest', out, prices, '--out', bt, '--window', '60',
                      '--refit-every', '20', '--restarts', '1']) == 0
-        print([m for m in sys.modules if m in ('scipy.signal', 'scipy.stats')
-               or m.split('.')[:2] == ['scipy', 'optimize'] and m != 'scipy.optimize._lbfgsb'])
+        print(packages())
         assert 'scipy.optimize._lbfgsb' in sys.modules
     """)
     data = dataset["data"]
@@ -851,12 +895,56 @@ def test_import_does_not_load_scipy_signal(dataset, tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code, str(data / "transactions.csv"), str(tmp_path / "occ.txt"),
          str(tmp_path / "amo.txt"), str(data / "prices.csv"), str(tmp_path / "f.csv"),
-         str(tmp_path / "bt")],
+         str(tmp_path / "an"), str(tmp_path / "bt")],
         capture_output=True, text=True, env=env, check=True)
-    # the three module lists, between the stages' own messages
-    assert [line for line in out.stdout.splitlines() if line.startswith("[")] == ["[]"] * 3
+    # the four module lists, between the stages' own messages
+    assert [line for line in out.stdout.splitlines() if line.startswith("[")] == ["[]"] * 4
     assert (tmp_path / "f.csv").read_bytes() == dataset["features"].read_bytes()
+    assert (tmp_path / "an" / "ols_report.json").exists()
     assert (tmp_path / "bt" / "backtest_report.json").exists()
+
+
+def test_later_scipy_special_import_matches_a_fresh_process(dataset, tmp_path):
+    # after a backtest has loaded the ufunc kernel, `from scipy import
+    # special` exports the same ufuncs, and its errstate warns and raises as
+    # in a process that never ran chainvol
+    code = textwrap.dedent("""
+        import sys, warnings
+        if len(sys.argv) > 1:
+            import chainvol.cli
+            from chainvol import kernels
+            features, prices, bt = sys.argv[1:]
+            assert chainvol.cli.main(['backtest', features, prices, '--out', bt, '--window', '60',
+                                      '--refit-every', '20', '--restarts', '1']) == 0
+            assert 'scipy.special' not in sys.modules
+        from scipy import special
+        if len(sys.argv) > 1:
+            names = ['chdtrc', 'ndtr', 'ndtri', 'expit', 'poch', 'beta', 'stdtr', 'stdtrit']
+            assert all(getattr(special, n) is getattr(kernels.special(), n) for n in names)
+        with special.errstate(all='warn'), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter('always')
+            special.gammaln(0.0)
+            special.ndtri(2.0)
+        print([(w.category.__name__, str(w.message)) for w in caught])
+        with special.errstate(all='raise'):
+            for f, args in ((special.stdtrit, (5.0, 2.0)), (special.beta, (0.0, 0.5))):
+                try:
+                    f(*args)
+                    print('no error')
+                except special.SpecialFunctionError as exc:
+                    print(repr(exc))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, check=True).stdout.splitlines()
+
+    after = run(str(dataset["features"]), str(dataset["data"] / "prices.csv"), str(tmp_path / "bt"))
+    fresh = run()
+    assert after[-3:] == fresh
+    assert fresh[0].count("SpecialFunctionWarning") == 2
+    assert all(line.startswith("SpecialFunctionError(") for line in fresh[1:])
 
 
 def test_extract_runs_under_cprofile(dataset, tmp_path):
