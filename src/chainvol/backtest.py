@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FitError, ValidationError
+from .errors import FitError, NonFiniteStateError, ValidationError
 from .garchx import ArmaGarchXParams, FitResult, ModelSpec, fit, forecast_one, innovation_quantile
 from .kernels import special
 
@@ -167,11 +167,11 @@ def rolling_backtest(
     y,
     x,
     spec: ModelSpec,
-    window: int = 250,
-    refit_every: int = 7,
-    level: float = 0.01,
-    restarts: int = 5,
-    seed: int = 0,
+    window: int,
+    refit_every: int,
+    level: float,
+    restarts: int,
+    seed: int,
 ) -> VarSeries:
     """Roll one-step VaR forecasts over the series with periodic refitting.
 
@@ -186,7 +186,8 @@ def rolling_backtest(
     of at most BATCH_CELLS days x window: one forecast_one call per chunk,
     which runs the filter one day past each window, with the refit's
     regressor standardization applied to the chunk's span at once. The
-    block's VaR quantile is computed once.
+    block's VaR quantile is computed once. A forecast whose filter state is
+    not finite is a NonFiniteStateError that names the day's position in y.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
@@ -221,7 +222,10 @@ def rolling_backtest(
                 span = current.transform_x(x[:, lo: window + hi])
                 # each window's regressors and those of its forecast day
                 xw = sliding_window_view(span, window + 1, axis=1).transpose(1, 0, 2)
-            means[lo:hi], sigmas[lo:hi] = forecast_one(params, spec, yw, xw)
+            try:
+                means[lo:hi], sigmas[lo:hi] = forecast_one(params, spec, yw, xw)
+            except NonFiniteStateError as exc:
+                raise NonFiniteStateError(window + lo + exc.day) from None
         var_values[start:stop] = var_from_forecast(
             means[start:stop], sigmas[start:stop], params, spec, level)
 

@@ -65,7 +65,7 @@ class DayCubeBuilder:
     the sums, so it comes after the last ``add``; an ``add`` after it raises.
     """
 
-    def __init__(self, threshold: int = DEFAULT_THRESHOLD):
+    def __init__(self, threshold: int):
         self.dim = threshold
         self._first = 0  # epoch day of the accumulators' first layer
         self._occ = np.zeros(0, dtype=np.int64)  # flat: (day - first)·N² + cell
@@ -180,7 +180,7 @@ class ExtremeFeatureRow:
 
 
 # the one caller is pipebench/test_checks.py; extract goes through DayCubeBuilder
-def build_matrix(day: dt.date, rows, threshold: int = DEFAULT_THRESHOLD) -> ChainletMatrix:
+def build_matrix(day: dt.date, rows, threshold: int) -> ChainletMatrix:
     """Aggregate one day's ``n_inputs, n_outputs, amount`` rows through ``DayCubeBuilder``."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
     builder = DayCubeBuilder(threshold)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import backtest as bt
 from . import chainlets, garchx, ingest, stats, synth
-from .errors import ChainvolError
+from .errors import ChainvolError, NonFiniteStateError, ValidationError
 
 SCHEMA_VERSION = 1
 
@@ -323,7 +323,11 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
     texts = {}
     series_by_model = {}
     for model in models:
-        series = _run_backtest(model, X, r, config)
+        try:
+            series = _run_backtest(model, X, r, config)
+        except NonFiniteStateError as exc:
+            raise ValidationError(f"non-finite filter state in the forecast of "
+                                  f"{dates[exc.day]}", args.features) from None
         series_by_model[model] = series
         report = bt.backtest_report(series.n, series.n_breaches, config.var_level, series.breach)
         payload["models"][model] = {

@@ -16,7 +16,7 @@ class ChainvolError(Exception):
 class ParseError(ChainvolError):
     """A file line could not be parsed. Carries the path and 1-based line number."""
 
-    def __init__(self, message, path=None, line_no=None):
+    def __init__(self, message, path, line_no):
         self.path = path
         self.line_no = line_no
         super().__init__(message, path, line_no)
@@ -44,3 +44,13 @@ class DegenerateSeriesError(ChainvolError):
 
 class FitError(ChainvolError):
     """Model estimation failed across all restarts."""
+
+
+class NonFiniteStateError(ChainvolError):
+    """A forecast's filter state is not finite. day is the position of its
+    forecast day: among the windows of forecast_one, then in the series of
+    rolling_backtest."""
+
+    def __init__(self, day):
+        self.day = day
+        super().__init__(f"non-finite filter state forecasting day {day}")

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ValidationError
+from .errors import FitError, NonFiniteStateError, ValidationError
 from .kernels import scipy_extension, special
 from .skewt import normal_logpdf, skewt_logpdf, skewt_quantile, student_t_logpdf
 
@@ -54,79 +54,28 @@ class ModelSpec:
 
 @dataclass
 class ArmaGarchXParams:
-    mu: float = 0.0
-    phi: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    theta: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    alpha0: float = 1e-6
-    alpha1: float = 0.05
-    beta: float = 0.90
-    beta_x: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    nu: float = 8.0
-    xi: float = 1.0
+    """m parameter sets as a struct of arrays, one row per set: mu, alpha0,
+    alpha1, beta, nu and xi are (m,) arrays, phi, theta and beta_x
+    (m, length) arrays. Scalars and 1-D coefficient lists make one row."""
+
+    mu: np.ndarray = 0.0
+    phi: np.ndarray = ()
+    theta: np.ndarray = ()
+    alpha0: np.ndarray = 1e-6
+    alpha1: np.ndarray = 0.05
+    beta: np.ndarray = 0.90
+    beta_x: np.ndarray = ()
+    nu: np.ndarray = 8.0
+    xi: np.ndarray = 1.0
 
     def __post_init__(self):
-        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        self.beta_x = np.atleast_1d(np.asarray(self.beta_x, dtype=float)) if np.size(self.beta_x) else np.zeros(0)
-
-    def is_valid(self) -> bool:
-        """ParamRows.is_valid of this one parameter set."""
-        return bool(ParamRows.of(self).is_valid()[0])
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": float(self.mu),
-            "phi": [float(v) for v in self.phi],
-            "theta": [float(v) for v in self.theta],
-            "alpha0": float(self.alpha0),
-            "alpha1": float(self.alpha1),
-            "beta": float(self.beta),
-            "beta_x": [float(v) for v in self.beta_x],
-            "nu": float(self.nu),
-            "xi": float(self.xi),
-        }
-
-
-@dataclass
-class ParamRows:
-    """m parameter sets as a struct of arrays, one row per set.
-
-    The fields are those of ArmaGarchXParams: phi, theta and beta_x are
-    (m, length) arrays, the others (m,) arrays.
-    """
-
-    mu: np.ndarray
-    phi: np.ndarray
-    theta: np.ndarray
-    alpha0: np.ndarray
-    alpha1: np.ndarray
-    beta: np.ndarray
-    beta_x: np.ndarray
-    nu: np.ndarray
-    xi: np.ndarray
-
-    @classmethod
-    def of(cls, params: ArmaGarchXParams) -> "ParamRows":
-        """The one-row struct of a single parameter set."""
-        def scalar(v):
-            return np.array([v], dtype=float)
-        return cls(
-            mu=scalar(params.mu), phi=params.phi[None, :], theta=params.theta[None, :],
-            alpha0=scalar(params.alpha0), alpha1=scalar(params.alpha1),
-            beta=scalar(params.beta), beta_x=params.beta_x[None, :],
-            nu=scalar(params.nu), xi=scalar(params.xi),
-        )
+        for name in ("mu", "alpha0", "alpha1", "beta", "nu", "xi"):
+            setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+        for name in ("phi", "theta", "beta_x"):
+            setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
 
     def __len__(self) -> int:
         return self.mu.size
-
-    def row(self, i: int) -> ArmaGarchXParams:
-        return ArmaGarchXParams(
-            mu=float(self.mu[i]), phi=self.phi[i].copy(), theta=self.theta[i].copy(),
-            alpha0=float(self.alpha0[i]), alpha1=float(self.alpha1[i]),
-            beta=float(self.beta[i]), beta_x=self.beta_x[i].copy(),
-            nu=float(self.nu[i]), xi=float(self.xi[i]),
-        )
 
     def is_valid(self) -> np.ndarray:
         """The parameter invariants of every row, as a boolean (m,) array:
@@ -137,10 +86,24 @@ class ParamRows:
                 & (self.alpha1 + self.beta < 1) & (self.nu > 2) & (self.xi > 0)
                 & np.isfinite(coefficients).all(axis=1))
 
+    def to_dict(self) -> dict:
+        """The fields of a one-row set, as floats and lists of floats."""
+        return {
+            "mu": self.mu.item(),
+            "phi": self.phi[0].tolist(),
+            "theta": self.theta[0].tolist(),
+            "alpha0": self.alpha0.item(),
+            "alpha1": self.alpha1.item(),
+            "beta": self.beta.item(),
+            "beta_x": self.beta_x[0].tolist(),
+            "nu": self.nu.item(),
+            "xi": self.xi.item(),
+        }
+
 
 def _check_orders(params, spec: ModelSpec) -> None:
-    """A ValidationError when the length of phi, theta or beta_x of params, an
-    ArmaGarchXParams or a ParamRows, is not its order in spec."""
+    """A ValidationError when the length of phi, theta or beta_x of params is
+    not its order in spec."""
     for name, order, value in (("phi", "p", spec.p), ("theta", "q", spec.q),
                                ("beta_x", "k", spec.k)):
         length = getattr(params, name).shape[-1]
@@ -173,9 +136,11 @@ class FitResult:
     x_std: np.ndarray
 
     def transform_x(self, x) -> np.ndarray:
-        """Apply the standardization recorded at fit time to raw regressors."""
+        """Apply the standardization recorded at fit time to raw regressors. A
+        value that overflows becomes inf, which forecast_one reports."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return (x - self.x_mean[:, None]) / self.x_std[:, None]
+        with np.errstate(over="ignore"):
+            return (x - self.x_mean[:, None]) / self.x_std[:, None]
 
 
 def _xvar(x, beta_x, T: int) -> np.ndarray:
@@ -227,11 +192,12 @@ def _lfilter_rows(lags, x, zi=None):
     return out
 
 
-def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
-    """Return (residuals u, conditional variances sigma2) for an observed path.
+def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec, sigma2_init):
+    """Return (residuals u, conditional variances sigma2) for an observed path,
+    each an (m, T) array.
 
     Initialization: pre-sample y and u are zero, pre-sample variance is
-    sigma2_init (a float, or one per window), by default the sample
+    sigma2_init (a float, or one per window), or with None the sample
     variance of each series.
 
     With the parameters fixed, both recursions are linear filters. The MA
@@ -243,32 +209,28 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
     floored day on.
 
     The filter runs over blocks of rows, in one of two shapes: m parameter
-    sets over one series, params a ParamRows and y (T,) with x (k, T), or one
-    parameter set over m windows, y (m, T) with x (m, k, T). A block gives
-    (m, T) arrays whose rows are bit for bit what each row gives alone, its
-    regressors in the same memory layout.
+    sets over one series, y (T,) with x (k, T), or one parameter set over m
+    windows, y (m, T) with x (m, k, T). Each row is bit for bit what it gives
+    alone, its regressors in the same memory layout.
     Every row runs through both recursions. Each recursion is one call of
     lfilter's C kernel, and beta_x' x one product, for the rows that share
     row 0's coefficients and one for each other row. A state that is not
-    finite is a ValidationError for one ArmaGarchXParams; rows of a
-    ParamRows keep it, for the caller to check.
+    finite stays in its row, for the caller to check.
     """
-    rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
-    _check_orders(rows, spec)
-    y = np.asarray(y, dtype=float)
-    ys = np.atleast_2d(y)
+    _check_orders(params, spec)
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
     T = ys.shape[1]
     if T < max(spec.p, spec.q) + 2:
         raise ValidationError(f"series of length {T} too short for ARMA({spec.p},{spec.q})")
-    if len(rows) > 1 and ys.shape[0] > 1:
-        raise ValidationError(f"{len(rows)} parameter rows vs {ys.shape[0]} series")
-    m = max(len(rows), ys.shape[0])
-    phi, theta = rows.phi, rows.theta
+    if len(params) > 1 and ys.shape[0] > 1:
+        raise ValidationError(f"{len(params)} parameter rows vs {ys.shape[0]} series")
+    m = max(len(params), ys.shape[0])
+    phi, theta = params.phi, params.theta
     # matmul sums a strided vector (a row of unpack_rows' transposed beta_x)
     # in another order than BLAS does, and each row must give its own bits
-    beta_x = np.ascontiguousarray(rows.beta_x)
+    beta_x = np.ascontiguousarray(params.beta_x)
     # a shared series broadcasts over the rows, a single row over the windows
-    e = ys - rows.mu[:, None]
+    e = ys - params.mu[:, None]
     for i in range(phi.shape[1]):
         e[:, i + 1:] -= phi[:, i, None] * ys[:, : T - 1 - i]
     u = _lfilter_rows(theta, e)
@@ -278,10 +240,10 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
         x = np.asarray(x, dtype=float)
         for first, group in _groups(beta_x):
             xvar[group] = _xvar(x, beta_x[first], T)
-    c = rows.alpha0[:, None] + xvar
-    c[:, 1:] += rows.alpha1[:, None] * (u[:, :-1] * u[:, :-1])
+    c = params.alpha0[:, None] + xvar
+    c[:, 1:] += params.alpha1[:, None] * (u[:, :-1] * u[:, :-1])
     s2_init = ys.var(axis=1) if sigma2_init is None else np.asarray(sigma2_init, dtype=float)
-    beta = rows.beta
+    beta = params.beta
     sigma2 = _lfilter_rows(-beta[:, None], c, zi=(beta * s2_init)[:, None])
     beta = np.broadcast_to(beta, m)
     for r in np.flatnonzero((sigma2 < SIGMA2_MIN).any(axis=1)):
@@ -295,73 +257,64 @@ def filter_model(y, x, params, spec: ModelSpec, sigma2_init=None):
                 s2 = SIGMA2_MIN
             tail.append(s2)
         sigma2[r, t0:] = tail
-
-    if isinstance(params, ParamRows):
-        return u, sigma2
-    finite = np.isfinite(u) & np.isfinite(sigma2)
-    if not finite.all():
-        raise ValidationError(f"non-finite filter state at t={int(np.argwhere(~finite)[0, 1])}")
-    return (u[0], sigma2[0]) if y.ndim == 1 else (u, sigma2)
+    return u, sigma2
 
 
-def innovation_logpdf(z, params, spec: ModelSpec):
+def innovation_logpdf(z, params: ArmaGarchXParams, spec: ModelSpec):
     """Log-density of the standardized innovations z.
 
-    One ArmaGarchXParams is taken as a one-row ParamRows. Row r of z takes
-    row r's parameters of the law: none for normal, nu for t and (nu, xi)
-    for skewt. The density runs once on all of z, with nu and xi as (m,)
-    arrays shaped to broadcast against z: (m, 1) columns over an (m, T)
-    block, and (1,) over the 1-D z of one row. Each row gives, bit for bit,
-    what it gives alone, and an extreme nu or xi gives inf or nan, not a
-    Python ZeroDivisionError or OverflowError.
+    Row r of z takes row r's parameters of the law: none for normal, nu for
+    t and (nu, xi) for skewt. The density runs once on all of z, with nu and
+    xi as (m,) arrays shaped to broadcast against z: (m, 1) columns over an
+    (m, T) block, and (1,) over the 1-D z of one row. Each row gives, bit
+    for bit, what it gives alone, and an extreme nu or xi gives inf or nan,
+    not a Python ZeroDivisionError or OverflowError.
     """
     if spec.distribution == "normal":
         return normal_logpdf(z)
-    rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
     column = (slice(None),) + (None,) * (np.ndim(z) - 1)
-    nu, xi = rows.nu[column], rows.xi[column]
+    nu, xi = params.nu[column], params.xi[column]
     if spec.distribution == "t":
         return student_t_logpdf(z, nu)
     return skewt_logpdf(z, nu, xi)
 
 
 def innovation_quantile(params: ArmaGarchXParams, spec: ModelSpec, p):
-    """Quantile of the innovation law at probability p (scalar or array)."""
+    """Quantile of the innovation law of row 0 at probability p (scalar or
+    array). nu and xi go to skewt_quantile as Python floats, whose squares
+    ** takes with the C library's pow."""
     if spec.distribution == "normal":
         return special().ndtri(p)
-    xi = params.xi if spec.distribution == "skewt" else 1.0
-    return skewt_quantile(p, params.nu, xi)
+    xi = float(params.xi[0]) if spec.distribution == "skewt" else 1.0
+    return skewt_quantile(p, float(params.nu[0]), xi)
 
 
-def neg_log_likelihood(y, x, params, spec: ModelSpec, sigma2_init=None):
-    """-sum_t [ log f(u_t/sigma_t) - log sigma_t ]; large finite penalty for
-    invalid parameters so optimizers never see an exception.
+def neg_log_likelihood(y, x, params: ArmaGarchXParams, spec: ModelSpec, sigma2_init=None):
+    """-sum_t [ log f(u_t/sigma_t) - log sigma_t ] of each row of params, as an
+    (m,) array; large finite penalty for invalid parameters so optimizers
+    never see an exception.
 
-    params is a ParamRows, giving one value per row, or one ArmaGarchXParams,
-    which is taken as a one-row ParamRows and gives that row's value as a
-    float. Every row runs through one filter_model call and one density
-    call; a row that fails ParamRows.is_valid or whose total is not finite
-    then gets PENALTY_NLL. A filter state that is not finite always gives
-    a total that is not finite. y is one series; sigma2_init is as for
-    filter_model, and the filter's ValidationError on the orders or the
-    shapes of y and x reaches the caller.
+    Every row runs through one filter_model call and one density call; a
+    row that fails is_valid or whose total is not finite then gets
+    PENALTY_NLL. A filter state that is not finite always gives a total that
+    is not finite. y is one series; sigma2_init is as for filter_model, and
+    the filter's ValidationError on the orders or the shapes of y and x
+    reaches the caller.
     """
-    rows = params if isinstance(params, ParamRows) else ParamRows.of(params)
     # rows in overflow territory or outside the invariants get the penalty,
     # so their numpy warnings carry no information
     with np.errstate(all="ignore"):
-        u, sigma2 = filter_model(y, x, rows, spec, sigma2_init)
+        u, sigma2 = filter_model(y, x, params, spec, sigma2_init)
         z = u / np.sqrt(sigma2)
-        total = (innovation_logpdf(z, rows, spec) - 0.5 * np.log(sigma2)).sum(axis=1)
-    nll = np.where(rows.is_valid() & np.isfinite(total), -total, PENALTY_NLL)
-    return nll if isinstance(params, ParamRows) else float(nll[0])
+        total = (innovation_logpdf(z, params, spec) - 0.5 * np.log(sigma2)).sum(axis=1)
+    return np.where(params.is_valid() & np.isfinite(total), -total, PENALTY_NLL)
 
 
 # --- unconstrained reparameterization -------------------------------------
 # layout: mu, phi(p), theta(q), log(alpha0), logit(persistence), logit(split),
 #         beta_x(k), [log(nu-2)], [log(xi)]
 
-def unpack_rows(v, spec: ModelSpec) -> ParamRows:
+def unpack_rows(v, spec: ModelSpec) -> ArmaGarchXParams:
     """The parameter sets of the rows of v, a stack of packed points."""
     # one contiguous array per coordinate: numpy's exp may take another code
     # path on strided input, and each row must give the bits it gives alone
@@ -374,7 +327,7 @@ def unpack_rows(v, spec: ModelSpec) -> ParamRows:
         nu = 2.0 + np.exp(cols[i + 3 + spec.k])
     if spec.distribution == "skewt":
         xi = np.exp(cols[i + 4 + spec.k])
-    return ParamRows(
+    return ArmaGarchXParams(
         mu=cols[0], phi=cols[1: 1 + spec.p].T, theta=cols[1 + spec.p: i].T,
         alpha0=np.exp(cols[i]), alpha1=persistence * split,
         beta=persistence * (1.0 - split), beta_x=cols[i + 3: i + 3 + spec.k].T,
@@ -446,7 +399,7 @@ def _lbfgsb(fun, x0):
             return x, iterations, bool(task[0] == 4)
 
 
-def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
+def fit(y, x, spec: ModelSpec, restarts: int, seed: int) -> FitResult:
     """Maximum-likelihood fit on the transformed space: ``restarts`` L-BFGS-B
     runs, all but the first from start_point plus noise drawn from ``seed``.
 
@@ -511,7 +464,7 @@ def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
                        f"(nll {start_nll})")
 
     return FitResult(
-        spec=spec, params=unpack_rows(best_v, spec).row(0), loglik=-best_nll,
+        spec=spec, params=unpack_rows(best_v, spec), loglik=-best_nll,
         converged=any_converged, iterations=n_iter, x_mean=x_mean, x_std=x_std,
     )
 
@@ -519,22 +472,24 @@ def fit(y, x, spec: ModelSpec, restarts: int = 5, seed: int = 0) -> FitResult:
 def simulate(params: ArmaGarchXParams, spec: ModelSpec, x, T: int, seed: int):
     """Generate a return path; deterministic given the seed.
 
-    Returns (y, u, sigma2). Innovations are drawn by inverse transform from
-    the innovation law named in the model specification.
+    Returns (y, u, sigma2) of row 0 of params, read as Python floats.
+    Innovations are drawn by inverse transform from the innovation law named
+    in the model specification.
     """
     _check_orders(params, spec)
-    if not params.is_valid():
+    if not params.is_valid()[0]:
         raise ValidationError(f"parameter invariants violated: {params.to_dict()}")
     rng = np.random.default_rng(seed)
     z = np.asarray(innovation_quantile(params, spec, rng.uniform(size=T)))
-    xvar = _xvar(x, params.beta_x, T)
-    persistence = params.alpha1 + params.beta
-    s2 = params.alpha0 / (1.0 - persistence) if persistence < 1 else params.alpha0
+    xvar = _xvar(x, params.beta_x[0], T)
     # sigma_t enters the mean through u_t, so this recursion is not a linear
     # filter; it runs once per path, off the likelihood's hot path
-    alpha0, alpha1, beta, mu = params.alpha0, params.alpha1, params.beta, params.mu
-    phi = params.phi.tolist()
-    theta = params.theta.tolist()
+    mu, alpha0, alpha1, beta = (float(v[0]) for v in (
+        params.mu, params.alpha0, params.alpha1, params.beta))
+    persistence = alpha1 + beta
+    s2 = alpha0 / (1.0 - persistence) if persistence < 1 else alpha0
+    phi = params.phi[0].tolist()
+    theta = params.theta[0].tolist()
     y, u, sigma2 = [], [], []
     for t, (z_t, xvar_t) in enumerate(zip(z.tolist(), xvar.tolist())):
         if t == 0:
@@ -562,11 +517,18 @@ def forecast_one(params: ArmaGarchXParams, spec: ModelSpec, y, x):
     regressors and its forecast day's, on the scale the model was fit on.
     Each window's own sample variance is its pre-sample variance, as in
     filter_model on the window alone, so each entry is bit for bit what its
-    window gives alone.
+    window gives alone. A window whose filter state is not finite, as where
+    a regressor overflowed in its standardization, is a NonFiniteStateError
+    that names the first such window.
     """
     y = np.asarray(y, dtype=float)
     m, T = y.shape
     ahead = np.zeros((m, T + 1))
     ahead[:, :T] = y
-    u, sigma2 = filter_model(ahead, x, params, spec, sigma2_init=y.var(axis=1))
+    # an overflow gives inf or nan, which the check below reports
+    with np.errstate(all="ignore"):
+        u, sigma2 = filter_model(ahead, x, params, spec, y.var(axis=1))
+    finite = (np.isfinite(u) & np.isfinite(sigma2)).all(axis=1)
+    if not finite.all():
+        raise NonFiniteStateError(int(np.argmin(finite)))
     return -u[:, -1], np.sqrt(sigma2[:, -1])

@@ -101,7 +101,7 @@ def standardize(x) -> np.ndarray:
     return (x - mean) / std
 
 
-def ols_fit(y, X, names=None) -> OlsReport:
+def ols_fit(y, X, names) -> OlsReport:
     """Classical OLS with an intercept, homoskedastic standard errors and
     Student-t p-values.
 
@@ -111,8 +111,6 @@ def ols_fit(y, X, names=None) -> OlsReport:
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     n, k = X.shape
-    if names is None:
-        names = [f"x{i + 1}" for i in range(k)]
     X = np.column_stack([np.ones(n), X])
     names = ["(Intercept)"] + list(names)
     n_params = X.shape[1]

@@ -142,7 +142,8 @@ class TestRollingBacktest:
         true = ArmaGarchXParams(alpha0=0.05, alpha1=0.1, beta=0.85)
         y, _, _ = simulate(true, spec, None, 5000, seed=0)
         monkeypatch.setattr(bt, "fit", fixed_fit(true))
-        series = bt.rolling_backtest(y, None, spec, window=250, level=0.01)
+        series = bt.rolling_backtest(y, None, spec, window=250, refit_every=7, level=0.01,
+                                     restarts=5, seed=0)
         freq = series.n_breaches / series.n
         se = math.sqrt(0.01 * 0.99 / series.n)
         assert abs(freq - 0.01) <= 2 * se
@@ -152,7 +153,8 @@ class TestRollingBacktest:
         true = ArmaGarchXParams(alpha0=0.05, alpha1=0.1, beta=0.85)
         y, _, _ = simulate(true, spec, None, 1000, seed=1)
         monkeypatch.setattr(bt, "fit", fixed_fit(true))
-        series = bt.rolling_backtest(y, None, spec, window=250, level=0.05)
+        series = bt.rolling_backtest(y, None, spec, window=250, refit_every=7, level=0.05,
+                                     restarts=5, seed=0)
         # loss space: loss > VaR threshold iff return < -VaR
         losses = -series.realized_return
         assert np.array_equal(series.breach, losses > series.var_value)
@@ -162,21 +164,26 @@ class TestRollingBacktest:
         true = ArmaGarchXParams(alpha0=0.05, alpha1=0.1, beta=0.85)
         y, _, _ = simulate(true, spec, None, 600, seed=2)
         monkeypatch.setattr(bt, "fit", fixed_fit(true))
-        s1 = bt.rolling_backtest(y, None, spec, window=250, refit_every=1)
-        s7 = bt.rolling_backtest(y, None, spec, window=250, refit_every=7)
+        s1 = bt.rolling_backtest(y, None, spec, window=250, refit_every=1, level=0.01,
+                                 restarts=5, seed=0)
+        s7 = bt.rolling_backtest(y, None, spec, window=250, refit_every=7, level=0.01,
+                                 restarts=5, seed=0)
         assert np.array_equal(s1.var_value, s7.var_value)
 
     def test_deterministic_given_seeds(self):
         spec = ModelSpec(0, 0, 0, "normal")
         true = ArmaGarchXParams(alpha0=0.05, alpha1=0.1, beta=0.85)
         y, _, _ = simulate(true, spec, None, 400, seed=3)
-        a = bt.rolling_backtest(y, None, spec, window=300, refit_every=50, restarts=1, seed=42)
-        b = bt.rolling_backtest(y, None, spec, window=300, refit_every=50, restarts=1, seed=42)
+        a = bt.rolling_backtest(y, None, spec, window=300, refit_every=50, level=0.01,
+                                restarts=1, seed=42)
+        b = bt.rolling_backtest(y, None, spec, window=300, refit_every=50, level=0.01,
+                                restarts=1, seed=42)
         assert np.array_equal(a.var_value, b.var_value)
 
     def test_too_short_series(self):
         with pytest.raises(ValidationError):
-            bt.rolling_backtest(np.zeros(100), None, ModelSpec(0, 0, 0, "normal"), window=250)
+            bt.rolling_backtest(np.zeros(100), None, ModelSpec(0, 0, 0, "normal"), window=250,
+                                refit_every=7, level=0.01, restarts=5, seed=0)
 
 
 class TestBacktestReport:

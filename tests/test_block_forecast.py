@@ -125,7 +125,7 @@ def test_windows_where_the_floor_binds(monkeypatch, fixed_fit):
     params = ArmaGarchXParams(mu=0.0, phi=[0.3], theta=[-0.2], alpha0=1e-5, alpha1=0.1, beta=0.3,
                               beta_x=[-2e-4, 1e-4, 3e-4, -1e-4], nu=5.0)
     spec = ModelSpec(1, 1, 4, "t")
-    _, sigma2 = g.filter_model(y[:window], x[:, :window], params, spec)
+    _, sigma2 = g.filter_model(y[:window], x[:, :window], params, spec, None)
     assert (sigma2 == g.SIGMA2_MIN).any()
     # the parameters on the raw regressors, then moving with the window on
     # standardized ones
@@ -152,7 +152,8 @@ def test_first_refit_failure_still_raises(monkeypatch):
     monkeypatch.setattr(bt, "fit", window_fit(SKEWT_ARMA, failing_calls=(1,)))
     y = np.random.default_rng(4).normal(size=80) * 0.02
     with pytest.raises(FitError):
-        bt.rolling_backtest(y, None, ModelSpec(0, 0, 0, "normal"), window=60)
+        bt.rolling_backtest(y, None, ModelSpec(0, 0, 0, "normal"), window=60, refit_every=7,
+                            level=0.01, restarts=5, seed=0)
 
 
 X_LAYOUTS = ("C", "F", "strided")
@@ -178,7 +179,7 @@ def forecast_cases(draw):
     m, T = draw(st.integers(1, 6)), draw(st.integers(max(p, q) + 2, 40))
     floor = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = ArmaGarchXParams(
+    fields = dict(
         mu=rng.normal() * 1e-3, phi=rng.uniform(-0.5, 0.5, size=p),
         theta=rng.uniform(-0.3, 0.3, size=q), alpha0=10 ** rng.uniform(-6, -3),
         alpha1=rng.uniform(0, 0.3), beta=rng.uniform(0, 0.65),
@@ -187,9 +188,10 @@ def forecast_cases(draw):
     if floor:
         if k:
             # beta_x' x far below -alpha0 on some days and on some forecast days
-            params.beta_x = rng.choice([-1.0, 1.0], size=k) * 10 ** rng.uniform(-3, 0, size=k)
+            fields["beta_x"] = rng.choice([-1.0, 1.0], size=k) * 10 ** rng.uniform(-3, 0, size=k)
         else:
-            params.alpha0, params.alpha1, params.beta = 1e-14, 0.0, 0.0
+            fields.update(alpha0=1e-14, alpha1=0.0, beta=0.0)
+    params = ArmaGarchXParams(**fields)
     spec = ModelSpec(p, q, k, distribution)
     y = rng.standard_t(5, size=(m, T)) * 0.02
     layout = draw(st.sampled_from(X_LAYOUTS))
@@ -241,7 +243,8 @@ def test_no_look_ahead(monkeypatch, fixed_fit, fixed):
         # refit fails, so one block keeps the first refit's parameters
         fit = fixed_fit(params) if fixed else window_fit(params, failing_calls=(2,))
         monkeypatch.setattr(bt, "fit", fit)
-        return bt.rolling_backtest(y, x, spec, window=window, refit_every=7)
+        return bt.rolling_backtest(y, x, spec, window=window, refit_every=7, level=0.01,
+                                   restarts=5, seed=0)
 
     def assert_first_days_equal(got, want, days):
         for name in ("var_value", "sigma_forecast"):

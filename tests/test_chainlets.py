@@ -112,10 +112,15 @@ class TestExtremeSets:
         ones = np.ones((n, n), dtype=np.int64)
         row = features(ones, ones, price=1.0)
         assert row.O_l + row.O_r == 2 * n - 1
-        # every cell falls in exactly one of {left, right, non-extreme}
+        # every cell falls in exactly one of {left, right, non-extreme}: one
+        # cube_features call over n² days, day (i-1)·n + (j-1) with its one
+        # transaction in cell [i-1, j-1]
+        cells = np.eye(n * n, dtype=np.int64).reshape(n * n, n, n)
+        days = [DAY + dt.timedelta(days=d) for d in range(n * n)]
+        rows = iter(cube_features(DayCube(days, cells, cells), [1.0] * (n * n)))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                got = single_cell_features(n, i, j)
+                got = next(rows)
                 if i == n:
                     assert (got.O_l, got.O_r) == (1, 0)
                 elif j == n:

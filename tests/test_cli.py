@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -540,6 +541,26 @@ class TestBacktest:
         assert {p.name: p.read_text() for p in out.iterdir() if p.is_file()} == old
         assert sorted(os.listdir(out)) == ["backtest_report.json", *sorted(old)]
         assert os.listdir(out / "backtest_report.json") == []
+
+    def test_overflowing_regressor_names_file_and_day(self, dataset, tmp_path, capsys):
+        # A_x = 1e308 on the last of 80 days overflows in the refit's
+        # standardization, so the filter state of that day's forecast is not
+        # finite: one error line that names the feature file and the day, no
+        # numpy warning and no report
+        lines = dataset["features"].read_text().splitlines()[:81]
+        day, *values = lines[-1].split(",")
+        assert day == "2015-03-21" and lines[0].split(",")[3] == "A_x"
+        values[2] = "1e308"
+        features = tmp_path / "features.csv"
+        features.write_text("\n".join(lines[:-1] + [",".join([day, *values])]) + "\n")
+        out = tmp_path / "bt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["backtest", str(features), str(dataset["data"] / "prices.csv"),
+                             "--out", str(out), "--window", "60"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {features}: non-finite filter state in the forecast of 2015-03-21\n")
+        assert os.listdir(out) == []
 
     def test_window_too_large_fails(self, dataset, tmp_path, capsys):
         assert cli.main([

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainvol import garchx as g
-from chainvol.errors import FitError, ValidationError
+from chainvol.errors import FitError, NonFiniteStateError, ValidationError
 from chainvol.garchx import ArmaGarchXParams, ModelSpec
 
 
@@ -17,6 +17,24 @@ def garch_params(**kw):
     base = dict(mu=0.0, alpha0=0.05, alpha1=0.10, beta=0.85, nu=8.0, xi=1.0)
     base.update(kw)
     return ArmaGarchXParams(**base)
+
+
+def stack(sets) -> ArmaGarchXParams:
+    """One struct of the rows of the one-row sets."""
+    return ArmaGarchXParams(*(np.concatenate([getattr(s, f.name) for s in sets])
+                              for f in fields(ArmaGarchXParams)))
+
+
+def filter_one(y, x, params, spec, sigma2_init=None):
+    """The (u, sigma2) row that filter_model gives one set over one series."""
+    (u,), (sigma2,) = g.filter_model(y, x, params, spec, sigma2_init)
+    return u, sigma2
+
+
+def nll_one(y, x, params, spec):
+    """The value that neg_log_likelihood gives one set."""
+    (nll,) = g.neg_log_likelihood(y, x, params, spec)
+    return nll
 
 
 def loop_filter(y, xvar, mu, phi, theta, alpha0, alpha1, beta, sigma2_init, sigma2_min):
@@ -73,9 +91,9 @@ def filter_cases(draw):
 
 
 def loop_reference(y, x, params, spec):
-    xvar = params.beta_x @ x if spec.k else np.zeros(y.size)
-    return loop_filter(y, xvar, params.mu, params.phi, params.theta, params.alpha0,
-                       params.alpha1, params.beta, float(np.var(y)), g.SIGMA2_MIN)
+    xvar = params.beta_x[0] @ x if spec.k else np.zeros(y.size)
+    return loop_filter(y, xvar, params.mu[0], params.phi[0], params.theta[0], params.alpha0[0],
+                       params.alpha1[0], params.beta[0], float(np.var(y)), g.SIGMA2_MIN)
 
 
 class TestFilter:
@@ -83,7 +101,7 @@ class TestFilter:
     @settings(max_examples=200, deadline=None)
     def test_matches_loop_reference(self, case):
         y, x, params, spec = case
-        u, sigma2 = g.filter_model(y, x, params, spec)
+        u, sigma2 = filter_one(y, x, params, spec)
         u_ref, sigma2_ref = loop_reference(y, x, params, spec)
         assert_filter_close(u, u_ref)
         assert_filter_close(sigma2, sigma2_ref)
@@ -100,7 +118,7 @@ class TestFilter:
         params = garch_params(phi=[0.2], theta=[-0.3], alpha0=1e-5, alpha1=0.1, beta=0.6,
                               beta_x=[-1e-2])
         spec = ModelSpec(1, 1, 1, "normal")
-        u, sigma2 = g.filter_model(y, x, params, spec)
+        u, sigma2 = filter_one(y, x, params, spec)
         u_ref, sigma2_ref = loop_reference(y, x, params, spec)
         assert np.flatnonzero(sigma2_ref == g.SIGMA2_MIN)[0] == first_floored
         assert np.any(sigma2_ref[first_floored:] > g.SIGMA2_MIN)
@@ -112,7 +130,7 @@ class TestFilter:
         y = rng.normal(0.3, 1.0, size=200)
         params = garch_params(mu=0.3, alpha0=2.0, alpha1=0.0, beta=0.0)
         spec = ModelSpec(0, 0, 0, "normal")
-        u, sigma2 = g.filter_model(y, None, params, spec)
+        u, sigma2 = filter_one(y, None, params, spec)
         assert np.allclose(u, y - 0.3)
         assert np.allclose(sigma2, 2.0)
 
@@ -121,7 +139,7 @@ class TestFilter:
         y = np.array([0.1, -0.2, 0.05, 0.3, -0.1])
         params = garch_params(mu=0.01, phi=[0.5], theta=[0.3], alpha0=0.02, alpha1=0.1, beta=0.8)
         spec = ModelSpec(1, 1, 0, "normal")
-        u, sigma2 = g.filter_model(y, None, params, spec)
+        u, sigma2 = filter_one(y, None, params, spec)
 
         s_init = np.var(y)
         exp_u = np.zeros(5)
@@ -142,8 +160,8 @@ class TestFilter:
         with_x = garch_params(alpha0=0.02, beta_x=[bx])
         without = garch_params(alpha0=0.02 + bx * c)
         x = np.full((1, 300), c)
-        _, s2_x = g.filter_model(y, x, with_x, ModelSpec(0, 0, 1, "normal"))
-        _, s2_0 = g.filter_model(y, None, without, ModelSpec(0, 0, 0, "normal"))
+        _, s2_x = filter_one(y, x, with_x, ModelSpec(0, 0, 1, "normal"))
+        _, s2_0 = filter_one(y, None, without, ModelSpec(0, 0, 0, "normal"))
         assert np.allclose(s2_x, s2_0, atol=1e-12)
 
     def test_variance_floored(self):
@@ -152,12 +170,13 @@ class TestFilter:
         # strongly negative exogenous coefficient drives raw variance negative
         params = garch_params(alpha0=1e-10, alpha1=0.0, beta=0.0, beta_x=[-5.0])
         x = np.ones((1, 100))
-        _, sigma2 = g.filter_model(x[0] * 0 + y, x, params, ModelSpec(0, 0, 1, "normal"))
+        _, sigma2 = filter_one(x[0] * 0 + y, x, params, ModelSpec(0, 0, 1, "normal"))
         assert np.all(sigma2 >= g.SIGMA2_MIN)
 
     def test_too_short_series(self):
         with pytest.raises(ValidationError):
-            g.filter_model(np.zeros(2), None, garch_params(phi=[0.1, 0.1]), ModelSpec(2, 0, 0, "normal"))
+            g.filter_model(np.zeros(2), None, garch_params(phi=[0.1, 0.1]),
+                           ModelSpec(2, 0, 0, "normal"), None)
 
 
 class TestNegLogLikelihood:
@@ -165,7 +184,7 @@ class TestNegLogLikelihood:
         rng = np.random.default_rng(3)
         y = rng.normal(size=500)
         params = garch_params(mu=0.0, alpha0=1.0, alpha1=0.0, beta=0.0)
-        nll = g.neg_log_likelihood(y, None, params, ModelSpec(0, 0, 0, "normal"))
+        nll = nll_one(y, None, params, ModelSpec(0, 0, 0, "normal"))
         expected = 0.5 * len(y) * math.log(2 * math.pi) + 0.5 * float(np.sum(y**2))
         assert nll == pytest.approx(expected, rel=1e-12)
 
@@ -176,16 +195,14 @@ class TestNegLogLikelihood:
         wins = 0
         for seed in range(20):
             y, _, _ = g.simulate(true, spec, None, 5000, seed)
-            if g.neg_log_likelihood(y, None, true, spec) <= g.neg_log_likelihood(
-                y, None, shifted, spec
-            ):
+            if nll_one(y, None, true, spec) <= nll_one(y, None, shifted, spec):
                 wins += 1
         assert wins >= 19  # >= 95% of 20 seeds
 
     def test_invalid_params_penalized_not_raised(self):
         y = np.random.default_rng(4).normal(size=100)
         bad = garch_params(alpha1=0.6, beta=0.6)  # persistence >= 1
-        assert g.neg_log_likelihood(y, None, bad, ModelSpec(0, 0, 0, "normal")) == g.PENALTY_NLL
+        assert nll_one(y, None, bad, ModelSpec(0, 0, 0, "normal")) == g.PENALTY_NLL
 
     def _fd_gradient(self, f, v, h):
         grad = np.zeros_like(v)
@@ -201,7 +218,7 @@ class TestNegLogLikelihood:
         y, _, _ = g.simulate(true, spec, None, 2000, 11)
 
         def f(v):
-            return g.neg_log_likelihood(y, None, g.unpack_rows(v, spec).row(0), spec)
+            return nll_one(y, None, g.unpack_rows(v, spec), spec)
 
         rng = np.random.default_rng(5)
         # true as a packed point: mu, phi, theta, log(alpha0), logit(alpha1 +
@@ -225,24 +242,24 @@ class TestReductionChain:
         x = rng.normal(size=(2, 400))
         with_x = garch_params(beta_x=[0.0, 0.0])
         plain = garch_params()
-        nll_x = g.neg_log_likelihood(y, x, with_x, ModelSpec(0, 0, 2, "normal"))
-        nll_0 = g.neg_log_likelihood(y, None, plain, ModelSpec(0, 0, 0, "normal"))
+        nll_x = nll_one(y, x, with_x, ModelSpec(0, 0, 2, "normal"))
+        nll_0 = nll_one(y, None, plain, ModelSpec(0, 0, 0, "normal"))
         assert abs(nll_x - nll_0) < 1e-12
 
     def test_skewt_with_unit_xi_equals_student_t(self):
         rng = np.random.default_rng(7)
         y = rng.normal(size=300)
         params = garch_params(nu=6.0, xi=1.0)
-        nll_skew = g.neg_log_likelihood(y, None, params, ModelSpec(0, 0, 0, "skewt"))
-        nll_t = g.neg_log_likelihood(y, None, params, ModelSpec(0, 0, 0, "t"))
+        nll_skew = nll_one(y, None, params, ModelSpec(0, 0, 0, "skewt"))
+        nll_t = nll_one(y, None, params, ModelSpec(0, 0, 0, "t"))
         assert abs(nll_skew - nll_t) < 1e-10
 
     def test_student_t_approaches_gaussian_for_huge_nu(self):
         rng = np.random.default_rng(8)
         y = rng.normal(size=500)
         params = garch_params(nu=1e6)
-        nll_t = g.neg_log_likelihood(y, None, params, ModelSpec(0, 0, 0, "t"))
-        nll_n = g.neg_log_likelihood(y, None, params, ModelSpec(0, 0, 0, "normal"))
+        nll_t = nll_one(y, None, params, ModelSpec(0, 0, 0, "t"))
+        nll_n = nll_one(y, None, params, ModelSpec(0, 0, 0, "normal"))
         assert abs(nll_t - nll_n) / len(y) < 1e-3
 
 
@@ -254,7 +271,7 @@ class TestSimulate:
         y, u, sigma2 = g.simulate(params, spec, x, 500, seed=3)
         # simulate starts from the unconditional variance, filter_model from
         # the sample variance: the paths agree once beta^t has forgotten it
-        u_f, sigma2_f = g.filter_model(y, x, params, spec)
+        u_f, sigma2_f = filter_one(y, x, params, spec)
         assert_filter_close(u_f, u)
         np.testing.assert_allclose(sigma2_f[200:], sigma2[200:], rtol=1e-10)
 
@@ -288,7 +305,7 @@ class TestFit:
         y, _, _ = g.simulate(true, spec, None, 10_000, seed=0)
         result = g.fit(y, None, spec, restarts=2, seed=0)
         assert result.converged
-        assert result.params.alpha1 + result.params.beta == pytest.approx(0.95, abs=0.05)
+        assert result.params.alpha1[0] + result.params.beta[0] == pytest.approx(0.95, abs=0.05)
 
     def test_iid_input_gives_small_arch(self):
         spec = ModelSpec(0, 0, 0, "normal")
@@ -296,14 +313,14 @@ class TestFit:
         for seed in range(5):
             y = np.random.default_rng(seed).normal(size=3000)
             result = g.fit(y, None, spec, restarts=1, seed=seed)
-            hits += result.params.alpha1 < 0.05
+            hits += result.params.alpha1[0] < 0.05
         assert hits >= 4
 
     def test_refit_is_fixed_point(self):
         spec = ModelSpec(0, 0, 0, "normal")
         y, _, _ = g.simulate(garch_params(), spec, None, 3000, seed=3)
         first = g.fit(y, None, spec, restarts=1, seed=0)
-        nll_at_fit = g.neg_log_likelihood(y, None, first.params, spec)
+        nll_at_fit = nll_one(y, None, first.params, spec)
         assert -first.loglik == pytest.approx(nll_at_fit, abs=1e-9)
         again = g.fit(y, None, spec, restarts=1, seed=1)
         assert again.loglik == pytest.approx(first.loglik, abs=1e-4)
@@ -320,7 +337,7 @@ class TestFit:
 
     def test_too_few_observations(self):
         with pytest.raises(ValidationError):
-            g.fit(np.zeros(10), None, ModelSpec(0, 0, 0, "normal"))
+            g.fit(np.zeros(10), None, ModelSpec(0, 0, 0, "normal"), restarts=5, seed=0)
 
     def test_loglik_is_attained_by_returned_params(self, monkeypatch):
         # after an abnormal line-search end L-BFGS-B returns another point
@@ -347,7 +364,7 @@ class TestFit:
         result = g.fit(y, None, spec, restarts=2, seed=0)
         # each returned point attains another value than the last one evaluated
         assert len(ends) == 2 and all(attained != last for attained, last in ends)
-        assert result.loglik == -g.neg_log_likelihood(y, None, result.params, spec)
+        assert result.loglik == -nll_one(y, None, result.params, spec)
 
     def test_unusable_likelihood_raises_fit_error(self, monkeypatch):
         # a likelihood that is NaN everywhere can never beat the start point;
@@ -356,7 +373,7 @@ class TestFit:
                             lambda y, x, rows, *args: np.full(len(rows), np.nan))
         y = np.random.default_rng(9).normal(size=100)
         with pytest.raises(FitError, match="start point"):
-            g.fit(y, None, ModelSpec(0, 0, 0, "normal"), restarts=1)
+            g.fit(y, None, ModelSpec(0, 0, 0, "normal"), restarts=1, seed=0)
 
     def test_skewt_garchx_fit_raises_no_runtime_warning(self):
         # the optimizer probes overflowing parameters; they get the penalty
@@ -387,7 +404,7 @@ class TestForecast:
         x = rng.normal(size=(1, 200))
         params = garch_params(mu=0.02, phi=[0.3], theta=[0.1], beta_x=[0.01])
         spec = ModelSpec(1, 1, 1, "normal")
-        u, sigma2 = g.filter_model(y, x, params, spec, sigma2_init=np.var(y[:-1]))
+        u, sigma2 = filter_one(y, x, params, spec, sigma2_init=np.var(y[:-1]))
         (mean,), (sigma,) = g.forecast_one(params, spec, y[None, :-1], x[None])
         assert sigma**2 == pytest.approx(sigma2[-1], abs=1e-12)
         assert mean == pytest.approx(y[-1] - u[-1], abs=1e-12)
@@ -396,7 +413,7 @@ class TestForecast:
         y = np.array([0.1, -0.2, 0.05, 0.3, -0.1])
         params = garch_params(mu=0.01, phi=[0.5], theta=[0.3], alpha0=0.02, alpha1=0.1, beta=0.8)
         spec = ModelSpec(1, 1, 0, "normal")
-        u, sigma2 = g.filter_model(y, None, params, spec)
+        u, sigma2 = filter_one(y, None, params, spec)
         (mean,), (sigma,) = g.forecast_one(params, spec, y[None], None)
         assert mean == pytest.approx(0.01 + 0.5 * y[-1] + 0.3 * u[-1], abs=1e-14)
         assert sigma**2 == pytest.approx(
@@ -409,6 +426,25 @@ class TestForecast:
         with pytest.raises(ValidationError, match="need 6"):
             g.forecast_one(params, ModelSpec(0, 0, 1, "normal"), np.zeros((1, 5)),
                            np.zeros((1, 1, 5)))
+
+    def test_non_finite_state_names_the_first_window(self):
+        # a regressor that overflowed in its standardization: windows 1 and 2
+        # see it, window 1 on its forecast day and window 2 inside the window
+        rng = np.random.default_rng(13)
+        y = rng.normal(size=(4, 60)) * 0.02
+        x = rng.normal(size=(4, 1, 61))
+        x[1, 0, 60] = x[2, 0, 30] = np.inf
+        params = garch_params(alpha0=1e-5, beta_x=[1e-3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError,
+                               match="^non-finite filter state forecasting day 1$") as caught:
+                g.forecast_one(params, ModelSpec(0, 0, 1, "normal"), y, x)
+        assert caught.value.day == 1
+        # the same windows without the overflowed value forecast finite values
+        x[1, 0, 60] = x[2, 0, 30] = 0.0
+        means, sigmas = g.forecast_one(params, ModelSpec(0, 0, 1, "normal"), y, x)
+        assert np.isfinite(means).all() and np.isfinite(sigmas).all()
 
 
 class TestOrders:
@@ -437,7 +473,7 @@ class TestOrders:
     @pytest.mark.parametrize("params,spec,message", CASES, ids=IDS)
     def test_filter_model(self, params, spec, message):
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            g.filter_model(self.Y, self.x(spec, 60), params, spec)
+            g.filter_model(self.Y, self.x(spec, 60), params, spec, None)
 
     @pytest.mark.parametrize("params,spec,message", CASES, ids=IDS)
     def test_forecast_one(self, params, spec, message):
@@ -455,7 +491,7 @@ class TestOrders:
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             g.neg_log_likelihood(self.Y, self.x(spec, 60), params, spec)
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            g.neg_log_likelihood(self.Y, self.x(spec, 60), g.ParamRows.of(params), spec)
+            g.neg_log_likelihood(self.Y, self.x(spec, 60), stack([params, params]), spec)
 
 
 class TestSerialization:
@@ -469,7 +505,7 @@ class TestSerialization:
         for y in (rng.normal(0.01, 0.05, size=200), np.full(60, 0.02)):
             for law in g.DISTRIBUTIONS:
                 spec = ModelSpec(2, 1, 3, law)
-                start = g.unpack_rows(g.start_point(y, spec), spec).row(0).to_dict()
+                start = g.unpack_rows(g.start_point(y, spec), spec).to_dict()
                 want = {"mu": np.mean(y), "phi": [0.0, 0.0], "theta": [0.0],
                         "alpha0": max(np.var(y) / 10, 10 * g.SIGMA2_MIN),
                         "alpha1": 0.05, "beta": 0.90, "beta_x": [0.0, 0.0, 0.0],
@@ -485,26 +521,25 @@ class TestIsValid:
 
     @staticmethod
     def numpy_reference(p):
-        # the numpy form of the same invariants
+        # the same invariants on the one row's values, one at a time
+        (mu,), (alpha0,), (alpha1,), (beta,), (nu,), (xi,) = (
+            p.mu, p.alpha0, p.alpha1, p.beta, p.nu, p.xi)
         return bool(
-            p.alpha0 > 0 and p.alpha1 >= 0 and p.beta >= 0 and p.alpha1 + p.beta < 1
-            and p.nu > 2 and p.xi > 0
+            alpha0 > 0 and alpha1 >= 0 and beta >= 0 and alpha1 + beta < 1
+            and nu > 2 and xi > 0
             and np.all(np.isfinite(p.phi)) and np.all(np.isfinite(p.theta))
-            and np.all(np.isfinite(p.beta_x)) and np.isfinite(p.mu)
+            and np.all(np.isfinite(p.beta_x)) and np.isfinite(mu)
         )
 
     @pytest.mark.parametrize("name", FIELDS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_field(self, name, bad):
         params = garch_params(phi=[0.2, -0.1], theta=[0.05], beta_x=[0.3, -0.2], nu=5.5, xi=0.9)
-        assert params.is_valid()
-        if name in ("phi", "theta", "beta_x"):
-            getattr(params, name)[0] = bad
-        else:
-            setattr(params, name, bad)
-        assert params.is_valid() == self.numpy_reference(params)
+        assert params.is_valid().tolist() == [True]
+        getattr(params, name).flat[0] = bad
+        assert params.is_valid().tolist() == [self.numpy_reference(params)]
         # only an infinite scale, tail or skew parameter passes
-        assert params.is_valid() == (bad == math.inf and name in ("alpha0", "nu", "xi"))
+        assert params.is_valid().tolist() == [bad == math.inf and name in ("alpha0", "nu", "xi")]
 
     # (rule, field, edge, direction into the valid side, valid at the edge);
     # alpha1 + beta < 1 moves beta against alpha1 = 0.25, where the sum is
@@ -527,14 +562,12 @@ class TestIsValid:
 
     @staticmethod
     def edge_params(name, value):
-        params = garch_params(alpha1=0.25, beta=0.5, nu=6.0, xi=1.2)
-        setattr(params, name, value)
-        return params
+        return garch_params(**{"alpha1": 0.25, "beta": 0.5, "nu": 6.0, "xi": 1.2, name: value})
 
     @pytest.mark.parametrize("rule, name, value, valid", EDGE_CASES,
                              ids=lambda v: v if isinstance(v, str) else repr(v))
     def test_bound_edge(self, rule, name, value, valid):
-        assert self.edge_params(name, value).is_valid() is valid
+        assert self.edge_params(name, value).is_valid().tolist() == [valid]
 
     def test_edge_rows_in_one_batch(self):
         # every invalid row gets exactly the penalty and every valid row the
@@ -546,13 +579,12 @@ class TestIsValid:
         # give the penalty there, not a ZeroDivisionError or OverflowError
         cases += [("xi", 1e-200, True), ("xi", 1e200, True)]
         sets = [self.edge_params(name, value) for name, value, _ in cases]
-        rows = g.ParamRows(*(np.array([getattr(p, f.name) for p in sets])
-                             for f in fields(g.ParamRows)))
+        rows = stack(sets)
         valid = [case[-1] for case in cases]
         assert rows.is_valid().tolist() == valid
         with np.errstate(all="ignore"):
             nll = g.neg_log_likelihood(y, None, rows, spec)
-            alone = [g.neg_log_likelihood(y, None, p, spec) for p in sets]
+            alone = [nll_one(y, None, p, spec) for p in sets]
         np.testing.assert_array_equal(nll.view(np.int64), np.array(alone).view(np.int64))
         assert all(value == g.PENALTY_NLL for value, ok in zip(alone, valid) if not ok)
         assert alone[-2:] == [g.PENALTY_NLL] * 2

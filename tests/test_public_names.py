@@ -14,7 +14,8 @@ The same holds for parameters: a parameter with a default, of a public
 function, a public method or an explicit ``__init__``, must be passed at some
 call in those files, by keyword or by position; a call with ``*args`` or
 ``**kwargs`` passes every parameter those could fill. A default that every
-caller keeps is an option no caller uses.
+caller keeps is an option no caller uses. So is a default that every call
+passes: no caller takes it.
 
 A private top-level function or class of ``src/chainvol`` must be referenced
 in those files outside its own definition: a helper that nothing calls is
@@ -132,8 +133,8 @@ def defaulted_parameters(path: pathlib.Path):
 
 
 def passed(path: pathlib.Path):
-    """(callable name, parameter name or position, or "*" for every
-    parameter) of what each call in the file passes."""
+    """(callable name, the set of parameter names and positions it passes,
+    or {"*"} for every parameter) of each call in the file."""
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.Call):
             continue
@@ -143,24 +144,39 @@ def passed(path: pathlib.Path):
             continue
         if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
                 kw.arg is None for kw in node.keywords):
-            yield name, "*"
+            yield name, {"*"}
             continue
-        for i in range(len(node.args)):
-            yield name, i
-        for kw in node.keywords:
-            yield name, kw.arg
+        yield name, set(range(len(node.args))) | {kw.arg for kw in node.keywords}
+
+
+def calls_by_name() -> dict:
+    """Callable name -> what each of its calls in the caller files passes."""
+    calls: dict[str, list] = {}
+    for path in CALLERS:
+        for name, args in passed(path):
+            calls.setdefault(name, []).append(args)
+    return calls
 
 
 def test_every_defaulted_parameter_is_passed():
-    calls = set()
-    for path in CALLERS:
-        calls.update(passed(path))
+    calls = calls_by_name()
     unpassed = []
     for path in PACKAGE:
         for name, param, position, line in defaulted_parameters(path):
-            if not {(name, param), (name, position), (name, "*")} & calls:
+            if not any({param, position, "*"} & args for args in calls.get(name, ())):
                 unpassed.append(f"{path.stem}.{name}({param}) (line {line})")
     assert not unpassed, "never passed outside the tests: " + ", ".join(unpassed)
+
+
+def test_no_default_is_passed_by_every_call():
+    calls = calls_by_name()
+    overridden = []
+    for path in PACKAGE:
+        for name, param, position, line in defaulted_parameters(path):
+            name_calls = calls.get(name, ())
+            if name_calls and all({param, position, "*"} & args for args in name_calls):
+                overridden.append(f"{path.stem}.{name}({param}) (line {line})")
+    assert not overridden, "passed by every call outside the tests: " + ", ".join(overridden)
 
 
 def test_every_private_helper_is_called():

@@ -1,7 +1,8 @@
 """The row-batched GARCHX likelihood and the fit that uses it.
 
-neg_log_likelihood and filter_model take a ParamRows of m parameter sets;
-each row must give, bit for bit, what that row gives as one parameter set.
+filter_model, innovation_logpdf and neg_log_likelihood take an
+ArmaGarchXParams of m parameter sets; row r of a stack must give, bit for
+bit, what the same set built from scalars gives as a one-row ArmaGarchXParams.
 fit evaluates each L-BFGS-B point and its finite-difference steps as one
 stack, with L-BFGS-B's own steps and quotients, so its end points are those
 of one call per point. Its L-BFGS-B loop calls the C kernel and the
@@ -22,19 +23,20 @@ from hypothesis import strategies as st
 from chainvol import cli
 from chainvol import garchx as g
 from chainvol.skewt import skewt_logpdf, student_t_logpdf
-from chainvol.garchx import ArmaGarchXParams, ModelSpec, ParamRows
+from chainvol.garchx import ArmaGarchXParams, ModelSpec
 
 
 def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def stack_rows(sets, order="C") -> ParamRows:
-    """The ParamRows of sets; with order "F" the rows of phi, theta and
-    beta_x are strided, as in the transposed arrays unpack_rows gives."""
-    def stack(name):
-        return np.array([getattr(s, name) for s in sets], order=order)
-    return ParamRows(*(stack(f.name) for f in fields(ParamRows)))
+def stack_rows(sets, order="C") -> ArmaGarchXParams:
+    """The stack of the one-row sets, built from their floats; with order "F"
+    the rows of phi, theta and beta_x are strided, as in the transposed
+    arrays unpack_rows gives."""
+    rows = [s.to_dict() for s in sets]
+    return ArmaGarchXParams(**{name: np.array([r[name] for r in rows], order=order)
+                               for name in rows[0]})
 
 
 def row_inputs(y, x, sigma2_init, i):
@@ -63,36 +65,40 @@ def batch_cases(draw):
     x = rng.normal(size=(k, T))
 
     def plain():
-        return ArmaGarchXParams(
-            mu=rng.normal() * 1e-3, phi=rng.uniform(-0.5, 0.5, size=p),
-            theta=rng.uniform(-0.3, 0.3, size=q), alpha0=10 ** rng.uniform(-6, -3),
+        return dict(
+            mu=rng.normal() * 1e-3, phi=rng.uniform(-0.5, 0.5, size=p).tolist(),
+            theta=rng.uniform(-0.3, 0.3, size=q).tolist(), alpha0=10 ** rng.uniform(-6, -3),
             alpha1=rng.uniform(0, 0.3), beta=rng.uniform(0, 0.65),
-            beta_x=rng.normal(size=k) * 1e-5, nu=rng.uniform(2.5, 30), xi=rng.uniform(0.5, 2),
+            beta_x=(rng.normal(size=k) * 1e-5).tolist(), nu=rng.uniform(2.5, 30),
+            xi=rng.uniform(0.5, 2),
         )
 
-    sets = []
+    # each set as the floats and lists of floats it is built from
+    fields_of_sets = []
     for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8)):
-        s = plain() if kind == "plain" or not sets else ArmaGarchXParams(**sets[-1].to_dict())
+        s = (plain() if kind == "plain" or not fields_of_sets
+             else ArmaGarchXParams(**fields_of_sets[-1]).to_dict())
         if kind == "step":
             # a finite-difference neighbour: one field moved by a few ulps
             field = rng.choice(["mu", "alpha0", "alpha1", "beta", "nu", "xi", "phi", "theta",
                                 "beta_x"])
-            value = getattr(s, field)
-            if np.ndim(value) and value.size:
-                value[rng.integers(value.size)] *= 1 + 1e-8
-            elif not np.ndim(value):
-                setattr(s, field, value * (1 + 1e-8))
+            value = s[field]
+            if isinstance(value, list) and value:
+                value[rng.integers(len(value))] *= 1 + 1e-8
+            elif not isinstance(value, list):
+                s[field] = value * (1 + 1e-8)
         elif kind == "invalid":
             field, bad = [("alpha0", -1e-6), ("beta", 0.99), ("nu", 2.0), ("xi", 0.0),
                           ("mu", np.nan)][rng.integers(5)]
-            setattr(s, field, bad)
+            s[field] = bad
         elif kind == "floor" and k:
             # beta_x' x_t far below -alpha0 on some days pushes sigma2 to the floor
-            s.beta_x = rng.choice([-1.0, 1.0], size=k) * 10 ** rng.uniform(-3, 0)
+            s["beta_x"] = (rng.choice([-1.0, 1.0], size=k) * 10 ** rng.uniform(-3, 0)).tolist()
         elif kind == "overflow":
-            s.alpha0 = 1e308
-            s.beta = 0.6
-        sets.append(s)
+            s["alpha0"] = 1e308
+            s["beta"] = 0.6
+        fields_of_sets.append(s)
+    sets = [ArmaGarchXParams(**s) for s in fields_of_sets]
     sigma2_init = draw(st.sampled_from([None, float(np.var(y))]))
     return y, x if k else None, sets, ModelSpec(p, q, k, distribution), sigma2_init
 
@@ -119,7 +125,8 @@ class TestBatchedLikelihood:
             batched = g.neg_log_likelihood(y, x, stack_rows(sets, order), spec, sigma2_init)
             one_by_one = [g.neg_log_likelihood(y, x, s, spec, sigma2_init) for s in sets]
         assert batched.shape == (len(sets),)
-        np.testing.assert_array_equal(bits(batched), bits(one_by_one))
+        assert all(one.shape == (1,) for one in one_by_one)
+        np.testing.assert_array_equal(bits(batched), bits(np.concatenate(one_by_one)))
 
     @given(st.one_of(batch_cases(), window_cases()), st.sampled_from("CF"))
     @settings(max_examples=300, deadline=None)
@@ -131,12 +138,8 @@ class TestBatchedLikelihood:
             for i in range(len(u)):
                 s = sets[0] if len(sets) == 1 else sets[i]
                 y_i, x_i, sigma2_init_i = row_inputs(y, x, sigma2_init, i)
-                try:
-                    u_i, sigma2_i = g.filter_model(y_i, x_i, s, spec, sigma2_init_i)
-                except g.ValidationError:
-                    # one set raises where its state is not finite
-                    assert not (np.isfinite(u[i]).all() and np.isfinite(sigma2[i]).all())
-                    continue
+                # a state that is not finite, too, is the row's own
+                (u_i,), (sigma2_i,) = g.filter_model(y_i, x_i, s, spec, sigma2_init_i)
                 np.testing.assert_array_equal(bits(u[i]), bits(u_i))
                 np.testing.assert_array_equal(bits(sigma2[i]), bits(sigma2_i))
 
@@ -145,7 +148,8 @@ class TestBatchedLikelihood:
         rng = np.random.default_rng(0)
         y, x = rng.normal(size=100) * 0.02, rng.normal(size=(1, 100))
         params = ArmaGarchXParams(alpha0=1e-5, alpha1=0.1, beta=0.6, beta_x=[-0.1])
-        _, sigma2 = g.filter_model(y, x, stack_rows([params] * 2), ModelSpec(0, 0, 1, "normal"))
+        _, sigma2 = g.filter_model(y, x, stack_rows([params] * 2), ModelSpec(0, 0, 1, "normal"),
+                                   None)
         assert (sigma2 == g.SIGMA2_MIN).any(axis=1).all()
 
     @given(st.sampled_from(("t", "skewt")),
@@ -176,11 +180,11 @@ class TestBatchedLikelihood:
         spec = ModelSpec(0, 0, 0, distribution)
         block = g.innovation_logpdf(z, stack_rows(sets), spec)
         assert block.shape == z.shape
-        for z_i, s, row in zip(z, sets, block):
+        for z_i, (nu, xi), s, row in zip(z, laws, sets, block):
             if distribution == "t":
-                want = student_t_logpdf(z_i, float(s.nu))
+                want = student_t_logpdf(z_i, float(nu))
             else:
-                want = skewt_logpdf(z_i, float(s.nu), float(s.xi))
+                want = skewt_logpdf(z_i, float(nu), float(xi))
             one_set = g.innovation_logpdf(z_i, s, spec)
             assert one_set.shape == (T,)
             np.testing.assert_array_equal(bits(row), bits(want))
@@ -212,21 +216,25 @@ class TestBatchedLikelihood:
     def test_rows_must_match_windows(self):
         rows = stack_rows([ArmaGarchXParams()] * 2)
         with pytest.raises(g.ValidationError, match="2 parameter rows vs 3 series"):
-            g.filter_model(np.zeros((3, 60)), None, rows, ModelSpec(0, 0, 0, "normal"))
+            g.filter_model(np.zeros((3, 60)), None, rows, ModelSpec(0, 0, 0, "normal"), None)
 
     def test_rows_over_as_many_windows_is_an_error(self):
         # m sets over one series, or one set over m windows; no caller pairs them
         rows = stack_rows([ArmaGarchXParams()] * 2)
         with pytest.raises(g.ValidationError, match="2 parameter rows vs 2 series"):
-            g.filter_model(np.zeros((2, 60)), None, rows, ModelSpec(0, 0, 0, "normal"))
+            g.filter_model(np.zeros((2, 60)), None, rows, ModelSpec(0, 0, 0, "normal"), None)
 
     def test_unpack_rows_equals_one_row_unpacking(self):
         rng = np.random.default_rng(2)
         spec = ModelSpec(2, 1, 3, "skewt")
         v = rng.normal(size=(50, 12)) * 3
         rows = g.unpack_rows(v, spec)
+        assert len(rows) == len(v)
         for i in range(len(v)):
-            assert rows.row(i).to_dict() == g.unpack_rows(v[i], spec).row(0).to_dict()
+            one = g.unpack_rows(v[i], spec)
+            for f in fields(ArmaGarchXParams):
+                np.testing.assert_array_equal(bits(getattr(rows, f.name)[i]),
+                                              bits(getattr(one, f.name)[0]))
 
 
 @given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 80),
@@ -374,7 +382,7 @@ class TestFitGradient:
         assert [len(r) for r in rows] == [1] + [n + 1] * len(points) + [1]
         for stack, point in zip(rows[1:-1], points):
             want = g.unpack_rows(point, spec)
-            for f in fields(ParamRows):
+            for f in fields(ArmaGarchXParams):
                 np.testing.assert_array_equal(bits(getattr(stack, f.name)[:1]),
                                               bits(getattr(want, f.name)))
 

@@ -78,7 +78,7 @@ class TestOls:
     def test_identity_fit(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=50)
-        report = stats.ols_fit(x, x[:, None])
+        report = stats.ols_fit(x, x[:, None], names=["x1"])
         assert report.coef[0] == pytest.approx(0.0, abs=1e-12)
         assert report.coef[1] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(residuals(report, x, x[:, None]))) < 1e-12
@@ -87,7 +87,7 @@ class TestOls:
         rng = np.random.default_rng(1)
         x = rng.normal(size=80)
         y = 2 * x + 3
-        report = stats.ols_fit(y, x[:, None])
+        report = stats.ols_fit(y, x[:, None], names=["x1"])
         assert report.coef[0] == pytest.approx(3.0, abs=1e-8)
         assert report.coef[1] == pytest.approx(2.0, abs=1e-8)
 
@@ -95,7 +95,7 @@ class TestOls:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
-        report = stats.ols_fit(y, X)
+        report = stats.ols_fit(y, X, names=["x1", "x2", "x3"])
         # oracle: explicit 4x4 inversion of the normal equations
         Xd = np.column_stack([np.ones(50), X])
         XtX = Xd.T @ Xd
@@ -112,7 +112,7 @@ class TestOls:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
-        report = stats.ols_fit(y, X)
+        report = stats.ols_fit(y, X, names=["x1", "x2", "x3", "x4"])
         for j in range(4):
             assert abs(residuals(report, y, X) @ X[:, j]) < 1e-8
 
@@ -131,7 +131,7 @@ class TestOls:
         def standardized_fit(y_raw, X_raw):
             ys = stats.standardize(y_raw)
             Xs = np.column_stack([stats.standardize(X_raw[:, j]) for j in range(X_raw.shape[1])])
-            return stats.ols_fit(ys, Xs)
+            return stats.ols_fit(ys, Xs, names=["x1", "x2", "x3"])
 
         base = standardized_fit(y, X)
         rescaled = standardized_fit(3.5 * y + 7.0, X * np.array([2.0, 0.5, 10.0]) + 1.0)
@@ -140,7 +140,7 @@ class TestOls:
     def test_stars_thresholds(self):
         report = stats.ols_fit(
             np.arange(10.0) + np.random.default_rng(0).normal(size=10) * 0.01,
-            np.arange(10.0)[:, None],
+            np.arange(10.0)[:, None], names=["x1"],
         )
         assert report.stars(1) == "***"
 
