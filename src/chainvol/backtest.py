@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FitError, NonFiniteStateError, ValidationError
+from .errors import FitError, NonFiniteStateError, RegressorOverflowError, ValidationError
 from .garchx import ArmaGarchXParams, FitResult, ModelSpec, fit, forecast_one, innovation_quantile
 from .kernels import special
 
@@ -187,7 +187,9 @@ def rolling_backtest(
     which runs the filter one day past each window, with the refit's
     regressor standardization applied to the chunk's span at once. The
     block's VaR quantile is computed once. A forecast whose filter state is
-    not finite is a NonFiniteStateError that names the day's position in y.
+    not finite is a NonFiniteStateError that names the day's position in y,
+    and a refit whose regressor standardization overflows a
+    RegressorOverflowError that names its window's positions in y.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
@@ -211,6 +213,8 @@ def rolling_backtest(
             if current is None:
                 raise
             refit_failures.append(t)
+        except RegressorOverflowError as exc:
+            raise RegressorOverflowError(exc.column, t - window, t - 1) from None
         params = current.params
         stop = min(start + refit_every, n)
         for lo in range(start, stop, chunk):

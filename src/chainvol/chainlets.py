@@ -252,9 +252,9 @@ def combine_matrices(occ, amo, occ_path, amo_path) -> DayCube:
 
     Both files must hold the same days, which load_matrix_file has checked
     to strictly increase; a day that one file lacks is an AlignmentError
-    naming that file's path. An amount in a cell with zero occurrences is a
-    ValidationError naming the amount file and the line of the first day
-    that has one.
+    naming that file's path. Amount matrices of another N, or an amount in
+    a cell with zero occurrences, are a ValidationError naming the amount
+    file, the latter with the line of the first day that has one.
     """
     (dates, occ_values), (amo_dates, amo_values) = occ, amo
     if dates != amo_dates:
@@ -265,6 +265,9 @@ def combine_matrices(occ, amo, occ_path, amo_path) -> DayCube:
                                  amo_path)
         missing = [d for d in amo_dates if d not in occ_days]
         raise AlignmentError("occurrence file does not cover all amount days", missing, occ_path)
+    if amo_values.shape != occ_values.shape:
+        n, m = occ_values.shape[-1], amo_values.shape[-1]
+        raise ValidationError(f"{m}x{m} matrices, but the occurrence file has {n}x{n}", amo_path)
     try:
         return DayCube(dates, occ_values, amo_values)
     except ValidationError as exc:

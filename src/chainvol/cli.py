@@ -17,9 +17,24 @@ import numpy as np
 
 from . import backtest as bt
 from . import chainlets, garchx, ingest, stats, synth
-from .errors import ChainvolError, NonFiniteStateError, ValidationError
+from .errors import ChainvolError, NonFiniteStateError, RegressorOverflowError, ValidationError
 
 SCHEMA_VERSION = 1
+
+# the values of the PipelineConfig keys that take one of a few
+CHOICES = {"distribution": garchx.DISTRIBUTIONS,
+           "gap_policy": tuple(policy.value for policy in ingest.GapPolicy)}
+# the columns of the feature matrix that analyze and backtest read
+FEATURES = ["A_l", "A_r", "A_x", "O_l", "O_r", "O_x"]
+# the PipelineConfig keys each subcommand reads, each of them its flag
+CONFIG_KEYS = {
+    "extract": ("threshold",),
+    "features": ("gap_policy",),
+    "analyze": ("alpha_tail", "lag", "gap_policy"),
+    "backtest": ("window", "refit_every", "var_level", "arma_p", "arma_q", "distribution",
+                 "restarts", "lag", "gap_policy", "seed"),
+    "synth": ("threshold", "seed"),
+}
 
 
 class ConfigValueError(ChainvolError):
@@ -56,63 +71,57 @@ class PipelineConfig:
             ("refit_every", self.refit_every >= 1, ">= 1"),
             ("arma_p", self.arma_p >= 0, ">= 0"),
             ("arma_q", self.arma_q >= 0, ">= 0"),
-            ("distribution", self.distribution in garchx.DISTRIBUTIONS,
-             f"one of {', '.join(garchx.DISTRIBUTIONS)}"),
             ("restarts", self.restarts >= 1, ">= 1"),
             # a negative lag pairs a return with features published after it
             ("lag", self.lag >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
+            *((key, getattr(self, key) in choices, f"one of {', '.join(choices)}")
+              for key, choices in CHOICES.items()),
         ):
             if not ok:
-                raise ConfigValueError(key, f"{key} must be {bound}, got {getattr(self, key)}")
+                raise ConfigValueError(key, f"{key} must be {bound}, got {getattr(self, key)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# the type of each PipelineConfig key, as a flag and in a config file
+TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(PipelineConfig)}
 
 
 def load_config_file(path) -> dict:
     """Flat key=value file; blank lines and # comments ignored. Maps each
     key to its value and its line number."""
     out = {}
-    valid = {f.name: f.type for f in fields(PipelineConfig)}
-    casts = {"int": int, "float": float, "str": str}
     for line_no, line in ingest.data_lines(path):
         if "=" not in line:
             raise ChainvolError(f"expected key=value, got {line!r}", path, line_no)
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in valid:
+        if key not in TYPES:
             raise ChainvolError(f"unknown config key {key!r}", path, line_no)
         value = value.strip()
         if key in out:
             raise ChainvolError(f"duplicate config key {key!r}", path, line_no)
         try:
-            out[key] = casts[valid[key]](value), line_no
-            if key == "gap_policy":
-                ingest.GapPolicy(value)
+            out[key] = TYPES[key](value), line_no
         except ValueError:
             raise ChainvolError(f"bad value for {key}: {value!r}", path, line_no) from None
     return out
 
 
 def resolve_config(args) -> PipelineConfig:
-    path = getattr(args, "config", None)
-    values, lines = {}, {}
-    if path:
-        for key, (value, line_no) in load_config_file(path).items():
-            values[key], lines[key] = value, line_no
-    for f in fields(PipelineConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-            lines.pop(f.name, None)
+    from_file = load_config_file(args.config) if args.config else {}
+    flags = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    values = {key: value for key, (value, _) in from_file.items()}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
     try:
         return PipelineConfig(**values)
     except ConfigValueError as exc:
-        if exc.key not in lines:
+        if exc.key not in from_file or flags[exc.key] is not None:
             raise
         # the value came from the config file: name its line
-        raise ChainvolError(str(exc), path, lines[exc.key]) from None
+        raise ChainvolError(str(exc), args.config, from_file[exc.key][1]) from None
 
 
 def _json_text(payload: dict, config: PipelineConfig) -> str:
@@ -184,8 +193,8 @@ def cmd_features(args, config: PipelineConfig) -> int:
     outputs = [args.out] + ([args.plot_data] if args.plot_data else [])
     with ingest.atomic_files(*outputs) as files:
         cube = chainlets.combine_matrices(
-            ingest.load_matrix_file(args.occurrence, dim=config.threshold),
-            ingest.load_matrix_file(args.amount, dim=config.threshold),
+            ingest.load_matrix_file(args.occurrence),
+            ingest.load_matrix_file(args.amount),
             args.occurrence, args.amount,
         )
         rows = []
@@ -244,16 +253,13 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     # standardized OLS of squared returns on the six features
     y_std = stats.standardize(r**2)
     X_std = np.column_stack([stats.standardize(X[:, j]) for j in range(X.shape[1])])
-    names = ["A_l", "A_r", "A_x", "O_l", "O_r", "O_x"]
-    report = stats.ols_fit(y_std, X_std, names=names)
+    report = stats.ols_fit(y_std, X_std, names=FEATURES)
     texts = {"ols_report.json": _json_text(report.to_dict(), config)}
 
     # conditional loss-density moments, losses standardized over the full sample
     loss_std = stats.standardize(-r)
-    a_x = X[:, names.index("A_x")]
-    o_x = X[:, names.index("O_x")]
     moments_payload = {"unconditional": stats.moments(loss_std).to_dict()}
-    panels = {"A_x": a_x, "O_x": o_x}
+    panels = {label: X[:, FEATURES.index(label)] for label in ("A_x", "O_x")}
     for label, c in panels.items():
         for tail in (stats.Tail.LOWER, stats.Tail.UPPER):
             key = f"{label}_{tail.value}"
@@ -328,6 +334,10 @@ def cmd_backtest(args, config: PipelineConfig) -> int:
         except NonFiniteStateError as exc:
             raise ValidationError(f"non-finite filter state in the forecast of "
                                   f"{dates[exc.day]}", args.features) from None
+        except RegressorOverflowError as exc:
+            raise ValidationError(f"{FEATURES[exc.column]} overflows in the standardization of "
+                                  f"the fit window {dates[exc.first]}..{dates[exc.last]}",
+                                  args.features) from None
         series_by_model[model] = series
         report = bt.backtest_report(series.n, series.n_breaches, config.var_level, series.breach)
         payload["models"][model] = {
@@ -370,22 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chainvol",
         description="Chainlet-based Bitcoin risk analytics pipeline",
     )
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--threshold", type=int, default=None, help="chainlet clamp threshold N")
-        p.add_argument("--gap-policy", dest="gap_policy", choices=["error", "ffill"], default=None)
-        # SUPPRESS: without the flag here, the top-level value stays in place
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="RNG seed")
-        p.add_argument("--config", default=argparse.SUPPRESS, help="flat key=value config file")
 
     p = sub.add_parser("extract", help="transactions -> daily chainlet matrix files")
     p.add_argument("transactions")
     p.add_argument("--out-occurrence", required=True)
     p.add_argument("--out-amount", required=True)
-    add_common(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("features", help="matrix files + prices -> feature CSV")
@@ -395,16 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--plot-data", help="write day-index/O_x CSV for plotting")
     p.add_argument("--events", help="optional date,label events file merged into plot data")
-    add_common(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("analyze", help="OLS, conditional moments and density data")
     p.add_argument("features")
     p.add_argument("prices")
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha-tail", dest="alpha_tail", type=float, default=None)
-    p.add_argument("--lag", type=int, default=None, help="lag features by this many days")
-    add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("backtest", help="rolling VaR backtest with coverage tests")
@@ -416,15 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", action="store_true", help="run both models plus a DM test")
     p.add_argument("--horizon", type=int, default=None,
                    help="DM comparison span in days (default 30); needs --compare")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--refit-every", dest="refit_every", type=int, default=None)
-    p.add_argument("--var-level", dest="var_level", type=float, default=None)
-    p.add_argument("--arma-p", dest="arma_p", type=int, default=None)
-    p.add_argument("--arma-q", dest="arma_q", type=int, default=None)
-    p.add_argument("--distribution", choices=list(garchx.DISTRIBUTIONS), default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--lag", type=int, default=None)
-    add_common(p)
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -432,9 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, default=60)
     p.add_argument("--txs-per-day", dest="txs_per_day", type=float, default=50.0)
     p.add_argument("--extreme-prob", dest="extreme_prob", type=float, default=0.05)
-    add_common(p)
     p.set_defaults(func=cmd_synth)
 
+    for name, p in sub.choices.items():
+        for key in CONFIG_KEYS[name]:
+            p.add_argument(f"--{key.replace('_', '-')}", type=TYPES[key], choices=CHOICES.get(key))
+        p.add_argument("--config", help="flat key=value config file")
     return parser
 
 

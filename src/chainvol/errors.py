@@ -54,3 +54,15 @@ class NonFiniteStateError(ChainvolError):
     def __init__(self, day):
         self.day = day
         super().__init__(f"non-finite filter state forecasting day {day}")
+
+
+class RegressorOverflowError(ChainvolError):
+    """A regressor overflows in a fit's standardization. column is its row in
+    the regressor matrix; first and last are the positions of the fit's first
+    and last days: in the fitted series, then in the series of
+    rolling_backtest."""
+
+    def __init__(self, column, first, last):
+        self.column, self.first, self.last = column, first, last
+        super().__init__(f"regressor {column} overflows in its standardization "
+                         f"over days {first}..{last}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, NonFiniteStateError, ValidationError
+from .errors import FitError, NonFiniteStateError, RegressorOverflowError, ValidationError
 from .kernels import scipy_extension, special
 from .skewt import normal_logpdf, skewt_logpdf, skewt_quantile, student_t_logpdf
 
@@ -405,7 +405,8 @@ def fit(y, x, spec: ModelSpec, restarts: int, seed: int) -> FitResult:
 
     Regressors are standardized before entering the variance equation; the
     transform is recorded in the result so forecasts can apply it to raw
-    future regressors.
+    future regressors. A regressor whose standardization overflows is a
+    RegressorOverflowError.
     """
     y = np.asarray(y, dtype=float)
     if y.size < MIN_OBS:
@@ -415,8 +416,12 @@ def fit(y, x, spec: ModelSpec, restarts: int, seed: int) -> FitResult:
     x_fit = None
     if spec.k > 0:
         x_fit = np.atleast_2d(np.asarray(x, dtype=float))
-        x_mean = x_fit.mean(axis=1)
-        sd = x_fit.std(axis=1, ddof=1)
+        # a sum or a square that overflows leaves the sd of its row not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_mean = x_fit.mean(axis=1)
+            sd = x_fit.std(axis=1, ddof=1)
+        if not np.isfinite(sd).all():
+            raise RegressorOverflowError(int(np.argmin(np.isfinite(sd))), 0, y.size - 1)
         x_std = np.where(sd > 0, sd, 1.0)
         x_fit = (x_fit - x_mean[:, None]) / x_std[:, None]
 

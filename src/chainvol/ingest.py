@@ -324,14 +324,13 @@ def load_prices(path, calendar: DailyCalendar) -> PriceSeries:
     return PriceSeries(dates, np.array(closes))
 
 
-def _parse_matrix_lines(lines, line_no, path, dim: int,
+def _parse_matrix_lines(lines, line_no, path, n2: int,
                         prev: dt.date | None) -> tuple[list[dt.date], np.ndarray]:
     """The line parser of matrix files; ``lines`` start at file line ``line_no``
     and ``prev`` is the day of the line before them, if any. Returns the days
-    and their (days, dim*dim) int64 values."""
+    and their (days, n2) int64 values."""
     days: list[dt.date] = []
     table = array("q")
-    n2 = dim * dim
     for line_no, line in data_lines(path, lines, line_no):
         tokens = line.split()
         if len(tokens) != n2 + 1:
@@ -356,13 +355,13 @@ def _parse_matrix_lines(lines, line_no, path, dim: int,
     return days, np.frombuffer(table, dtype=np.int64).reshape(-1, n2)
 
 
-def load_matrix_file(path, dim: int) -> tuple[list[dt.date], np.ndarray]:
-    """Read a matrix file: per line a date then dim*dim row-major values.
+def load_matrix_file(path) -> tuple[list[dt.date], np.ndarray]:
+    """Read a matrix file: per line a date then N*N row-major values.
 
-    Row index is the input class i (1..dim), column the output class j.
-    Occurrence files carry counts, amount files integer satoshis. Returns
-    the days, which strictly increase, and one C-contiguous (days, dim, dim)
-    int64 array.
+    The first data line sets N >= 2. Row index is the input class i (1..N),
+    column the output class j. Occurrence files carry counts, amount files
+    integer satoshis. Returns the days, which strictly increase, and one
+    C-contiguous (days, N, N) int64 array, (0, 0, 0) without data lines.
 
     Each block of lines is parsed by one ``np.loadtxt`` call, which hands
     the date column to a converter, so a row of the wrong width or with a
@@ -372,8 +371,14 @@ def load_matrix_file(path, dim: int) -> tuple[list[dt.date], np.ndarray]:
     Each block's values go straight into the one array, which grows by the
     block's rows, so no block is held once the next one is read.
     """
+    first = next(data_lines(path), None)
+    if first is None:
+        return [], np.empty((0, 0, 0), dtype=np.int64)
+    n2 = len(first[1].split()) - 1
+    dim = math.isqrt(n2)
+    if dim < 2 or dim * dim != n2:
+        raise ParseError(f"expected date + N*N values, N >= 2, got {n2}", path, first[0])
     days: list[dt.date] = []
-    n2 = dim * dim
     table = np.empty(0, dtype=np.int64)
     with _open_text(path) as fh:
         for first_line, text in _line_blocks(fh):
@@ -390,7 +395,7 @@ def load_matrix_file(path, dim: int) -> tuple[list[dt.date], np.ndarray]:
                 values = rows[:, 1:]
             else:
                 block_days, values = _parse_matrix_lines(
-                    text.split("\n"), first_line, path, dim, days[-1] if days else None)
+                    text.split("\n"), first_line, path, n2, days[-1] if days else None)
             days += block_days
             # in place, as DayCubeBuilder._cover grows its accumulators; no
             # view of table exists before the return, so no refcheck

@@ -69,17 +69,22 @@ def reference_transactions(path):
     return rows, coinbase
 
 
-def reference_matrices(path, dim):
+def reference_matrices(path):
     out = []
-    prev = None
+    prev = n2 = None
     for line_no, raw in _lines(path):
         _utf8(raw, path, line_no)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if len(tokens) != dim * dim + 1:
-            raise ParseError(f"expected date + {dim * dim} values, got {len(tokens) - 1} values",
+        if n2 is None:
+            # the first data line sets N
+            n2 = len(tokens) - 1
+            if n2 not in [n * n for n in range(2, 100)]:
+                raise ParseError(f"expected date + N*N values, N >= 2, got {n2}", path, line_no)
+        if len(tokens) != n2 + 1:
+            raise ParseError(f"expected date + {n2} values, got {len(tokens) - 1} values",
                              path, line_no)
         try:
             if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", tokens[0]):
@@ -132,14 +137,16 @@ def assert_same_transactions(path, block):
 
 def assert_same_matrices(path, block):
     def load():
-        dates, values = ingest.load_matrix_file(path, dim=DIM)
-        assert values.shape == (len(dates), DIM, DIM) and values.dtype == np.int64
+        dates, values = ingest.load_matrix_file(path)
+        # a matrix_file that loads has DIM * DIM values on its first data line
+        assert values.shape == ((len(dates), DIM, DIM) if dates else (0, 0, 0))
+        assert values.dtype == np.int64
         assert values.flags.c_contiguous
         return list(zip(dates, values.reshape(len(dates), DIM * DIM).tolist()))
 
     with small_blocks(block):
         got = outcome(load)
-    assert got == outcome(lambda: reference_matrices(path, DIM))
+    assert got == outcome(lambda: reference_matrices(path))
 
 
 # --- file strategies ------------------------------------------------------
@@ -330,10 +337,10 @@ def test_empty_inputs_give_nothing_without_warnings(tmp_path, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         transactions = read_tx(tx)
-        matrices = ingest.load_matrix_file(tx, dim=DIM)
+        matrices = ingest.load_matrix_file(tx)
     assert transactions == ([], 0)
     dates, values = matrices
-    assert dates == [] and values.shape == (0, DIM, DIM) and values.dtype == np.int64
+    assert dates == [] and values.shape == (0, 0, 0) and values.dtype == np.int64
 
 
 def test_fast_path_serves_clean_blocks(tmp_path):
@@ -346,7 +353,7 @@ def test_fast_path_serves_clean_blocks(tmp_path):
             mock.patch.object(ingest, "_parse_tx_lines", side_effect=AssertionError), \
             mock.patch.object(ingest, "_parse_matrix_lines", side_effect=AssertionError):
         rows, coinbase = read_tx(tx)
-        matrices = ingest.load_matrix_file(m, dim=DIM)
+        matrices = ingest.load_matrix_file(m)
     assert (len(rows) + coinbase, coinbase) == (100, 50)
     assert rows == [[1420070400, 2, 3, 100]] * 50
     dates, values = matrices

@@ -390,15 +390,16 @@ class TestCombineMatrices:
         occ_path.write_text("2015-06-01 1 0 0 2\n2015-06-02 0 3 0 0\n")
         amo_path.write_text("2015-06-01 5 0 0 9\n2015-06-02 0 4 0 0\n")
         empty_path.write_text("")
-        occ = ingest.load_matrix_file(occ_path, dim=2)
-        amo = ingest.load_matrix_file(amo_path, dim=2)
+        occ = ingest.load_matrix_file(occ_path)
+        amo = ingest.load_matrix_file(amo_path)
         cube = combine_matrices(occ, amo, occ_path, amo_path)
         assert np.shares_memory(cube.occurrence, occ[1])
         assert np.shares_memory(cube.amount, amo[1])
         assert cube.amount.tolist() == [[[5, 0], [0, 9]], [[0, 4], [0, 0]]]
-        empty = ingest.load_matrix_file(empty_path, dim=2)
+        empty = ingest.load_matrix_file(empty_path)
         cube = combine_matrices(empty, empty, empty_path, amo_path)
-        assert cube.dates == [] and cube.occurrence.shape == cube.amount.shape == (0, 2, 2)
+        # a file without data lines sets no N
+        assert cube.dates == [] and cube.occurrence.shape == cube.amount.shape == (0, 0, 0)
         assert cube.occurrence.dtype == cube.amount.dtype == np.int64
 
     @pytest.mark.parametrize("occ,amo,name,message", [
@@ -416,8 +417,8 @@ class TestCombineMatrices:
             paths[file].write_text("".join(f"2015-06-{d:02d} 1 1 1 1\n" for d in days))
         with pytest.raises(ValidationError,
                            match="^" + re.escape(f"{paths[name]}:3: {message}") + "$"):
-            combine_matrices(ingest.load_matrix_file(paths["occ"], dim=2),
-                             ingest.load_matrix_file(paths["amo"], dim=2),
+            combine_matrices(ingest.load_matrix_file(paths["occ"]),
+                             ingest.load_matrix_file(paths["amo"]),
                              paths["occ"], paths["amo"])
 
     def test_amount_without_occurrence_names_the_amount_file(self, tmp_path):
@@ -428,7 +429,16 @@ class TestCombineMatrices:
         amo_path.write_text("# amounts\n\n" + "".join(f"2015-06-0{d} 7 7 7 7\n" for d in (1, 2, 3)))
         message = f"{amo_path}:4: 2015-06-02: amount recorded in a cell with zero occurrences"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            combine_matrices(occ, ingest.load_matrix_file(amo_path, dim=2), "occ", amo_path)
+            combine_matrices(occ, ingest.load_matrix_file(amo_path), "occ", amo_path)
+
+    def test_amount_matrices_of_another_n_name_the_amount_file(self, tmp_path):
+        occ_path, amo_path = tmp_path / "occ.txt", tmp_path / "amo.txt"
+        occ_path.write_text("2015-06-01 1 0 0 2\n")
+        amo_path.write_text("2015-06-01 5 0 0 0 0 0 0 0 9\n")
+        message = f"{amo_path}: 3x3 matrices, but the occurrence file has 2x2"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            combine_matrices(ingest.load_matrix_file(occ_path), ingest.load_matrix_file(amo_path),
+                             occ_path, amo_path)
 
     def test_missing_amount_day(self):
         message = "amo: amount file does not cover all occurrence days (missing: 2015-06-02)"

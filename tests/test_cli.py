@@ -404,7 +404,7 @@ class TestAnalyze:
             out = tmp_path / name
             assert cli.main([
                 "analyze", str(dataset["features"]), str(dataset["data"] / "prices.csv"),
-                "--out", str(out), "--seed", "3",
+                "--out", str(out),
             ]) == 0
             outs.append((out / "ols_report.json").read_bytes())
         assert outs[0] == outs[1]
@@ -562,6 +562,28 @@ class TestBacktest:
             f"error: {features}: non-finite filter state in the forecast of 2015-03-21\n")
         assert os.listdir(out) == []
 
+    def test_regressor_overflowing_in_a_refit_names_feature_and_window(self, dataset, tmp_path,
+                                                                       capsys):
+        # A_x = 1e308 on 2015-03-01, inside the first refit window of 60 days
+        # (2015-01-01..2015-03-01): its square overflows in the refit's
+        # standardization, which used to warn, take A_x for constant and exit 0
+        lines = dataset["features"].read_text().splitlines()[:81]
+        k = next(i for i, line in enumerate(lines) if line.startswith("2015-03-01,"))
+        values = lines[k].split(",")
+        values[3] = "1e308"
+        lines[k] = ",".join(values)
+        features = tmp_path / "features.csv"
+        features.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["backtest", str(features), str(dataset["data"] / "prices.csv"),
+                             "--out", str(out), "--window", "60"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {features}: A_x overflows in the standardization of the fit window "
+            "2015-01-01..2015-03-01\n")
+        assert os.listdir(out) == []
+
     def test_window_too_large_fails(self, dataset, tmp_path, capsys):
         assert cli.main([
             "backtest", str(dataset["features"]), str(dataset["data"] / "prices.csv"),
@@ -589,8 +611,8 @@ class TestConfigFile:
         # the second value would silently win
         cfg = tmp_path / "cfg"
         cfg.write_text("window=300\nwindow=100\n")
-        assert cli.main(["--config", str(cfg), "synth", "--out", str(tmp_path / "d"),
-                         "--days", "3"]) == 1
+        assert cli.main(["synth", "--out", str(tmp_path / "d"), "--days", "3",
+                         "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:2: duplicate config key 'window'\n"
         assert os.listdir(tmp_path) == ["cfg"]
 
@@ -696,11 +718,16 @@ class TestBadInput:
 
     @pytest.mark.parametrize("line", ["window=abc", "gap_policy=sometimes"])
     def test_bad_config_value(self, tmp_path, capsys, line):
+        # a value that is not of its key's type, and one outside its key's choices
+        message = {
+            "window=abc": "bad value for window: 'abc'",
+            "gap_policy=sometimes": "gap_policy must be one of error, ffill, got 'sometimes'",
+        }[line]
         cfg = tmp_path / "cfg"
         cfg.write_text(f"# comment\n{line}\n")
-        assert cli.main(["--config", str(cfg), "synth", "--out", str(tmp_path / "d"),
-                         "--days", "3"]) == 1
-        assert f"{cfg}:2: bad value for {line.split('=')[0]}" in capsys.readouterr().err
+        assert cli.main(["synth", "--out", str(tmp_path / "d"), "--days", "3",
+                         "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
 
 
 @pytest.mark.parametrize("name", [
@@ -736,7 +763,7 @@ def test_undecodable_byte_in_any_input(dataset, tmp_path, capsys, name):
         "transactions": ["extract", p["transactions"],
                          "--out-occurrence", str(out / "o.txt"), "--out-amount", str(out / "a.txt")],
         "features": ["analyze", p["features"], p["prices"], "--out", str(out / "a")],
-        "config": ["--config", p["config"], *features_argv],
+        "config": [*features_argv, "--config", p["config"]],
     }.get(name, features_argv)
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {paths[name]}:3: bytes that are not valid UTF-8\n"
@@ -790,7 +817,14 @@ def test_config_value_out_of_range(tmp_path, capsys, monkeypatch, argv):
     ("window", ["--config", "../arma_order.cfg", "backtest", "f.csv", "p.csv", "--out", "b"]),
 ], ids=lambda v: v if isinstance(v, str) else "_".join(v))
 def test_bad_seed_or_synth_value(tmp_path, capsys, monkeypatch, key, argv):
-    # one error line and nothing written, neither --out nor anything in it
+    # one error line and nothing written, neither --out nor anything in it.
+    # A case that starts with --config or --seed runs with that option after
+    # the subcommand, which is where a subcommand takes it
+    where = ""
+    if argv[0].startswith("--"):
+        # a value from a config file is named by its file and line
+        where = f"{argv[1]}:1: " if argv[0] == "--config" else ""
+        argv = argv[2:] + argv[:2]
     for name, value in (("seed", "-2"), ("arma_p", "-1"), ("arma_q", "-3"),
                         ("distribution", "cauchy"), ("lag", "-2")):
         (tmp_path / f"{name}.cfg").write_text(f"{name} = {value}\n")
@@ -800,8 +834,6 @@ def test_bad_seed_or_synth_value(tmp_path, capsys, monkeypatch, key, argv):
     monkeypatch.chdir(run)
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    # a value from a config file is named by its file and line
-    where = f"{argv[1]}:1: " if argv[0] == "--config" else ""
     assert err.startswith(f"error: {where}{key} must be ") and err.count("\n") == 1
     assert os.listdir(run) == []
 
@@ -814,7 +846,7 @@ OUT_OF_RANGE_LINES = [
     ("refit_every=0", "refit_every must be >= 1, got 0"),
     ("arma_p=-1", "arma_p must be >= 0, got -1"),
     ("arma_q=-1", "arma_q must be >= 0, got -1"),
-    ("distribution=skew", "distribution must be one of normal, t, skewt, got skew"),
+    ("distribution=skew", "distribution must be one of normal, t, skewt, got 'skew'"),
     ("restarts=0", "restarts must be >= 1, got 0"),
     ("lag=-1", "lag must be >= 0, got -1"),
     ("seed=-1", "seed must be >= 0, got -1"),
@@ -830,7 +862,7 @@ def test_config_file_value_out_of_range_names_file_and_line(tmp_path, capsys, mo
     # a valid line of another key first: a key given twice is an error of its own
     other = "seed=7" if line.startswith("threshold=") else "threshold=20"
     (tmp_path / "bad.cfg").write_text(f"# settings\n{other}\n{line}\n")
-    assert cli.main(["--config", "bad.cfg", "backtest", "f.csv", "p.csv", "--out", "b"]) == 1
+    assert cli.main(["backtest", "f.csv", "p.csv", "--out", "b", "--config", "bad.cfg"]) == 1
     assert capsys.readouterr().err == f"error: bad.cfg:3: {message}\n"
     assert os.listdir(tmp_path) == ["bad.cfg"]
 
@@ -838,7 +870,7 @@ def test_config_file_value_out_of_range_names_file_and_line(tmp_path, capsys, mo
 def test_flag_over_a_config_value_is_not_named_by_the_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text("window=10\n")
-    assert cli.main(["--config", "bad.cfg", "backtest", "f.csv", "p.csv", "--out", "b",
+    assert cli.main(["backtest", "f.csv", "p.csv", "--out", "b", "--config", "bad.cfg",
                      "--window", "20"]) == 1
     assert capsys.readouterr().err == "error: window must be >= 50, got 20\n"
 
@@ -849,7 +881,7 @@ def test_lag_pairs_returns_with_earlier_features(dataset, tmp_path, form):
     cfg = tmp_path / "lag.cfg"
     cfg.write_text("lag = 1\n")
     analyze = ["analyze", str(features), str(prices), "--out", str(tmp_path / "a")]
-    argv = [*analyze, "--lag", "1"] if form == "flag" else ["--config", str(cfg), *analyze]
+    argv = [*analyze, "--lag", "1"] if form == "flag" else [*analyze, "--config", str(cfg)]
     config = cli.resolve_config(cli.build_parser().parse_args(argv))
     assert config.lag == 1
     dates0, _, r0 = cli._aligned_features_returns(features, prices, cli.PipelineConfig())
@@ -861,25 +893,6 @@ def test_lag_pairs_returns_with_earlier_features(dataset, tmp_path, form):
     for day, x, r in zip(dates1, X1, r1):
         assert tuple(x) == values[day - dt.timedelta(days=1)]
     np.testing.assert_array_equal(r1, r0[1:])
-
-
-class TestTopLevelFlags:
-    def test_top_level_seed_reaches_subcommand(self, tmp_path):
-        out = tmp_path / "d"
-        assert cli.main(["--seed", "5", "synth", "--out", str(out), "--days", "3"]) == 0
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 5
-
-    def test_subcommand_seed_wins(self, tmp_path):
-        out = tmp_path / "d"
-        assert cli.main(["--seed", "5", "synth", "--out", str(out), "--days", "3", "--seed", "9"]) == 0
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 9
-
-    def test_top_level_config_reaches_subcommand(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("seed=4\n")
-        out = tmp_path / "d"
-        assert cli.main(["--config", str(cfg), "synth", "--out", str(out), "--days", "3"]) == 0
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 4
 
 
 def test_import_does_not_load_scipy_signal(dataset, tmp_path):

@@ -221,29 +221,47 @@ class TestMatrixFiles:
     def test_20x20_line(self, tmp_path):
         values = " ".join(["0"] * 399 + ["7"])
         p = write(tmp_path, "m.txt", f"2015-01-01 {values}\n")
-        dates, m = ingest.load_matrix_file(p, dim=20)
+        dates, m = ingest.load_matrix_file(p)
         assert dates == [dt.date(2015, 1, 1)]
         assert m.shape == (1, 20, 20) and m.dtype == np.int64
         assert m[0, 19, 19] == 7  # last value is the row-major corner
 
     def test_wrong_value_count(self, tmp_path):
-        values = " ".join(["0"] * 399)
-        p = write(tmp_path, "m.txt", f"2015-01-01 {values}\n")
-        with pytest.raises(ParseError) as exc:
-            ingest.load_matrix_file(p, dim=20)
-        assert "400" in str(exc.value)
+        # the first line sets N = 20, so a later line of 399 values is short
+        lines = [f"2015-01-0{day} " + " ".join(["0"] * n) for day, n in ((1, 400), (2, 399))]
+        p = write(tmp_path, "m.txt", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{p}:2: expected date + 400 values, got 399 values") + "$"):
+            ingest.load_matrix_file(p)
+
+    @pytest.mark.parametrize("head, values", [
+        ("", 5), ("", 0), ("", 1), ("", 8), ("# N comes from the first data line\n\n", 3),
+    ])
+    def test_first_line_width_is_a_square_of_at_least_four(self, tmp_path, head, values):
+        p = write(tmp_path, "m.txt", f"{head}2015-01-01{' 1' * values}\n2015-01-02 1 2 3 4\n")
+        line = head.count("\n") + 1
+        message = f"{p}:{line}: expected date + N*N values, N >= 2, got {values}"
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            ingest.load_matrix_file(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_n_comes_from_the_first_line(self, tmp_path, n):
+        p = write(tmp_path, "m.txt", "".join(
+            f"2015-01-0{day} " + " ".join(map(str, range(n * n))) + "\n" for day in (1, 2)))
+        dates, m = ingest.load_matrix_file(p)
+        assert m.shape == (2, n, n) and m[1, n - 1, n - 1] == n * n - 1
 
     def test_all_zero_line_valid(self, tmp_path):
         values = " ".join(["0"] * 400)
         p = write(tmp_path, "m.txt", f"2015-01-01 {values}\n")
-        dates, m = ingest.load_matrix_file(p, dim=20)
+        dates, m = ingest.load_matrix_file(p)
         assert len(dates) == 1 and m.sum() == 0
 
     def test_negative_value_rejected(self, tmp_path):
         values = " ".join(["-1"] + ["0"] * 399)
         p = write(tmp_path, "m.txt", f"2015-01-01 {values}\n")
         with pytest.raises(ValidationError):
-            ingest.load_matrix_file(p, dim=20)
+            ingest.load_matrix_file(p)
 
     def test_repeat_across_a_block_edge_names_line(self, tmp_path):
         # 19-character lines: at 19 and 38 characters the repeated third day
@@ -255,18 +273,18 @@ class TestMatrixFiles:
         for block in (19, 38, 57, ingest.BLOCK_CHARS):
             with mock.patch.object(ingest, "BLOCK_CHARS", block), \
                     pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-                ingest.load_matrix_file(p, dim=2)
+                ingest.load_matrix_file(p)
 
     def test_value_past_int64_names_line(self, tmp_path):
         p = write(tmp_path, "m.txt", f"2015-01-01 1 2 3 4\n2015-01-02 1 2 3 {2**63}\n")
         with pytest.raises(ParseError, match="^" + re.escape(f"{p}:2: matrix value out of int64")):
-            ingest.load_matrix_file(p, dim=2)
+            ingest.load_matrix_file(p)
 
     def test_undecodable_bytes_name_line(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_bytes(b"2015-01-01 1 2 3 4\r\n2015-01-02 1 2 3 4\r\n2015-01-03 1 2 \x80 4\r\n")
         with pytest.raises(ParseError, match="^" + re.escape(f"{p}:3: bytes that are not valid UTF-8")):
-            ingest.load_matrix_file(p, dim=2)
+            ingest.load_matrix_file(p)
 
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -279,7 +297,7 @@ class TestMatrixFiles:
         # blocks of 40 and 500 characters hold one and two lines; the load joins them
         for block in (40, 500, ingest.BLOCK_CHARS):
             with mock.patch.object(ingest, "BLOCK_CHARS", block):
-                loaded_dates, loaded = ingest.load_matrix_file(p1, dim=4)
+                loaded_dates, loaded = ingest.load_matrix_file(p1)
             assert loaded_dates == dates and np.array_equal(loaded, values), block
             assert loaded.dtype == np.int64 and loaded.flags.c_contiguous
             with ingest.atomic_files(p2) as (fh,):
@@ -297,7 +315,7 @@ class TestMatrixFiles:
             ingest.write_matrix_file(fh, dates, values)
         tracemalloc.start()
         try:
-            loaded_dates, loaded = ingest.load_matrix_file(p, dim=20)
+            loaded_dates, loaded = ingest.load_matrix_file(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,7 +324,7 @@ class TestMatrixFiles:
 
 
 def run_events_reader(path):
-    """The --events reader of ``features``, on a two-day input with threshold 2."""
+    """The --events reader of ``features``, on a two-day input of 2x2 matrices."""
     d = path.parent
     (d / "occ.txt").write_text("2015-01-01 1 0 0 0\n2015-01-02 1 0 0 0\n")
     (d / "amo.txt").write_text("2015-01-01 5 0 0 0\n2015-01-02 5 0 0 0\n")
@@ -314,7 +332,7 @@ def run_events_reader(path):
     args = cli.build_parser().parse_args([
         "features", str(d / "occ.txt"), str(d / "amo.txt"), str(d / "prices.csv"),
         "--out", str(d / "f.csv"), "--plot-data", str(d / "plot.csv"),
-        "--events", str(path), "--threshold", "2",
+        "--events", str(path),
     ])
     cli.cmd_features(args, cli.resolve_config(args))
 
@@ -336,14 +354,10 @@ def read_prices(path):
     return ingest.load_prices(path, DailyCalendar(dt.date(2015, 1, 1), dt.date(2015, 1, 2)))
 
 
-def read_matrices(path):
-    return ingest.load_matrix_file(path, dim=1)
-
-
 @pytest.mark.parametrize("read,line", [
     (read_prices, "{day},2.0"),
     (chainlets.read_feature_csv, "{day},0.5,0.25,0.125,1,2,0.5"),
-    (read_matrices, "{day} 7"),
+    (ingest.load_matrix_file, "{day} 7 7 7 7"),
 ], ids=["prices", "feature-csv", "matrix"])
 @pytest.mark.parametrize("day", ["20150102", "2015-W01-1", "2015W011", "2015-1-02"])
 def test_date_other_than_yyyy_mm_dd_names_line(tmp_path, read, line, day):

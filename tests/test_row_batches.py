@@ -17,6 +17,8 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.signal
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -522,15 +524,92 @@ def test_lbfgsb_matches_minimize(case):
     check_lbfgsb_matches_minimize(*case)
 
 
+# --- a frozen copy of fit's ARMA(2,2)-GARCHX(2) skew-t objective ------------
+# fit's objective for ModelSpec(2, 2, 2, "skewt") on the 100 days of
+# fit_objective, written out for one point as the model composed it when the
+# noise seeds of test_lbfgsb_cut_run_that_stops_first were chosen: the packed
+# layout and its map, the start point, the ARMA and variance filters with
+# the SIGMA2_MIN floor, the skew-t density, the penalty and fit's forward
+# differences. That test checks _lbfgsb against minimize, not the model, so
+# it runs on this copy, which a change to the model leaves as it is.
+
+def frozen_nll(v, y, x, sigma2_init):
+    """The negative log-likelihood at the packed point v: mu, phi (2),
+    theta (2), log alpha0, logit persistence, logit split, beta_x (2),
+    log(nu - 2), log xi; 1e10 outside the invariants or where not finite."""
+    with np.errstate(all="ignore"):
+        persistence, split = scipy.special.expit(v[6:8])
+        alpha0, alpha1, beta = np.exp(v[5]), persistence * split, persistence * (1.0 - split)
+        nu, xi = 2.0 + np.exp(v[10]), np.exp(v[11])
+        e = y - v[0]
+        e[1:] -= v[1] * y[:-1]
+        e[2:] -= v[2] * y[:-2]
+        u = scipy.signal.lfilter([1.0], [1.0, *v[3:5]], e)
+        c = alpha0 + v[8:10] @ x
+        c[1:] += alpha1 * (u[:-1] * u[:-1])
+        sigma2 = scipy.signal.lfilter([1.0], [1.0, -beta], c, zi=[beta * sigma2_init])[0]
+        floored = np.flatnonzero(sigma2 < 1e-12)
+        if floored.size:
+            t0 = floored[0]
+            s2 = sigma2[t0 - 1] if t0 else sigma2_init
+            for t in range(t0, y.size):
+                s2 = c[t] + beta * s2
+                if s2 < 1e-12:
+                    s2 = 1e-12
+                sigma2[t] = s2
+        z = u / np.sqrt(sigma2)
+        m1 = 2.0 * np.sqrt(nu - 2.0) / (nu - 1.0) / scipy.special.beta(nu / 2.0, 0.5)
+        sd = np.sqrt((1.0 - m1**2) * (xi**2 + 1.0 / xi**2) + 2.0 * m1**2 - 1.0)
+        w = sd * z + m1 * (xi - 1.0 / xi)
+        w = np.where(w >= 0, w / xi, w * xi)
+        log_t = (np.log(scipy.special.poch(0.5 * nu, 0.5)) - 0.5 * np.log((nu - 2.0) * np.pi)
+                 - 0.5 * (nu + 1.0) * np.log1p(w * w / (nu - 2.0)))
+        total = (np.log(2.0 / (xi + 1.0 / xi)) + log_t + np.log(sd)
+                 - 0.5 * np.log(sigma2)).sum()
+    valid = (alpha0 > 0 and alpha1 >= 0 and beta >= 0 and alpha1 + beta < 1 and nu > 2
+             and xi > 0 and np.isfinite(v[[0, 1, 2, 3, 4, 8, 9]]).all())
+    return -total if valid and np.isfinite(total) else 1e10
+
+
+@functools.cache
+def frozen_objective():
+    """The value and forward-difference gradient of frozen_nll, as fit forms
+    them, and the start point."""
+    y, x, _ = fit_case(FIT_SPECS[0])
+    y, x = y[:100], x[:, :100]
+    x = (x - x.mean(axis=1)[:, None]) / x.std(axis=1, ddof=1)[:, None]
+    sigma2_init = float(np.var(y))
+
+    def value_and_gradient(v):
+        h = np.where((v + 1e-8) - v == 0, np.sqrt(np.finfo(float).eps) * v, 1e-8)
+        f = [frozen_nll(v, y, x, sigma2_init)]
+        for i in range(v.size):
+            point = v.copy()
+            point[i] = v[i] + h[i]
+            f.append(frozen_nll(point, y, x, sigma2_init))
+        f = np.array(f)
+        return f[0], (f[1:] - f[0]) / ((v + h) - v)
+
+    persistence = 0.05 + 0.90
+    split = 0.05 / persistence
+    v0 = np.zeros(12)
+    v0[0] = np.mean(y)
+    v0[5] = np.log(max(0.1 * float(np.var(y)), 1e-11))
+    v0[6] = np.log(persistence / (1.0 - persistence))
+    v0[7] = np.log(split / (1.0 - split))
+    v0[10] = np.log(8.0 - 2.0)
+    return value_and_gradient, v0
+
+
 @pytest.mark.parametrize("scale, seed, name, limit, end", [
     (0.3, 264, "MAX_ITER", 2, "ABNORMAL"),
     (1.0, 159, "MAX_FUN", 3, "ABNORMAL"),
     (1.0, 178, "MAX_ITER", 7, "CONVERGENCE"),
 ])
 def test_lbfgsb_cut_run_that_stops_first(scale, seed, name, limit, end):
-    # cases of lbfgsb_cases on the ARMA(2,2)-GARCHX(2) skew-t objective that
-    # stop on their own before the cut (numpy 2.4, scipy 1.17, x86-64)
-    fun, v0 = fit_objective(FIT_SPECS[0])
+    # runs cut at MAX_ITER or MAX_FUN that stop on their own first, on the
+    # frozen objective (numpy 2.4, scipy 1.17, x86-64)
+    fun, v0 = frozen_objective()
     x0 = v0 + np.random.default_rng(seed).normal(scale=scale, size=v0.size)
     limits = {"MAX_ITER": g.MAX_ITER, "MAX_FUN": g.MAX_FUN, name: limit}
     message = "ITERATIONS" if name == "MAX_ITER" else "EVALUATIONS"
