@@ -17,11 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AlignmentError, ParseError, ValidationError
-from .ingest import EPOCH, SECONDS_PER_DAY, PriceSeries, data_lines, parse_date
+from .ingest import EPOCH, INT64_MAX, SECONDS_PER_DAY, PriceSeries, data_lines, parse_date
 
 SATOSHI_PER_BTC = 10**8
 DEFAULT_THRESHOLD = 20
-INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass

@@ -26,6 +26,8 @@ EPOCH = dt.date(1970, 1, 1)
 SECONDS_PER_DAY = 86400
 MAX_MONEY = 21_000_000 * 10**8  # Bitcoin's supply cap in satoshi
 BLOCK_CHARS = 1 << 18  # characters read per block: 256 KiB of ASCII
+INT64_MAX = 2**63 - 1
+_DIGIT_0, _PLUS, _COMMA, _MINUS, _NEWLINE, _HASH = b"0+,-\n#"
 
 
 class GapPolicy(Enum):
@@ -141,13 +143,17 @@ def _line_blocks(fh):
             # readline also makes the file drop its buffers of the whole
             # chunk, so the block's text is held once while it is parsed
             text += fh.readline()
-        first, line_no = line_no, line_no + text.count("\n")
+        # counted on bytes, many times faster than str.count; the escaped
+        # bytes of a file that is not UTF-8 encode back as they were read
+        first, line_no = line_no, line_no + int(np.count_nonzero(
+            np.frombuffer(text.encode("utf-8", "surrogateescape"), dtype=np.uint8) == _NEWLINE))
         yield first, text
         del text  # hold no block while the next one is read
 
 
 def _loadtxt_block(text: str, **kwargs) -> np.ndarray | None:
-    """Parse a block into int64 rows with ``np.loadtxt``, or return None.
+    """Parse a block of matrix-file lines into int64 rows with ``np.loadtxt``,
+    or return None.
 
     None means loadtxt failed or might read the block otherwise than the
     line parser: it reads some non-ASCII letters as digits ("1" then U+01FE
@@ -156,7 +162,7 @@ def _loadtxt_block(text: str, **kwargs) -> np.ndarray | None:
     line.
     """
     if (not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f")
-            or text.count("#") != text.count("\n#") + text.startswith("#")):
+            or "#" in text and text.count("#") != text.count("\n#") + text.startswith("#")):
         return None
     try:
         with warnings.catch_warnings():
@@ -211,11 +217,74 @@ def _calendar_seconds(calendar: DailyCalendar) -> tuple[int, int]:
     )
 
 
+def _tx_data(text: str) -> tuple[bytes, int] | None:
+    """A block's data lines joined by commas, as ASCII bytes, and their
+    count; None unless each is four integers that ``np.fromstring`` reads
+    as ``int()`` does.
+
+    Comment and empty lines are dropped. Each data line must be three commas
+    between four runs of ASCII digits, each with at most a sign in front:
+    fromstring reads a field of blanks or a lone sign as 0, skips blanks
+    between a sign and its digits and, as it does not tell lines apart,
+    reads a line of 3 fields and one of 5 as two rows of 4. The rule also
+    keeps out what ``_loadtxt_block`` keeps out: non-ASCII letters,
+    U+001C..U+001F and a ``#`` that does not start its line.
+    """
+    if not text.isascii():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"  # the last block of a file without a final newline
+    a = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(a == _NEWLINE)
+    lengths = np.diff(ends, prepend=-1)  # of each line, its newline included
+    first = a[ends - lengths + 1]  # each line's first byte, its newline when empty
+    data = (first != _NEWLINE) & (first != _HASH)
+    if not data.all():
+        a = a[np.repeat(data, lengths)]
+        ends = np.cumsum(lengths[data]) - 1
+    n = len(ends)
+    signs = (np.flatnonzero((a == _PLUS) | (a == _MINUS)) if "+" in text or "-" in text
+             else np.empty(0, dtype=np.intp))
+    # each sign comes before a digit, and the bytes that are not digits are
+    # the signs, the n newlines and 3n commas, line k holding commas 3k..3k+2
+    if (((a[signs + 1] - _DIGIT_0) > 9).any()
+            or np.count_nonzero((a - _DIGIT_0) > 9) != 4 * n + len(signs)):
+        return None
+    commas = np.flatnonzero(a == _COMMA)
+    if (len(commas) != 3 * n
+            or (commas[2::3] > ends).any() or (commas[3::3] < ends[:-1]).any()):
+        return None
+    a[ends] = _COMMA
+    return a.tobytes(), n
+
+
+def _tx_rows(text: str) -> np.ndarray | None:
+    """Parse a block's data lines into (n, 4) int64 rows with one
+    ``np.fromstring`` call, or return None where the line parser might read
+    them otherwise; see ``_tx_data``. fromstring reads any value out of the
+    int64 range as 2^63 - 1, so a block holding that value is None too.
+    """
+    # apart from _tx_data, so that its arrays are freed before the parse
+    if (data := _tx_data(text)) is None:
+        return None
+    joined, n = data
+    try:
+        rows = np.fromstring(joined, dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    # a numpy that only warns at unmatched data returns the values before it
+    if rows.size != 4 * n or (rows == INT64_MAX).any():
+        return None
+    return rows.reshape(n, 4)
+
+
 def _tx_block(text: str, first_line: int, path, calendar: DailyCalendar):
     """The kept rows and the coinbase count of one block of lines; see ``tx_blocks``."""
     start_s, end_s = _calendar_seconds(calendar)
-    rows = _loadtxt_block(text, delimiter=",")
-    if rows is not None and rows.shape[1] == 4:
+    rows = _tx_rows(text)
+    if rows is not None:
+        if not len(rows):  # comment and empty lines only
+            return rows, 0
         _, n_in, n_out, amount = rows.T
         kept = rows[n_in != 0]  # coinbase rows dropped
         if not (
@@ -239,10 +308,10 @@ def tx_blocks(path, calendar: DailyCalendar):
     starting with ``#`` are comments. A timestamp outside the calendar or an
     amount above ``MAX_MONEY`` is an error.
 
-    Each block of lines is parsed by one ``np.loadtxt`` call. A block that
-    loadtxt fails on, or whose rows break a check, is parsed again by the
-    line parser, which raises the error with its line. No block is held
-    while the next one is read.
+    Each block of lines is parsed by one ``np.fromstring`` call on its data
+    lines (``_tx_rows``). A block that call cannot vouch for, or whose rows
+    break a check, is parsed again by the line parser, which raises the
+    error with its line. No block is held while the next one is read.
     """
     with _open_text(path) as fh:
         for first_line, text in _line_blocks(fh):
@@ -409,8 +478,9 @@ def load_matrix_file(path) -> tuple[list[dt.date], np.ndarray]:
 def write_matrix_file(fh, dates, values) -> None:
     """Write one matrix-file line per day, its date then its row-major
     ``values`` layer, to the text file ``fh``."""
+    line = "%s" + " %d" * math.prod(values.shape[1:]) + "\n"
     for day, matrix in zip(dates, values):
-        fh.write(f"{day.isoformat()} {' '.join(map(str, matrix.ravel().tolist()))}\n")
+        fh.write(line % (day.isoformat(), *matrix.ravel().tolist()))
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -1,10 +1,11 @@
 """The block readers of ingest against a plain line parser kept here.
 
-``tx_blocks`` and ``load_matrix_file`` parse blocks of lines with
-``np.loadtxt`` and hand a block to their line parser when loadtxt cannot
-vouch for it. With blocks of a few dozen characters, lines straddle block
-edges and a bad line can land in any block; either way the result, or the
-error with its message and line, must be that of the reference below.
+``tx_blocks`` parses blocks of lines with ``np.fromstring`` and
+``load_matrix_file`` with ``np.loadtxt``; each hands a block to its line
+parser when that call cannot vouch for it. With blocks of a few dozen
+characters, lines straddle block edges and a bad line can land in any block;
+either way the result, or the error with its message and line, must be that
+of the reference below.
 """
 
 import datetime as dt
@@ -188,17 +189,18 @@ def tx_line(draw):
         i = draw(st.integers(0, 3))
         f[i] = draw(st.sampled_from(
             [f"+{f[i]}", f"{f[i]}_0", f"{f[i]}.0", "0x10", f" {f[i]} ", "", "1e3",
-             f"{f[i]}\x1c", "١", "1Ǿ"]
+             f"{f[i]}\x1c", "١", "1Ǿ", "+", "-", " ", f"+ {f[i]}", f"- {f[i]}",
+             f"\t{f[i]}", f"{f[i]}\t", "9" * 20]
         ))
     elif kind == "fields":
         f = f[:draw(st.integers(1, 3))] if draw(st.booleans()) else f + [1]
     elif kind == "count":
         i = draw(st.sampled_from([1, 2]))
-        f[i] = draw(st.sampled_from([-1, 0, 2**63, -2**63]))
+        f[i] = draw(st.sampled_from([-1, 0, 2**63, -2**63, 2**63 - 1, -2**63 - 1, 10**19]))
     elif kind == "amount":
-        f[3] = draw(st.sampled_from([MAX_MONEY + 1, -1, 2**63 - 1]))
+        f[3] = draw(st.sampled_from([MAX_MONEY + 1, -1, 2**63 - 1, 2**63, 10**19]))
     elif kind == "huge":
-        f[0] = draw(st.sampled_from([2**63, -2**63 - 1]))
+        f[0] = draw(st.sampled_from([2**63, -2**63 - 1, 2**63 - 1, 10**19]))
     elif kind == "calendar":
         f[0] = draw(st.sampled_from([START_S - 1, END_S, 0, 253402300800]))
     return ",".join(map(str, f))
@@ -297,9 +299,12 @@ def test_blocks_hold_whole_lines(scratch, text, block):
 
 # --- plain cases -----------------------------------------------------------
 
-# Tokens that np.loadtxt reads otherwise than int() or not at all.
+# Tokens that np.loadtxt or np.fromstring read otherwise than int() or not
+# at all; fromstring reads a value out of the int64 range as 2^63 - 1, and
+# blanks or a lone sign as 0.
 ODD_TOKENS = ["+5", " 5 ", "5_0", "5.0", "0x10", "1e3", "", "5\x1c", "\x1f5", "١", "1Ǿ",
-              "5 # note", "5#", str(2**63), "-0"]
+              "5 # note", "5#", str(2**63), "-0", str(2**63 - 1), str(-2**63 - 1), "9" * 20,
+              "+", "-", " ", "\t", "+ 5", "- 5", "\t5\t", "+-5"]
 
 
 @pytest.mark.parametrize("token", ODD_TOKENS)
@@ -318,6 +323,34 @@ def test_odd_matrix_token(scratch, token, field):
     tokens[field] = token
     scratch.write_text(f"2014-12-31 1 1 1 1\n{' '.join(tokens)}\n2015-01-02 1 1 1 1\n")
     assert_same_matrices(scratch, 32)
+
+
+T = "1420070400"  # 2015-01-01T00:00:00Z
+ROW = f"{T},2,3,100"
+
+# Lines of other field counts whose values, read without regard to lines as
+# fromstring reads them, make valid rows of four; and the lines the fast
+# path drops or leaves to the line parser, at the start, in the middle and
+# at the end of a block.
+BLOCK_SHAPES = {
+    "3_then_5_fields": [f"{T},2,3", f"100,{T},2,3,100"],
+    "5_then_3_fields": [ROW, f"{T},2,3,100,{T}", "2,3,100", ROW],
+    "2_then_6_fields": [f"{T},2", f"3,100,{T},2,3,100"],
+    "3_then_4_then_5_fields": [f"{T},2,3", f"100,{T},2,3", f"100,{T},2,3,100"],
+    **{f"{name}_{where}": lines
+       for name, line in [("blank", ""), ("comment", "# a,b,c"), ("comment_hashes", "## x"),
+                          ("spaces", "  "), ("tab", "\t"), ("indented_comment", " # x")]
+       for where, lines in [("start", [line, ROW, ROW]), ("middle", [ROW, line, ROW]),
+                            ("end", [ROW, ROW, line]), ("only", [line, line])]},
+}
+
+
+@pytest.mark.parametrize("final_newline", [True, False], ids=["newline", "no_final_newline"])
+@pytest.mark.parametrize("lines", BLOCK_SHAPES.values(), ids=BLOCK_SHAPES)
+def test_block_shapes(scratch, lines, final_newline):
+    scratch.write_text("\n".join(lines) + "\n" * final_newline)
+    for block in (8, 24, ingest.BLOCK_CHARS):  # a line a block, two, and all in one
+        assert_same_transactions(scratch, block)
 
 
 def test_crlf_split_across_block_edge_keeps_line_numbers(tmp_path):
@@ -344,11 +377,14 @@ def test_empty_inputs_give_nothing_without_warnings(tmp_path, text):
 
 
 def test_fast_path_serves_clean_blocks(tmp_path):
-    # a valid file never reaches the line parsers
+    # a valid file never reaches the line parsers, nor do its comment and
+    # empty lines, which land at the start, in the middle and at the end of
+    # blocks; the file ends without a newline
     tx = tmp_path / "tx.csv"
-    tx.write_text("# header\n" + "1420070400,2,3,100\n1420070400,0,1,5\n" * 50)
+    tx.write_text("# header\n" + "1420070400,2,3,100\n\n# note, 1,2,3\n1420070400,0,1,5\n" * 50
+                  + "#")
     m = tmp_path / "m.txt"
-    m.write_text("# header\n" + "".join(f"2015-01-{d:02d} 1 2 3 4\n" for d in range(1, 29)))
+    m.write_text("# header\n" + "".join(f"2015-01-{d:02d} 1 2 3 4\n\n# note\n" for d in range(1, 29)))
     with small_blocks(64), \
             mock.patch.object(ingest, "_parse_tx_lines", side_effect=AssertionError), \
             mock.patch.object(ingest, "_parse_matrix_lines", side_effect=AssertionError):

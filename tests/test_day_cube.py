@@ -93,6 +93,50 @@ def test_blocks_before_and_after_the_range_grow_the_cube():
     assert int(cube.occurrence.sum()) == 5
 
 
+def day_block(day, k):
+    """A block of k rows on one day, of shapes and amounts that vary with both."""
+    r = np.arange(k)
+    return np.column_stack([START_S + day * DAY_S + r, r % 4 + 1, (r + day) % 3 + 1,
+                            1000 * (r + 1) + day]).astype(np.int64)
+
+
+@pytest.mark.parametrize("days", [
+    list(range(9, -1, -1)),  # reverse day order: the cube grows before its range each time
+    [0, 20, 1, 19, 2, 18, 10, 3],  # interleaved: both ways, and inside the range
+    [400, 401, 0, 402],  # a block far before the range
+], ids=["reverse", "interleaved", "far_before"])
+def test_blocks_in_any_day_order_equal_one_block(days):
+    blocks = [day_block(d, 3 + d % 5) for d in days]
+    builder = DayCubeBuilder(N)
+    for rows in blocks:
+        builder.add(rows)
+    cube = builder.cube()
+    whole = DayCubeBuilder(N)
+    whole.add(np.vstack(blocks))
+    ref = whole.cube()
+    first, last = min(days), max(days)
+    assert cube.dates == ref.dates == [dt.date(2015, 1, 1) + dt.timedelta(days=d)
+                                       for d in range(first, last + 1)]
+    assert cube.occurrence.shape == cube.amount.shape == (last - first + 1, N, N)
+    assert np.array_equal(cube.occurrence, ref.occurrence)
+    assert np.array_equal(cube.amount, ref.amount)
+    occurrence = cube.occurrence.copy()
+    with pytest.raises(RuntimeError, match="after cube"):
+        builder.add(day_block(last + 1, 1))
+    assert np.array_equal(cube.occurrence, occurrence)
+
+
+def test_overflow_names_its_day_after_the_range_grows_both_ways():
+    # day 40 passes int64; blocks far before and after it then move the
+    # accumulators' first day, and the error still names day 40
+    builder = DayCubeBuilder(N)
+    builder.add(max_money_rows(40, 4393))
+    builder.add(day_block(0, 2))
+    builder.add(day_block(300, 2))
+    with pytest.raises(ValidationError, match=r"^2015-02-10: satoshi sum of C_\{1->1\}"):
+        builder.cube()
+
+
 def max_money_rows(day, count, n_in=1):
     return np.array([[START_S + day * DAY_S, n_in, 1, MAX_MONEY]] * count, dtype=np.int64)
 
@@ -223,6 +267,35 @@ def test_extract_runs_under_profiler_and_tracer_hooks(tmp_path, capsys, hook):
         assert plain and (tmp_path / f"hooked.{suffix}").read_bytes() == plain
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2 and out[0] == out[1]
+
+
+def test_tx_blocks_peak_per_block_character(tmp_path):
+    # lines like the benchmark's, a comment in every block: the parse of a
+    # block and its rows take at most 8 bytes per character of the block
+    # (about 7 are used), so extract's peak memory stays the day cube plus
+    # one block's worth
+    rng = np.random.default_rng(2)
+    n_rows = 4 * ingest.BLOCK_CHARS // 22  # four blocks of 22-character lines
+    ts = np.sort(START_S + rng.integers(0, 300 * DAY_S, n_rows))
+    shape = rng.integers(1, 50, (n_rows, 2))
+    amount = rng.lognormal(13.0, 1.5, n_rows).astype(np.int64) + 1
+    lines = [f"{t},{i},{o},{a}\n" for t, (i, o), a in
+             zip(ts.tolist(), shape.tolist(), amount.tolist())]
+    for k in range(0, n_rows, 5000):
+        lines[k] = "# checkpoint\n"
+    tx = tmp_path / "tx.csv"
+    tx.write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        blocks = 0
+        for rows, _ in ingest.tx_blocks(tx, CAL):
+            blocks += 1
+            del rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks >= 4
+    assert peak < 8 * ingest.BLOCK_CHARS, peak / ingest.BLOCK_CHARS
 
 
 def test_tx_blocks_holds_one_block_at_a_time(tmp_path):

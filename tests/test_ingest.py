@@ -1,4 +1,5 @@
 import datetime as dt
+import io
 import os
 import re
 import stat
@@ -303,6 +304,23 @@ class TestMatrixFiles:
             with ingest.atomic_files(p2) as (fh,):
                 ingest.write_matrix_file(fh, loaded_dates, loaded)
             assert p1.read_bytes() == p2.read_bytes(), block
+
+    @pytest.mark.parametrize("n", [2, 3, 20])
+    def test_lines_as_the_values_joined_by_spaces(self, n):
+        # the lines of the writer's first form, one str() per value joined
+        # by spaces, on random int64 layers and on all 0 and all 2^63 - 1
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, 2**63 - 1, size=(6, n, n), dtype=np.int64, endpoint=True)
+        values[1] = 0
+        values[2] = 2**63 - 1
+        values[3] = rng.integers(0, 10, size=(n, n))
+        dates = [dt.date(2015, 1, 1) + dt.timedelta(days=3 * i) for i in range(6)]
+        expected = "".join(f"{day.isoformat()} {' '.join(map(str, m.ravel().tolist()))}\n"
+                           for day, m in zip(dates, values))
+        for k in (0, 1, 6):  # no day, one day, all of them
+            fh = io.StringIO()
+            ingest.write_matrix_file(fh, dates[:k], values[:k])
+            assert fh.getvalue() == "".join(expected.splitlines(keepends=True)[:k])
 
     def test_load_holds_the_values_once(self, tmp_path):
         # four years of occurrence-like counts: the peak is the returned array
