@@ -138,6 +138,14 @@ def _write_reports(directory, texts: dict) -> None:
             fh.write(text)
 
 
+def _check_outputs_not_inputs(outputs, inputs) -> None:
+    """An output that names an input would replace it: an error before any work."""
+    real = {os.path.realpath(path) for path in inputs if path}
+    for path in outputs:
+        if path and os.path.realpath(path) in real:
+            raise ChainvolError("named for an input and an output", path)
+
+
 def _wide_calendar() -> ingest.DailyCalendar:
     return ingest.DailyCalendar(dt.date(2009, 1, 3), dt.date(2100, 1, 1))
 
@@ -145,6 +153,8 @@ def _wide_calendar() -> ingest.DailyCalendar:
 # --- subcommands -----------------------------------------------------------
 
 def cmd_extract(args, config: PipelineConfig) -> int:
+    _check_outputs_not_inputs([args.out_occurrence, args.out_amount],
+                              [args.transactions, args.config])
     builder = chainlets.DayCubeBuilder(config.threshold)
     skipped_coinbase = 0
     # both files or neither: a failed write leaves the old pair as it was.
@@ -186,6 +196,8 @@ def cmd_features(args, config: PipelineConfig) -> int:
         raise ChainvolError("--events needs --plot-data: the events are labels in the plot data")
     if os.path.realpath(args.occurrence) == os.path.realpath(args.amount):
         raise ChainvolError("named for both the occurrence and the amount input", args.amount)
+    _check_outputs_not_inputs([args.out, args.plot_data],
+                              [args.occurrence, args.amount, args.prices, args.events, args.config])
     events = {}
     if args.events:
         events = {day: label for _, day, label in ingest.date_value_lines(args.events)}

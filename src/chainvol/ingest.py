@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import datetime as dt
 import errno
-import io
 import math
 import os
 import re
-import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,7 +25,7 @@ SECONDS_PER_DAY = 86400
 MAX_MONEY = 21_000_000 * 10**8  # Bitcoin's supply cap in satoshi
 BLOCK_CHARS = 1 << 18  # characters read per block: 256 KiB of ASCII
 INT64_MAX = 2**63 - 1
-_DIGIT_0, _PLUS, _COMMA, _MINUS, _NEWLINE, _HASH = b"0+,-\n#"
+_DIGIT_0, _PLUS, _COMMA, _MINUS, _NEWLINE, _HASH, _SPACE = b"0+,-\n# "
 
 
 class GapPolicy(Enum):
@@ -89,15 +87,11 @@ class TxLoadResult:
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _iso_date(token: str) -> dt.date:
-    if not _ISO_DATE.fullmatch(token):
-        raise ValueError("expected YYYY-MM-DD")
-    return dt.date.fromisoformat(token)
-
-
 def parse_date(token: str, path, line_no) -> dt.date:
     try:
-        return _iso_date(token)
+        if not _ISO_DATE.fullmatch(token):
+            raise ValueError("expected YYYY-MM-DD")
+        return dt.date.fromisoformat(token)
     except ValueError as exc:
         raise ParseError(f"bad date {token!r}: {exc}", path, line_no) from None
 
@@ -151,29 +145,6 @@ def _line_blocks(fh):
         del text  # hold no block while the next one is read
 
 
-def _loadtxt_block(text: str, **kwargs) -> np.ndarray | None:
-    """Parse a block of matrix-file lines into int64 rows with ``np.loadtxt``,
-    or return None.
-
-    None means loadtxt failed or might read the block otherwise than the
-    line parser: it reads some non-ASCII letters as digits ("1" then U+01FE
-    gives 472), it strips the separators U+001C..U+001F around a number where
-    ``int()`` does not, and it drops a ``#`` comment that does not start its
-    line.
-    """
-    if (not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f")
-            or "#" in text and text.count("#") != text.count("\n#") + text.startswith("#")):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # one byte a character; a StringIO buffer would take four
-            data = io.BytesIO(text.encode("ascii"))
-            return np.loadtxt(data, dtype=np.int64, ndmin=2, **kwargs)
-    except (ValueError, OverflowError):
-        return None
-
-
 def _parse_tx_lines(lines, line_no, path, calendar, table) -> int:
     """The line parser: check each line, append kept rows to ``table``.
 
@@ -217,18 +188,21 @@ def _calendar_seconds(calendar: DailyCalendar) -> tuple[int, int]:
     )
 
 
-def _tx_data(text: str) -> tuple[bytes, int] | None:
-    """A block's data lines joined by commas, as ASCII bytes, and their
-    count; None unless each is four integers that ``np.fromstring`` reads
-    as ``int()`` does.
+def _block_data(text: str, width: int, sep: int, prepare=None) -> tuple[bytes, int] | None:
+    """A block's data lines joined by the byte ``sep``, as ASCII bytes, and
+    their count; None unless each is ``width`` integers that
+    ``np.fromstring`` reads as ``int()`` does.
 
-    Comment and empty lines are dropped. Each data line must be three commas
-    between four runs of ASCII digits, each with at most a sign in front:
+    Comment and empty lines are dropped; ``prepare(a, starts, lengths)``, if
+    given, then checks the data lines' bytes and may rewrite them, None when
+    it returns false. Each data line must be ``width - 1`` separators between
+    ``width`` runs of ASCII digits, each with at most a sign in front:
     fromstring reads a field of blanks or a lone sign as 0, skips blanks
-    between a sign and its digits and, as it does not tell lines apart,
-    reads a line of 3 fields and one of 5 as two rows of 4. The rule also
-    keeps out what ``_loadtxt_block`` keeps out: non-ASCII letters,
-    U+001C..U+001F and a ``#`` that does not start its line.
+    between a sign and its digits, takes a space separator for any run of
+    whitespace and, as it does not tell lines apart, reads a line of 3 fields
+    and one of 5 as two rows of 4. No other byte passes: not a non-ASCII
+    letter, which fromstring may read as a digit, nor U+001C..U+001F or a
+    ``#`` that does not start its line.
     """
     if not text.isascii():
         return None
@@ -241,47 +215,51 @@ def _tx_data(text: str) -> tuple[bytes, int] | None:
     data = (first != _NEWLINE) & (first != _HASH)
     if not data.all():
         a = a[np.repeat(data, lengths)]
-        ends = np.cumsum(lengths[data]) - 1
-    n = len(ends)
+        lengths = lengths[data]
+        ends = np.cumsum(lengths) - 1
+    if prepare is not None and not prepare(a, ends - lengths + 1, lengths):
+        return None
+    n, k = len(ends), width - 1
     signs = (np.flatnonzero((a == _PLUS) | (a == _MINUS)) if "+" in text or "-" in text
              else np.empty(0, dtype=np.intp))
     # each sign comes before a digit, and the bytes that are not digits are
-    # the signs, the n newlines and 3n commas, line k holding commas 3k..3k+2
+    # the signs, the n newlines and k * n separators, line i holding
+    # separators k * i .. k * i + k - 1
     if (((a[signs + 1] - _DIGIT_0) > 9).any()
-            or np.count_nonzero((a - _DIGIT_0) > 9) != 4 * n + len(signs)):
+            or np.count_nonzero((a - _DIGIT_0) > 9) != width * n + len(signs)):
         return None
-    commas = np.flatnonzero(a == _COMMA)
-    if (len(commas) != 3 * n
-            or (commas[2::3] > ends).any() or (commas[3::3] < ends[:-1]).any()):
+    seps = np.flatnonzero(a == sep)
+    if (len(seps) != k * n
+            or (seps[k - 1::k] > ends).any() or (seps[k::k] < ends[:-1]).any()):
         return None
-    a[ends] = _COMMA
+    a[ends] = sep
     return a.tobytes(), n
 
 
-def _tx_rows(text: str) -> np.ndarray | None:
-    """Parse a block's data lines into (n, 4) int64 rows with one
+def _block_rows(text: str, width: int, sep: int, prepare=None) -> np.ndarray | None:
+    """Parse a block's data lines into (n, ``width``) int64 rows with one
     ``np.fromstring`` call, or return None where the line parser might read
-    them otherwise; see ``_tx_data``. fromstring reads any value out of the
-    int64 range as 2^63 - 1, so a block holding that value is None too.
+    them otherwise; see ``_block_data``. fromstring reads any value out of
+    the int64 range as 2^63 - 1, so a block holding that value is None too.
     """
-    # apart from _tx_data, so that its arrays are freed before the parse
-    if (data := _tx_data(text)) is None:
+    # apart from _block_data, so that its arrays are freed before the parse
+    if (data := _block_data(text, width, sep, prepare)) is None:
         return None
     joined, n = data
     try:
-        rows = np.fromstring(joined, dtype=np.int64, sep=",")
+        rows = np.fromstring(joined, dtype=np.int64, sep=chr(sep))
     except ValueError:
         return None
     # a numpy that only warns at unmatched data returns the values before it
-    if rows.size != 4 * n or (rows == INT64_MAX).any():
+    if rows.size != width * n or (rows == INT64_MAX).any():
         return None
-    return rows.reshape(n, 4)
+    return rows.reshape(n, width)
 
 
 def _tx_block(text: str, first_line: int, path, calendar: DailyCalendar):
     """The kept rows and the coinbase count of one block of lines; see ``tx_blocks``."""
     start_s, end_s = _calendar_seconds(calendar)
-    rows = _tx_rows(text)
+    rows = _block_rows(text, 4, _COMMA)
     if rows is not None:
         if not len(rows):  # comment and empty lines only
             return rows, 0
@@ -309,7 +287,7 @@ def tx_blocks(path, calendar: DailyCalendar):
     amount above ``MAX_MONEY`` is an error.
 
     Each block of lines is parsed by one ``np.fromstring`` call on its data
-    lines (``_tx_rows``). A block that call cannot vouch for, or whose rows
+    lines (``_block_rows``). A block that call cannot vouch for, or whose rows
     break a check, is parsed again by the line parser, which raises the
     error with its line. No block is held while the next one is read.
     """
@@ -424,6 +402,22 @@ def _parse_matrix_lines(lines, line_no, path, n2: int,
     return days, np.frombuffer(table, dtype=np.int64).reshape(-1, n2)
 
 
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the byte offsets of YYYY-MM-DD's digits
+
+
+def _date_fields(a, starts, lengths) -> bool:
+    """The ``prepare`` of matrix lines in ``_block_data``: each line must be
+    at least 13 bytes, a date, a space, a value and a newline, and start with
+    YYYY-MM-DD and a space in ASCII. The date's dashes become spaces, so that
+    it reads as three fields."""
+    dashes = starts[:, None] + [4, 7]
+    if ((lengths < 13).any() or ((a[starts[:, None] + _DATE_DIGITS] - _DIGIT_0) > 9).any()
+            or (a[dashes] != _MINUS).any() or (a[starts + 10] != _SPACE).any()):
+        return False
+    a[dashes] = _SPACE
+    return True
+
+
 def load_matrix_file(path) -> tuple[list[dt.date], np.ndarray]:
     """Read a matrix file: per line a date then N*N row-major values.
 
@@ -432,11 +426,13 @@ def load_matrix_file(path) -> tuple[list[dt.date], np.ndarray]:
     integer satoshis. Returns the days, which strictly increase, and one
     C-contiguous (days, N, N) int64 array, (0, 0, 0) without data lines.
 
-    Each block of lines is parsed by one ``np.loadtxt`` call, which hands
-    the date column to a converter, so a row of the wrong width or with a
-    bad date fails there. Such a block, or one with a negative value or a
-    day not after the day before it, is parsed again by the line parser,
-    which raises the error with its line.
+    Each block of lines is parsed by ``_block_rows``, as transactions are,
+    with a space between fields and the date as three: ``_date_fields``
+    checks that each line starts with YYYY-MM-DD and a space and makes its
+    dashes separators. A block that check or that parse cannot vouch for,
+    or that has a day that does not exist, a negative value or a day not
+    after the day before it, is parsed again by the line parser, which
+    raises the error with its line.
     Each block's values go straight into the one array, which grows by the
     block's rows, so no block is held once the next one is read.
     """
@@ -451,17 +447,17 @@ def load_matrix_file(path) -> tuple[list[dt.date], np.ndarray]:
     table = np.empty(0, dtype=np.int64)
     with _open_text(path) as fh:
         for first_line, text in _line_blocks(fh):
-            block_days: list[dt.date] = []
-
-            def date_column(token: str) -> int:
-                block_days.append(_iso_date(token))
-                return 0
-
-            rows = _loadtxt_block(text, converters={0: date_column})
+            rows = _block_rows(text, 3 + n2, _SPACE, _date_fields)
+            block_days = []
+            if rows is not None:
+                try:
+                    block_days = list(map(dt.date, *rows[:, :3].T.tolist()))
+                except ValueError:  # a day that does not exist
+                    rows = None
             ordered = days[-1:] + block_days
-            if (rows is not None and rows.shape[1] == n2 + 1 and not (rows[:, 1:] < 0).any()
+            if (rows is not None and not (rows < 0).any()
                     and all(a < b for a, b in zip(ordered, ordered[1:]))):
-                values = rows[:, 1:]
+                values = rows[:, 3:]
             else:
                 block_days, values = _parse_matrix_lines(
                     text.split("\n"), first_line, path, n2, days[-1] if days else None)

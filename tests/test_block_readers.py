@@ -1,11 +1,13 @@
 """The block readers of ingest against a plain line parser kept here.
 
-``tx_blocks`` parses blocks of lines with ``np.fromstring`` and
-``load_matrix_file`` with ``np.loadtxt``; each hands a block to its line
-parser when that call cannot vouch for it. With blocks of a few dozen
-characters, lines straddle block edges and a bad line can land in any block;
-either way the result, or the error with its message and line, must be that
-of the reference below.
+``tx_blocks`` and ``load_matrix_file`` parse blocks of lines with one
+``np.fromstring`` call behind one byte check; for matrix files a date step
+first checks each line's YYYY-MM-DD and makes the date three fields. Each
+reader hands a block to its line parser when the check, the parse or the
+dates cannot vouch for it. With blocks of a few dozen characters, lines
+straddle block edges and a bad line can land in any block; either way the
+result, or the error with its message and line, must be that of the
+reference below.
 """
 
 import datetime as dt
@@ -208,6 +210,14 @@ def tx_line(draw):
 
 DIM = 2
 
+# Dates that the date step of the matrix reader must refuse, or must read
+# as the line parser does: signs, short or long parts, letters, a full-width
+# digit, days that do not exist and the edges of the calendar.
+DATE_TOKENS = ["+015-01-01", "-015-01-01", "2015-+1-01", "2015-01-+1", "2015--1-01",
+               "0000-01-01", "2015-00-01", "2015-1-01", "2O15-01-01", "２015-01-01",
+               "2015-02-29", "2016-02-29", "9999-12-31", "2015-01-001", "2015-01-01+1",
+               "2015/01-01", "2015-01/01"]
+
 
 @st.composite
 def matrix_line(draw, day):
@@ -237,7 +247,7 @@ def matrix_line(draw, day):
         values[draw(st.integers(0, DIM * DIM - 1))] = draw(st.sampled_from(["-1", "-0", str(-2**63)]))
     elif kind == "date":
         day = draw(st.sampled_from(["2015-02-30", "2015/01/01", "x", "0", "2015-01-01T00",
-                                    "20150103", "2015-W01-1"]))
+                                    "20150103", "2015-W01-1", *DATE_TOKENS]))
     elif kind == "separators":
         sep = draw(st.sampled_from(["\t", "  ", " \x0b", "\x1c"]))
     return sep.join([day] + values)
@@ -299,9 +309,9 @@ def test_blocks_hold_whole_lines(scratch, text, block):
 
 # --- plain cases -----------------------------------------------------------
 
-# Tokens that np.loadtxt or np.fromstring read otherwise than int() or not
-# at all; fromstring reads a value out of the int64 range as 2^63 - 1, and
-# blanks or a lone sign as 0.
+# Tokens that np.fromstring reads otherwise than int() or not at all; it
+# reads a value out of the int64 range as 2^63 - 1, and blanks or a lone
+# sign as 0.
 ODD_TOKENS = ["+5", " 5 ", "5_0", "5.0", "0x10", "1e3", "", "5\x1c", "\x1f5", "١", "1Ǿ",
               "5 # note", "5#", str(2**63), "-0", str(2**63 - 1), str(-2**63 - 1), "9" * 20,
               "+", "-", " ", "\t", "+ 5", "- 5", "\t5\t", "+-5"]
@@ -316,13 +326,31 @@ def test_odd_transaction_token(scratch, token, field):
     assert_same_transactions(scratch, 32)
 
 
-@pytest.mark.parametrize("token", ODD_TOKENS)
-@pytest.mark.parametrize("field", [0, 1, 4])
+@pytest.mark.parametrize("field, token", [(field, token) for field in [0, 1, 4]
+                                           for token in ODD_TOKENS]
+                         + [(0, token) for token in DATE_TOKENS])
 def test_odd_matrix_token(scratch, token, field):
     tokens = ["2015-01-01", "1", "2", "3", "4"]
     tokens[field] = token
     scratch.write_text(f"2014-12-31 1 1 1 1\n{' '.join(tokens)}\n2015-01-02 1 1 1 1\n")
     assert_same_matrices(scratch, 32)
+
+
+# Lines too short to hold a date, a space and a value, which the date step
+# must refuse without reading past them, and signed dates, which it must
+# refuse also where they would read as days in order
+EDGE_MATRIX_LINES = [" ", "5", "5-3", "2015-01-01", "2015-01-01 ", "2015-01-01 5",
+                     "+015-01-01 1 2 3 4", "2015-+1-01 1 2 3 4", "2015-01-+1 1 2 3 4"]
+
+
+@pytest.mark.parametrize("line", EDGE_MATRIX_LINES)
+def test_matrix_line_at_file_edges(scratch, line):
+    # after a valid line, at the end of a block and of a file, and before one
+    for text in [f"2015-01-01 1 2 3 4\n{line}\n", f"2015-01-01 1 2 3 4\n{line}",
+                 f"{line}\n2015-01-02 1 2 3 4\n"]:
+        scratch.write_text(text)
+        for block in (8, 24, ingest.BLOCK_CHARS):
+            assert_same_matrices(scratch, block)
 
 
 T = "1420070400"  # 2015-01-01T00:00:00Z
@@ -379,19 +407,32 @@ def test_empty_inputs_give_nothing_without_warnings(tmp_path, text):
 def test_fast_path_serves_clean_blocks(tmp_path):
     # a valid file never reaches the line parsers, nor do its comment and
     # empty lines, which land at the start, in the middle and at the end of
-    # blocks; the file ends without a newline
+    # blocks; the file ends without a newline. Nor does a 20x20 pair as
+    # extract writes it, counts and amounts of 10 to 16 digits, over a new year
     tx = tmp_path / "tx.csv"
     tx.write_text("# header\n" + "1420070400,2,3,100\n\n# note, 1,2,3\n1420070400,0,1,5\n" * 50
                   + "#")
     m = tmp_path / "m.txt"
     m.write_text("# header\n" + "".join(f"2015-01-{d:02d} 1 2 3 4\n\n# note\n" for d in range(1, 29)))
-    with small_blocks(64), \
-            mock.patch.object(ingest, "_parse_tx_lines", side_effect=AssertionError), \
-            mock.patch.object(ingest, "_parse_matrix_lines", side_effect=AssertionError):
-        rows, coinbase = read_tx(tx)
-        matrices = ingest.load_matrix_file(m)
-    assert (len(rows) + coinbase, coinbase) == (100, 50)
-    assert rows == [[1420070400, 2, 3, 100]] * 50
-    dates, values = matrices
-    assert dates == [dt.date(2015, 1, d) for d in range(1, 29)]
-    assert values.tolist() == [[[1, 2], [3, 4]]] * 28
+    rng = np.random.default_rng(0)
+    days = [dt.date(2015, 12, 1) + dt.timedelta(days=i) for i in range(60)]
+    pair = {tmp_path / "occ.txt": rng.poisson(3, size=(60, 20, 20)),
+            tmp_path / "amo.txt": rng.integers(10**9, 10**16, size=(60, 20, 20))}
+    for path, values in pair.items():
+        with ingest.atomic_files(path) as (fh,):
+            ingest.write_matrix_file(fh, days, values)
+    for block in (ingest.BLOCK_CHARS, 64):
+        with small_blocks(block), \
+                mock.patch.object(ingest, "_parse_tx_lines", side_effect=AssertionError), \
+                mock.patch.object(ingest, "_parse_matrix_lines", side_effect=AssertionError):
+            rows, coinbase = read_tx(tx)
+            matrices = ingest.load_matrix_file(m)
+            loaded = {path: ingest.load_matrix_file(path) for path in pair}
+        assert (len(rows) + coinbase, coinbase) == (100, 50)
+        assert rows == [[1420070400, 2, 3, 100]] * 50
+        dates, values = matrices
+        assert dates == [dt.date(2015, 1, d) for d in range(1, 29)]
+        assert values.tolist() == [[[1, 2], [3, 4]]] * 28
+        for path, expected in pair.items():
+            assert loaded[path][0] == days
+            assert np.array_equal(loaded[path][1], expected)

@@ -234,6 +234,24 @@ class TestExtract:
         assert (tmp_path / "m.txt").read_text() == "old\n"
         assert sorted(os.listdir(tmp_path)) == ["m.txt", "sub", "tx.csv"]
 
+    @pytest.mark.parametrize("name", ["tx.csv", "./tx.csv", "link.csv", "c.cfg"])
+    @pytest.mark.parametrize("output", ["--out-occurrence", "--out-amount"])
+    def test_output_named_for_an_input_fails_before_any_write(self, tmp_path, capsys,
+                                                              monkeypatch, output, name):
+        # the matrix file would replace the transactions or the config,
+        # exit 0; link.csv is a symlink to the transactions
+        monkeypatch.chdir(tmp_path)
+        inputs = {"tx.csv": b"1420070400,1,1,10\n1420070400,2,1,10\n", "c.cfg": b"threshold=2\n"}
+        for file, data in inputs.items():
+            (tmp_path / file).write_bytes(data)
+        (tmp_path / "link.csv").symlink_to("tx.csv")
+        outputs = {"--out-occurrence": "occ.txt", "--out-amount": "amo.txt", output: name}
+        assert cli.main(["extract", "tx.csv", *(a for kv in outputs.items() for a in kv),
+                         "--config", "c.cfg"]) == 1
+        assert capsys.readouterr().err == f"error: {name}: named for an input and an output\n"
+        assert {file: (tmp_path / file).read_bytes() for file in inputs} == inputs
+        assert sorted(os.listdir(tmp_path)) == sorted([*inputs, "link.csv"])
+
 
 class TestFeatures:
     def test_plot_data_one_point_per_day(self, dataset, tmp_path):
@@ -270,6 +288,27 @@ class TestFeatures:
         assert capsys.readouterr().err == f"error: {second}: named for two outputs\n"
         assert (tmp_path / "same.csv").read_text() == "old\n"
         assert sorted(os.listdir(tmp_path)) == ["same.csv", "sub"]
+
+    @pytest.mark.parametrize("name", ["occ.txt", "amo.txt", "prices.csv", "events.csv", "c.cfg",
+                                      "./prices.csv", "link.csv"])
+    @pytest.mark.parametrize("output", ["--out", "--plot-data"])
+    def test_output_named_for_an_input_fails_before_any_write(self, dataset, tmp_path, capsys,
+                                                              monkeypatch, output, name):
+        # the feature CSV or the plot data would replace the input or the
+        # config, exit 0; link.csv is a symlink to the prices
+        monkeypatch.chdir(tmp_path)
+        inputs = {"occ.txt": dataset["occ"].read_bytes(), "amo.txt": dataset["amo"].read_bytes(),
+                  "prices.csv": (dataset["data"] / "prices.csv").read_bytes(),
+                  "events.csv": b"date,label\n2015-01-05,halving\n", "c.cfg": b"gap_policy=error\n"}
+        for file, data in inputs.items():
+            (tmp_path / file).write_bytes(data)
+        (tmp_path / "link.csv").symlink_to("prices.csv")
+        outputs = {"--out": "f.csv", "--plot-data": "plot.csv", output: name}
+        assert cli.main(["features", "occ.txt", "amo.txt", "prices.csv", "--events", "events.csv",
+                         "--config", "c.cfg", *(a for kv in outputs.items() for a in kv)]) == 1
+        assert capsys.readouterr().err == f"error: {name}: named for an input and an output\n"
+        assert {file: (tmp_path / file).read_bytes() for file in inputs} == inputs
+        assert sorted(os.listdir(tmp_path)) == sorted([*inputs, "link.csv"])
 
     def test_empty_matrices_write_both_headers(self, tmp_path, capsys, monkeypatch):
         # the two outputs are a pair, also when there is no day; the prices
