@@ -17,7 +17,8 @@ import numpy as np
 
 from . import backtest as bt
 from . import chainlets, garchx, ingest, stats, synth
-from .errors import ChainvolError, NonFiniteStateError, RegressorOverflowError, ValidationError
+from .errors import (ChainvolError, DegenerateSeriesError, NonFiniteStateError,
+                     RegressorOverflowError, ValidationError)
 
 SCHEMA_VERSION = 1
 
@@ -256,6 +257,16 @@ def _aligned_features_returns(features_path, prices_path, config: PipelineConfig
     return dates, np.array(X, dtype=float), np.array(r)
 
 
+def _standardize(values, what: str, path):
+    """stats.standardize(values), or a DegenerateSeriesError that names what
+    is constant and the file it comes from."""
+    try:
+        return stats.standardize(values)
+    except DegenerateSeriesError:
+        raise DegenerateSeriesError(
+            f"{what} is constant over the {len(values)} aligned days", path) from None
+
+
 def cmd_analyze(args, config: PipelineConfig) -> int:
     dates, X, r = _aligned_features_returns(args.features, args.prices, config)
     if len(dates) < 30:
@@ -263,8 +274,9 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     # standardized OLS of squared returns on the six features
-    y_std = stats.standardize(r**2)
-    X_std = np.column_stack([stats.standardize(X[:, j]) for j in range(X.shape[1])])
+    y_std = _standardize(r**2, "the squared return", args.prices)
+    X_std = np.column_stack([_standardize(X[:, j], name, args.features)
+                             for j, name in enumerate(FEATURES)])
     report = stats.ols_fit(y_std, X_std, names=FEATURES)
     texts = {"ols_report.json": _json_text(report.to_dict(), config)}
 
@@ -274,10 +286,13 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     panels = {label: X[:, FEATURES.index(label)] for label in ("A_x", "O_x")}
     for label, c in panels.items():
         for tail in (stats.Tail.LOWER, stats.Tail.UPPER):
-            key = f"{label}_{tail.value}"
-            moments_payload[key] = stats.conditional_moments(
-                loss_std, c, config.alpha_tail, tail
-            ).to_dict()
+            try:
+                moments = stats.conditional_moments(loss_std, c, config.alpha_tail, tail)
+            except DegenerateSeriesError as exc:
+                raise DegenerateSeriesError(
+                    f"the {tail.value} tail of {label} at alpha_tail {config.alpha_tail}: {exc}",
+                    args.features) from None
+            moments_payload[f"{label}_{tail.value}"] = moments.to_dict()
     texts["conditional_moments.json"] = _json_text(moments_payload, config)
 
     # density plot data: three curves per panel

@@ -111,18 +111,10 @@ def _check_orders(params, spec: ModelSpec) -> None:
             raise ValidationError(f"{name} has length {length}, but the spec has {order}={value}")
 
 
-def _groups(keys) -> list:
-    """Groups of rows of the 2-D array keys as (first row, index) pairs: a
-    slice over all rows when all have row 0's bits, else the rows with row
-    0's bits, then each other row alone, as arrays. Each stack fit builds
-    differs from its row 0 in one coordinate a row; other callers pass one row."""
-    if len(keys) > 1:
-        bits = np.ascontiguousarray(keys, dtype=float).view(np.int64)
-        same = (bits == bits[:1]).all(axis=1)
-        if not same.all():
-            return [(0, np.flatnonzero(same))] + [
-                (i, np.array([i])) for i in np.flatnonzero(~same).tolist()]
-    return [(0, slice(None))]
+def _off_row_0(keys) -> list:
+    """The rows of the 2-D array keys whose bits differ from row 0's."""
+    bits = np.ascontiguousarray(keys, dtype=float).view(np.int64)
+    return np.flatnonzero((bits != bits[:1]).any(axis=1)).tolist()
 
 
 @dataclass
@@ -172,23 +164,24 @@ def _linear_filter():
 
 def _lfilter_rows(lags, x, zi=None):
     """lfilter([1], [1, *lags[r]], x[r]) on every row r of x, starting from
-    state zi[r]: one 2-D kernel call per group of _groups(lags)."""
+    state zi[r]: one 2-D kernel call on every row under row 0's lags, then
+    one call for each row of _off_row_0(lags), whose result replaces it.
+    lags may be one row for all rows of x."""
     if lags.shape[1] == 0:
         # a denominator of [1] leaves x as it is; lfilter would get there
         # through np.convolve on each row
         return x
     linear_filter = _linear_filter()
-    groups = _groups(lags)
-    out = np.empty_like(x) if len(groups) > 1 else None
-    for first, rows in groups:
-        a = np.concatenate(([1.0], lags[first]))
+
+    def run(r, rows):
+        a = np.concatenate(([1.0], lags[r]))
         if zi is None:
-            filtered = linear_filter(_B, a, x[rows], -1)
-        else:
-            filtered = linear_filter(_B, a, x[rows], -1, zi[rows])[0]
-        if out is None:
-            return filtered
-        out[rows] = filtered
+            return linear_filter(_B, a, x[rows], -1)
+        return linear_filter(_B, a, x[rows], -1, zi[rows])[0]
+
+    out = run(0, slice(None))
+    for r in _off_row_0(lags):
+        out[r] = run(r, slice(r, r + 1))
     return out
 
 
@@ -212,10 +205,11 @@ def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec, sigma2_init):
     sets over one series, y (T,) with x (k, T), or one parameter set over m
     windows, y (m, T) with x (m, k, T). Each row is bit for bit what it gives
     alone, its regressors in the same memory layout.
-    Every row runs through both recursions. Each recursion is one call of
-    lfilter's C kernel, and beta_x' x one product, for the rows that share
-    row 0's coefficients and one for each other row. A state that is not
-    finite stays in its row, for the caller to check.
+    Each recursion is one call of lfilter's C kernel on every row under row
+    0's coefficients, and beta_x' x one product under row 0's beta_x. Each
+    row whose coefficients differ from row 0's, by bits, is then computed
+    again alone, and that replaces the row. A state that is not finite stays
+    in its row, for the caller to check.
     """
     _check_orders(params, spec)
     ys = np.atleast_2d(np.asarray(y, dtype=float))
@@ -238,8 +232,9 @@ def filter_model(y, x, params: ArmaGarchXParams, spec: ModelSpec, sigma2_init):
     xvar = np.zeros(u.shape)
     if beta_x.shape[1]:
         x = np.asarray(x, dtype=float)
-        for first, group in _groups(beta_x):
-            xvar[group] = _xvar(x, beta_x[first], T)
+        xvar[:] = _xvar(x, beta_x[0], T)
+        for r in _off_row_0(beta_x):
+            xvar[r] = _xvar(x, beta_x[r], T)
     c = params.alpha0[:, None] + xvar
     c[:, 1:] += params.alpha1[:, None] * (u[:, :-1] * u[:, :-1])
     s2_init = ys.var(axis=1) if sigma2_init is None else np.asarray(sigma2_init, dtype=float)

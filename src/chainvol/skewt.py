@@ -38,26 +38,18 @@ def student_t_logpdf(z, nu):
             - 0.5 * (nu + 1.0) * np.log1p(z * z / (nu - 2.0)))
 
 
-def _square(v):
-    """v ** 2 of a scalar, or of each entry of an array as the scalar gives it.
-
-    On a scalar ** calls the C library's pow; on an array numpy rounds the
-    exact square. About one value in a thousand differs in the last bit, and
-    a row of a block must give the bits the row gives alone.
-    """
-    if np.ndim(v) == 0:
-        return v ** 2
-    return np.array([a ** 2 for a in v.flat]).reshape(v.shape)
-
-
 def _fs_constants(nu, xi):
     """Mean and std of the unstandardized Fernandez-Steel variable.
 
-    m1 is the absolute first moment of the unit-variance Student-t.
+    m1 is the absolute first moment of the unit-variance Student-t. The
+    squares are float_power's, which calls the C library's pow on arrays
+    and scalars alike, as ** does on a Python float. numpy's ** and square
+    round an array's exact square, which differs in the last bit about once
+    in a thousand.
     """
     m1 = 2.0 * np.sqrt(nu - 2.0) / (nu - 1.0) / special().beta(nu / 2.0, 0.5)
     mean = m1 * (xi - 1.0 / xi)
-    m1_2, xi_2 = _square(m1), _square(xi)
+    m1_2, xi_2 = np.float_power(m1, 2.0), np.float_power(xi, 2.0)
     var = (1.0 - m1_2) * (xi_2 + 1.0 / xi_2) + 2.0 * m1_2 - 1.0
     return mean, np.sqrt(var)
 

@@ -463,8 +463,49 @@ class TestAnalyze:
         assert cli.main([
             "analyze", str(features), str(dataset["data"] / "prices.csv"), "--out", str(out),
         ]) == 1
-        assert capsys.readouterr().err == "error: only 2 observations in the lower tail subsample\n"
+        assert capsys.readouterr().err == (
+            f"error: {features}: the lower tail of A_x at alpha_tail 0.05: "
+            "only 2 observations in the lower tail subsample\n")
         assert {p.name: p.read_text() for p in out.iterdir()} == old
+
+    @pytest.mark.parametrize("extreme_prob, message", [
+        # no extreme transactions: every A and O feature is 0 on every day
+        ("0", "A_l is constant over the 120 aligned days"),
+        # A_x is 0 on 98 of the 120 days, so no day lies below its 5 % quantile
+        ("0.005", "the lower tail of A_x at alpha_tail 0.05: "
+                  "only 0 observations in the lower tail subsample"),
+    ])
+    def test_sparse_extreme_activity_names_feature_and_file(self, tmp_path, capsys,
+                                                            extreme_prob, message):
+        data = tmp_path / "data"
+        occ, amo, features = tmp_path / "occ.txt", tmp_path / "amo.txt", tmp_path / "f.csv"
+        for argv in (
+            ["synth", "--out", str(data), "--days", "120", "--txs-per-day", "30",
+             "--extreme-prob", extreme_prob, "--seed", "3"],
+            ["extract", str(data / "transactions.csv"),
+             "--out-occurrence", str(occ), "--out-amount", str(amo)],
+            ["features", str(occ), str(amo), str(data / "prices.csv"), "--out", str(features)],
+        ):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(features), str(data / "prices.csv"),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {features}: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_constant_squared_return_names_the_price_file(self, dataset, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        dates = [line.split(",")[0] for line in dataset["features"].read_text().splitlines()[1:]]
+        last = dt.date.fromisoformat(dates[-1]) + dt.timedelta(days=1)
+        prices.write_text("date,close\n" + "".join(
+            f"{d},250.0\n" for d in dates + [last.isoformat()]))
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(dataset["features"]), str(prices),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {prices}: the squared return is constant over the {len(dates)} aligned days\n")
+        assert list(out.iterdir()) == []
 
     def test_null_features_not_systematically_significant(self, tmp_path):
         # features independent of losses: OLS should rarely reject

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from chainvol import cli
 from chainvol import garchx as g
-from chainvol.skewt import skewt_logpdf, student_t_logpdf
+from chainvol.skewt import _fs_constants, skewt_logpdf, student_t_logpdf
 from chainvol.garchx import ArmaGarchXParams, ModelSpec
 
 
@@ -271,23 +271,36 @@ KEY_BITS = (0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0x7FF800
             0xFFF8000000000000, 0x3FF0000000000000, 0x3FF0000000000001, 0x7FF0000000000000)
 
 
-@given(st.integers(1, 6), st.data())
+@given(st.integers(1, 6), st.data(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_groups_are_row_0s_bits_then_single_rows(n, data):
+def test_off_row_0_is_the_rows_with_other_bits(n, data, fortran):
     row = st.lists(st.sampled_from(KEY_BITS), min_size=n, max_size=n)
     first_row = data.draw(row)
     key_rows = [first_row] + data.draw(st.lists(st.one_of(st.just(first_row), row), max_size=8))
     keys = np.array(key_rows, dtype=np.uint64).view(float)
-    index = np.arange(len(keys))
-    groups = [(first, index[rows]) for first, rows in g._groups(keys)]
-    # every row exactly once, in the group of a row with its bits
-    assert sorted(np.concatenate([rows for _, rows in groups]).tolist()) == index.tolist()
-    for first, rows in groups:
-        assert first == rows[0]
-        assert all(key_rows[i] == key_rows[first] for i in rows)
-    # row 0's group is every row with row 0's bits, and every other row is alone
-    assert groups[0][1].tolist() == [i for i, r in enumerate(key_rows) if r == first_row]
-    assert all(len(rows) == 1 for _, rows in groups[1:])
+    if fortran:
+        # as the transposed theta rows unpack_rows gives
+        keys = np.asfortranarray(keys)
+    assert g._off_row_0(keys) == [i for i, r in enumerate(key_rows) if r != first_row]
+
+
+def test_fs_constants_squares_as_c_pow():
+    # float_power calls the C library's pow on an array as ** does on a
+    # Python float; numpy's array ** 2 and square round the exact square.
+    # Over the range of m1, (0, sqrt(2/pi)), and of xi:
+    rng = np.random.default_rng(0)
+    for low, high in ((1e-3, np.sqrt(2 / np.pi)), (1e-3, 1e3)):
+        v = np.exp(rng.uniform(np.log(low), np.log(high), size=100_000))
+        want = np.array([a ** 2 for a in v.flat])
+        np.testing.assert_array_equal(bits(np.float_power(v, 2.0)), bits(want))
+    xi = HARD_LAWS[0][1]
+    assert bits(np.float_power(xi, 2.0)) == bits(xi ** 2) != bits(xi * xi)
+    # the scale of each law of HARD_LAWS, for a scalar law and a block;
+    # _fs_constants with exactly rounded squares changes all four
+    want = [4.722420858359484, 3.9191101835820263, 1.0755080911125814, 1.9636983707031013]
+    assert [float(_fs_constants(nu, xi)[1]) for nu, xi in HARD_LAWS] == want
+    nu, xi = np.array(HARD_LAWS).T
+    assert _fs_constants(nu[:, None], xi[:, None])[1].ravel().tolist() == want
 
 
 def fit_case(spec):
