@@ -16,11 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DEFAULT_THRESHOLD
 from .errors import AlignmentError, ParseError, ValidationError
 from .ingest import EPOCH, INT64_MAX, SECONDS_PER_DAY, PriceSeries, data_lines, parse_date
 
 SATOSHI_PER_BTC = 10**8
-DEFAULT_THRESHOLD = 20
 
 
 @dataclass

@@ -2,29 +2,54 @@
 
 Configuration precedence: command-line flags > config file (flat key=value
 lines) > built-in defaults. Every JSON report embeds the resolved config.
+
+Each module of the package that a subcommand may call is bound here as a
+lazy module (importlib.util.LazyLoader): it is in sys.modules under its own
+name from the start, and runs, numpy with it, on its first attribute access.
+So `--help` and a usage error load neither numpy nor any stage module, and
+each subcommand loads only the modules it calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as dt
+import importlib.util
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
-from . import backtest as bt
-from . import chainlets, garchx, ingest, stats, synth
+from . import DEFAULT_THRESHOLD, DISTRIBUTIONS, MIN_OBS, GapPolicy
 from .errors import (ChainvolError, DegenerateSeriesError, NonFiniteStateError,
-                     RegressorOverflowError, ValidationError)
+                     RedundantColumnError, RegressorOverflowError, ValidationError)
+
+
+def _lazy(name: str):
+    """The module chainvol.<name>, to run on its first attribute access.
+
+    A module that sys.modules holds is returned as it is: find_spec would
+    return its live __spec__, whose loader must not be replaced.
+    """
+    full_name = f"{__package__}.{name}"
+    if full_name not in sys.modules:
+        spec = importlib.util.find_spec(full_name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full_name] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full_name]
+
+
+ingest, chainlets, stats, garchx, bt, synth = map(
+    _lazy, ("ingest", "chainlets", "stats", "garchx", "backtest", "synth"))
 
 SCHEMA_VERSION = 1
 
 # the values of the PipelineConfig keys that take one of a few
-CHOICES = {"distribution": garchx.DISTRIBUTIONS,
-           "gap_policy": tuple(policy.value for policy in ingest.GapPolicy)}
+CHOICES = {"distribution": DISTRIBUTIONS,
+           "gap_policy": tuple(policy.value for policy in GapPolicy)}
 # the columns of the feature matrix that analyze and backtest read
 FEATURES = ["A_l", "A_r", "A_x", "O_l", "O_r", "O_x"]
 # the PipelineConfig keys each subcommand reads, each of them its flag
@@ -48,7 +73,7 @@ class ConfigValueError(ChainvolError):
 
 @dataclass
 class PipelineConfig:
-    threshold: int = chainlets.DEFAULT_THRESHOLD
+    threshold: int = DEFAULT_THRESHOLD
     alpha_tail: float = 0.05
     var_level: float = 0.01
     window: int = 250
@@ -63,7 +88,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         # a fit takes MIN_OBS days, and filter_model max(p, q) + 2
-        min_window = max(garchx.MIN_OBS, self.arma_p + 2, self.arma_q + 2)
+        min_window = max(MIN_OBS, self.arma_p + 2, self.arma_q + 2)
         for key, ok, bound in (
             ("threshold", self.threshold >= 2, ">= 2"),
             ("alpha_tail", 0 < self.alpha_tail < 0.5, "in (0, 0.5)"),
@@ -154,6 +179,8 @@ def _wide_calendar() -> ingest.DailyCalendar:
 # --- subcommands -----------------------------------------------------------
 
 def cmd_extract(args, config: PipelineConfig) -> int:
+    import numpy as np
+
     _check_outputs_not_inputs([args.out_occurrence, args.out_amount],
                               [args.transactions, args.config])
     builder = chainlets.DayCubeBuilder(config.threshold)
@@ -213,7 +240,7 @@ def cmd_features(args, config: PipelineConfig) -> int:
         rows = []
         if cube.dates:
             calendar = ingest.DailyCalendar(
-                cube.dates[0], cube.dates[-1], ingest.GapPolicy(config.gap_policy)
+                cube.dates[0], cube.dates[-1], GapPolicy(config.gap_policy)
             )
             rows = chainlets.feature_series(cube, ingest.load_prices(args.prices, calendar))
         chainlets.write_feature_csv(files[0], rows)
@@ -235,11 +262,13 @@ def _aligned_features_returns(features_path, prices_path, config: PipelineConfig
     With lag L = config.lag the return on day t is paired with the features
     of day t-L. Returns (dates, X (T,6), returns).
     """
+    import numpy as np
+
     rows = chainlets.read_feature_csv(features_path)
     if not rows:
         raise ChainvolError(f"no feature rows in {features_path}")
     calendar = ingest.DailyCalendar(
-        rows[0].date, rows[-1].date + dt.timedelta(days=1), ingest.GapPolicy(config.gap_policy)
+        rows[0].date, rows[-1].date + dt.timedelta(days=1), GapPolicy(config.gap_policy)
     )
     prices = ingest.load_prices(prices_path, calendar)
     returns = stats.log_returns(prices)
@@ -268,6 +297,8 @@ def _standardize(values, what: str, path):
 
 
 def cmd_analyze(args, config: PipelineConfig) -> int:
+    import numpy as np
+
     dates, X, r = _aligned_features_returns(args.features, args.prices, config)
     if len(dates) < 30:
         raise ChainvolError(f"need >= 30 aligned days for analysis, got {len(dates)}")
@@ -277,7 +308,11 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     y_std = _standardize(r**2, "the squared return", args.prices)
     X_std = np.column_stack([_standardize(X[:, j], name, args.features)
                              for j, name in enumerate(FEATURES)])
-    report = stats.ols_fit(y_std, X_std, names=FEATURES)
+    try:
+        report = stats.ols_fit(y_std, X_std, names=FEATURES)
+    except RedundantColumnError as exc:
+        raise ValidationError(f"feature column {exc.column!r} is redundant",
+                              args.features) from None
     texts = {"ols_report.json": _json_text(report.to_dict(), config)}
 
     # conditional loss-density moments, losses standardized over the full sample

@@ -42,6 +42,15 @@ class DegenerateSeriesError(ChainvolError):
     """A series has zero variance or too few observations for the operation."""
 
 
+class RedundantColumnError(ValidationError):
+    """A column of a regression design is a linear combination of the
+    others; column is its name."""
+
+    def __init__(self, column):
+        self.column = column
+        super().__init__(f"rank-deficient design: column {column!r} is redundant")
+
+
 class FitError(ChainvolError):
     """Model estimation failed across all restarts."""
 

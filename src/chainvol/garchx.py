@@ -17,25 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DISTRIBUTIONS, MIN_OBS
 from .errors import FitError, NonFiniteStateError, RegressorOverflowError, ValidationError
 from .kernels import scipy_extension, special
 from .skewt import normal_logpdf, skewt_logpdf, skewt_quantile, student_t_logpdf
 
 SIGMA2_MIN = 1e-12
 PENALTY_NLL = 1e10
-# fit settings: L-BFGS-B limits and the shortest series worth fitting
+# fit settings: L-BFGS-B limits
 MAX_ITER = 500
 GTOL = 1e-6
 FTOL = 1e-10
-MIN_OBS = 50
 FD_STEP = 1e-8  # L-BFGS-B's default finite-difference step
 # the rest of scipy's L-BFGS-B defaults: stored corrections, evaluations per
 # line search and evaluations per run
 CORRECTIONS = 10
 MAX_LS = 20
 MAX_FUN = 15000
-
-DISTRIBUTIONS = ("normal", "t", "skewt")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from . import GapPolicy
 from .errors import AlignmentError, ParseError, ValidationError
 
 EPOCH = dt.date(1970, 1, 1)
@@ -26,11 +26,6 @@ MAX_MONEY = 21_000_000 * 10**8  # Bitcoin's supply cap in satoshi
 BLOCK_CHARS = 1 << 18  # characters read per block: 256 KiB of ASCII
 INT64_MAX = 2**63 - 1
 _DIGIT_0, _PLUS, _COMMA, _MINUS, _NEWLINE, _HASH, _SPACE = b"0+,-\n# "
-
-
-class GapPolicy(Enum):
-    ERROR = "error"
-    FORWARD_FILL = "ffill"
 
 
 @dataclass(frozen=True)

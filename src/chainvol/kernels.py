@@ -1,11 +1,13 @@
 """scipy's compiled kernels, loaded from their extension files.
 
 Each module comes from its own file, so the __init__ of its package never
-runs, and the stages that never call a kernel (extract, features) never load
-scipy at all. On a 2-core x86-64 VM, scipy/signal/__init__.py would load
-scipy.stats (through _peak_finding), scipy.spatial and scipy.ndimage, 0.6-0.8
-s of every backtest process; scipy/optimize/__init__.py loads _linprog,
-_shgo, scipy.linalg and scipy.fft, about 0.3 s more; and
+runs. The modules that import this one (stats, skewt, garchx, backtest) run
+only in the processes whose subcommand calls them, since the command line
+binds them lazily: --help, extract and features never run this module and
+load no scipy at all. On a 2-core x86-64 VM, scipy/signal/__init__.py would
+load scipy.stats (through _peak_finding), scipy.spatial and scipy.ndimage,
+0.6-0.8 s of every backtest process; scipy/optimize/__init__.py loads
+_linprog, _shgo, scipy.linalg and scipy.fft, about 0.3 s more; and
 scipy/special/__init__.py runs _support_alternative_backends, which loads
 scipy._lib.array_api_compat and numpy.f2py, 0.15-0.3 s of every analyze and
 backtest process.

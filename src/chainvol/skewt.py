@@ -67,23 +67,6 @@ def skewt_logpdf(z, nu, xi):
     return out if out.ndim else float(out)
 
 
-def skewt_pdf(z, nu: float, xi: float):
-    _check_params(nu, xi)
-    return np.exp(skewt_logpdf(z, nu, xi))
-
-
-def skewt_cdf(z, nu: float, xi: float):
-    _check_params(nu, xi)
-    z = np.asarray(z, dtype=float)
-    mean, sd = _fs_constants(nu, xi)
-    w = sd * z + mean
-    c = _std_t_scale(nu)
-    lo = 2.0 / (1.0 + xi**2) * special().stdtr(nu, w * xi * c)
-    hi = 1.0 / (1.0 + xi**2) + 2.0 * xi**2 / (1.0 + xi**2) * (special().stdtr(nu, w / xi * c) - 0.5)
-    out = np.where(w < 0, lo, hi)
-    return out if out.ndim else float(out)
-
-
 def skewt_quantile(p, nu: float, xi: float):
     """Inverse CDF via the closed-form piecewise inversion of the skewing."""
     _check_params(nu, xi)

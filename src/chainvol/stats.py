@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, ValidationError
+from .errors import DegenerateSeriesError, RedundantColumnError, ValidationError
 from .ingest import PriceSeries
 from .kernels import special
 
@@ -122,7 +122,7 @@ def ols_fit(y, X, names) -> OlsReport:
         for j in range(n_params):
             others = np.delete(X, j, axis=1)
             if np.linalg.matrix_rank(others) == rank:
-                raise ValidationError(f"rank-deficient design: column {names[j]!r} is redundant")
+                raise RedundantColumnError(names[j])
         raise ValidationError("rank-deficient design matrix")
     coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chainlets import DEFAULT_THRESHOLD
+from . import DEFAULT_THRESHOLD
 from .errors import ValidationError
 from .garchx import ArmaGarchXParams, ModelSpec, simulate
 from .ingest import SECONDS_PER_DAY, atomic_write_text

@@ -96,18 +96,18 @@ def test_criterion_05_garch_parameter_recovery():
            f"{hits}/10 seeds, {elapsed:.1f}s")
 
 
-def test_criterion_06_skew_t_correctness():
+def test_criterion_06_skew_t_correctness(skewt_law):
     ok = True
     details = []
     for nu, xi in [(5.0, 1.0), (5.0, 1.5), (8.0, 0.7)]:
-        pdf = lambda z: skewt.skewt_pdf(z, nu, xi)
+        pdf = lambda z: skewt_law.pdf(z, nu, xi)
         total, _ = integrate.quad(pdf, -np.inf, np.inf)
         mean, _ = integrate.quad(lambda z: z * pdf(z), -np.inf, np.inf)
         var, _ = integrate.quad(lambda z: z * z * pdf(z), -np.inf, np.inf)
         ok &= abs(total - 1) <= 1e-6 and abs(mean) <= 1e-5 and abs(var - 1) <= 1e-5
         for p in (0.01, 0.25, 0.5, 0.75, 0.99):
             q = skewt.skewt_quantile(p, nu, xi)
-            ok &= abs(skewt.skewt_cdf(q, nu, xi) - p) <= 1e-8
+            ok &= abs(skewt_law.cdf(q, nu, xi) - p) <= 1e-8
         details.append(f"nu={nu},xi={xi}: |int-1|={abs(total - 1):.1e}")
     report(6, "skew-t normalization, standardization and quantile round trips", bool(ok),
            "; ".join(details))

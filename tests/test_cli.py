@@ -507,6 +507,19 @@ class TestAnalyze:
             f"error: {prices}: the squared return is constant over the {len(dates)} aligned days\n")
         assert list(out.iterdir()) == []
 
+    def test_redundant_feature_names_column_and_file(self, dataset, tmp_path, capsys):
+        # A_r a copy of A_l: the standardized design has rank 6 of 7
+        features = tmp_path / "f.csv"
+        header, *rows = [line.split(",") for line in dataset["features"].read_text().splitlines()]
+        assert header[1:3] == ["A_l", "A_r"]
+        rows = [[day, a_l, a_l, *rest] for day, a_l, _, *rest in rows]
+        features.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(features), str(dataset["data"] / "prices.csv"),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {features}: feature column 'A_l' is redundant\n"
+        assert list(out.iterdir()) == []
+
     def test_null_features_not_systematically_significant(self, tmp_path):
         # features independent of losses: OLS should rarely reject
         import datetime as dt
@@ -1016,6 +1029,67 @@ def test_import_does_not_load_scipy_signal(dataset, tmp_path):
     assert (tmp_path / "f.csv").read_bytes() == dataset["features"].read_bytes()
     assert (tmp_path / "an" / "ols_report.json").exists()
     assert (tmp_path / "bt" / "backtest_report.json").exists()
+
+
+def test_each_process_runs_only_the_modules_its_subcommand_calls(dataset, tmp_path):
+    # cli binds the package's modules lazily, so that `--help` and a usage
+    # error load no numpy, extract and features run ingest and chainlets
+    # alone, and analyze adds stats and kernels; each name is the module in
+    # sys.modules from the start, and runs on its first attribute access
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # the modules of the package that have run: a lazy module is of a
+    # subclass of ModuleType until it runs
+    ran = textwrap.dedent("""
+        import sys, types
+        def ran():
+            return sorted(n for n, m in sys.modules.items()
+                          if n.startswith('chainvol.') and type(m) is types.ModuleType)
+    """)
+    # what `python -m chainvol.cli ARGS` runs
+    as_main = ran + textwrap.dedent("""
+        import runpy
+        sys.argv = ['chainvol', *sys.argv[1:]]
+        try:
+            runpy.run_module('chainvol.cli', run_name='__main__', alter_sys=True)
+        except SystemExit as exc:
+            print(exc.code, 'numpy._core' in sys.modules, ran())
+    """)
+    for argv, code in ((["--help"], 0), (["extract"], 2)):
+        out = subprocess.run([sys.executable, "-c", as_main, *argv], capture_output=True,
+                             text=True, env=env, check=True)
+        assert out.stdout.splitlines()[-1] == f"{code} False ['chainvol.errors']"
+
+    stages = ran + textwrap.dedent("""
+        import chainvol, chainvol.cli as cli
+        names = {'ingest': cli.ingest, 'chainlets': cli.chainlets, 'stats': cli.stats,
+                 'garchx': cli.garchx, 'backtest': cli.bt, 'synth': cli.synth}
+        for name, module in names.items():
+            assert module is sys.modules['chainvol.' + name] is getattr(chainvol, name)
+        print(ran())
+        tx, occ, amo, prices, out, an = sys.argv[1:]
+        assert cli.main(['extract', tx, '--out-occurrence', occ, '--out-amount', amo]) == 0
+        assert cli.main(['features', occ, amo, prices, '--out', out]) == 0
+        print(ran())
+        assert cli.main(['analyze', out, prices, '--out', an]) == 0
+        print(ran())
+        assert cli.bt.rolling_backtest.__module__ == 'chainvol.backtest'
+        assert cli.synth.write_synth_dataset.__module__ == 'chainvol.synth'
+        print(ran())
+    """)
+    data = dataset["data"]
+    out = subprocess.run(
+        [sys.executable, "-c", stages, str(data / "transactions.csv"), str(tmp_path / "occ.txt"),
+         str(tmp_path / "amo.txt"), str(data / "prices.csv"), str(tmp_path / "f.csv"),
+         str(tmp_path / "an")],
+        capture_output=True, text=True, env=env, check=True)
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    first = ["chainvol.cli", "chainvol.errors"]
+    extract_features = sorted(first + ["chainvol.chainlets", "chainvol.ingest"])
+    analyze = sorted(extract_features + ["chainvol.kernels", "chainvol.stats"])
+    every = sorted(analyze + ["chainvol.backtest", "chainvol.garchx", "chainvol.skewt",
+                              "chainvol.synth"])
+    assert loaded == [str(first), str(extract_features), str(analyze), str(every)]
+    assert (tmp_path / "f.csv").read_bytes() == dataset["features"].read_bytes()
 
 
 def test_later_scipy_special_import_matches_a_fresh_process(dataset, tmp_path):

@@ -30,9 +30,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "chainvol").glob("*.py"))
 CALLERS = PACKAGE + sorted((ROOT / "pipebench").glob("*.py"))
 
-# cli.main is the entry point; skewt_pdf and skewt_cdf are the density API
-# that the tests integrate and invert against
-EXEMPT = {("cli", "main"), ("skewt", "skewt_pdf"), ("skewt", "skewt_cdf")}
+# cli.main is the entry point
+EXEMPT = {("cli", "main")}
 
 DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 

@@ -11,20 +11,18 @@ PARAM_GRID = [(5.0, 1.0), (5.0, 1.5), (8.0, 0.7)]
 
 class TestDensity:
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0])
-    def test_symmetric_when_unskewed(self, z):
-        assert skewt.skewt_pdf(z, 5.0, 1.0) == pytest.approx(
-            skewt.skewt_pdf(-z, 5.0, 1.0), rel=1e-12
-        )
+    def test_symmetric_when_unskewed(self, z, skewt_law):
+        assert skewt_law.pdf(z, 5.0, 1.0) == pytest.approx(skewt_law.pdf(-z, 5.0, 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("nu,xi", PARAM_GRID)
-    def test_integrates_to_one(self, nu, xi):
-        total, _ = integrate.quad(lambda z: skewt.skewt_pdf(z, nu, xi), -np.inf, np.inf)
+    def test_integrates_to_one(self, nu, xi, skewt_law):
+        total, _ = integrate.quad(lambda z: skewt_law.pdf(z, nu, xi), -np.inf, np.inf)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("nu,xi", PARAM_GRID)
-    def test_unit_mean_and_variance(self, nu, xi):
-        mean, _ = integrate.quad(lambda z: z * skewt.skewt_pdf(z, nu, xi), -np.inf, np.inf)
-        var, _ = integrate.quad(lambda z: z * z * skewt.skewt_pdf(z, nu, xi), -np.inf, np.inf)
+    def test_unit_mean_and_variance(self, nu, xi, skewt_law):
+        mean, _ = integrate.quad(lambda z: z * skewt_law.pdf(z, nu, xi), -np.inf, np.inf)
+        var, _ = integrate.quad(lambda z: z * z * skewt_law.pdf(z, nu, xi), -np.inf, np.inf)
         assert mean == pytest.approx(0.0, abs=1e-5)
         assert var == pytest.approx(1.0, abs=1e-5)
 
@@ -35,10 +33,10 @@ class TestDensity:
         )
 
     def test_parameter_bounds(self):
-        with pytest.raises(ValueError):
-            skewt.skewt_pdf(0.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            skewt.skewt_pdf(0.0, 5.0, 0.0)
+        with pytest.raises(ValueError, match="nu must be > 2"):
+            skewt.skewt_quantile(0.5, 2.0, 1.0)
+        with pytest.raises(ValueError, match="xi must be > 0"):
+            skewt.skewt_quantile(0.5, 5.0, 0.0)
 
 
 def scipy_std_t_logpdf(a, nu):
@@ -84,15 +82,15 @@ class TestClosedForm:
 class TestCdfQuantile:
     @pytest.mark.parametrize("nu,xi", PARAM_GRID)
     @pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
-    def test_round_trip(self, nu, xi, p):
+    def test_round_trip(self, nu, xi, p, skewt_law):
         q = skewt.skewt_quantile(p, nu, xi)
-        assert skewt.skewt_cdf(q, nu, xi) == pytest.approx(p, abs=1e-8)
+        assert skewt_law.cdf(q, nu, xi) == pytest.approx(p, abs=1e-8)
 
     @pytest.mark.parametrize("nu,xi", PARAM_GRID)
-    def test_cdf_matches_quadrature_oracle(self, nu, xi):
+    def test_cdf_matches_quadrature_oracle(self, nu, xi, skewt_law):
         for z in (-1.5, 0.0, 2.0):
-            total, _ = integrate.quad(lambda v: skewt.skewt_pdf(v, nu, xi), -np.inf, z)
-            assert skewt.skewt_cdf(z, nu, xi) == pytest.approx(total, abs=1e-8)
+            total, _ = integrate.quad(lambda v: skewt_law.pdf(v, nu, xi), -np.inf, z)
+            assert skewt_law.cdf(z, nu, xi) == pytest.approx(total, abs=1e-8)
 
     def test_symmetric_median_is_zero(self):
         assert skewt.skewt_quantile(0.5, 6.0, 1.0) == pytest.approx(0.0, abs=1e-8)

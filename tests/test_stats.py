@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainvol import stats
-from chainvol.errors import DegenerateSeriesError, ValidationError
+from chainvol.errors import DegenerateSeriesError, RedundantColumnError, ValidationError
 from chainvol.ingest import PriceSeries
 from chainvol.stats import Tail
 
@@ -120,8 +120,9 @@ class TestOls:
         rng = np.random.default_rng(4)
         x1 = rng.normal(size=40)
         X = np.column_stack([x1, 2 * x1])
-        with pytest.raises(ValidationError, match="redundant"):
+        with pytest.raises(RedundantColumnError, match="redundant") as caught:
             stats.ols_fit(rng.normal(size=40), X, names=["a", "b"])
+        assert caught.value.column == "a"
 
     def test_standardized_problem_invariant_to_affine_rescaling(self):
         rng = np.random.default_rng(5)
